@@ -11,39 +11,18 @@
 #include "bench/bench_util.h"
 #include "src/core/network.h"
 #include "src/routing/spanning_tree.h"
+#include "src/topo/planner.h"
 #include "src/topo/spec.h"
 
 namespace autonet {
 namespace {
-
-int Diameter(const NetTopology& topo) {
-  int diameter = 0;
-  for (int s = 0; s < topo.size(); ++s) {
-    std::vector<int> dist(topo.size(), -1);
-    std::vector<int> queue{s};
-    dist[s] = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      int u = queue[head];
-      for (const TopoLink& link : topo.switches[u].links) {
-        if (dist[link.remote_switch] < 0) {
-          dist[link.remote_switch] = dist[u] + 1;
-          queue.push_back(link.remote_switch);
-        }
-      }
-    }
-    for (int d : dist) {
-      diameter = std::max(diameter, d);
-    }
-  }
-  return diameter;
-}
 
 void Measure(bench::JsonReport& report, const char* shape, TopoSpec spec) {
   NetworkConfig config;
   config.autopilot = AutopilotConfig::Tuned();
   config.start_drivers = false;
   int switches = static_cast<int>(spec.switches.size());
-  int diameter = Diameter(spec.ExpectedTopology());
+  int diameter = LongestShortestPath(spec.ExpectedTopology());
   Network net(std::move(spec), config);
   net.Boot();
   if (!net.WaitForConsistency(10 * 60 * kSecond, 200 * kMillisecond)) {

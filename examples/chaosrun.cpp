@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -149,10 +148,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Load and filter the corpus.  Scenario name lookups (--scenario) see the
-  // default and SLO corpora together so any reproducer line replays without
+  // Load and filter the corpus.  Scenario name lookups (--scenario) see
+  // every built-in corpus together so any reproducer line replays without
   // extra flags.
-  std::vector<Scenario> scenarios;
   if ((!corpus_file.empty() ? 1 : 0) + (slo_corpus ? 1 : 0) +
           (adversary_corpus ? 1 : 0) >
       1) {
@@ -161,46 +159,26 @@ int main(int argc, char** argv) {
                  "exclusive\n");
     return 2;
   }
-  if (corpus_file.empty()) {
-    scenarios = slo_corpus         ? SloCorpus()
-                : adversary_corpus ? AdversaryCorpus()
-                                   : DefaultCorpus();
-    if (!slo_corpus && !adversary_corpus && !want_scenarios.empty()) {
-      std::vector<Scenario> slo = SloCorpus();
-      scenarios.insert(scenarios.end(), slo.begin(), slo.end());
-      std::vector<Scenario> adv = AdversaryCorpus();
-      scenarios.insert(scenarios.end(), adv.begin(), adv.end());
-    }
+  std::vector<Scenario> scenarios;
+  if (slo_corpus) {
+    scenarios = SloCorpus();
+  } else if (adversary_corpus) {
+    scenarios = AdversaryCorpus();
+  } else if (corpus_file.empty() && want_scenarios.empty()) {
+    scenarios = DefaultCorpus();
   } else {
-    std::ifstream in(corpus_file);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", corpus_file.c_str());
-      return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
     std::string error;
-    scenarios = ParseScenarios(text.str(), &error);
-    if (scenarios.empty()) {
-      std::fprintf(stderr, "%s: %s\n", corpus_file.c_str(), error.c_str());
+    if (!LoadScenarios(corpus_file, &scenarios, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 2;
     }
   }
   if (!want_scenarios.empty()) {
-    std::vector<Scenario> kept;
-    for (const Scenario& s : scenarios) {
-      for (const std::string& want : want_scenarios) {
-        if (s.name == want) {
-          kept.push_back(s);
-          break;
-        }
-      }
-    }
-    if (kept.empty()) {
+    scenarios = FilterScenarios(scenarios, want_scenarios);
+    if (scenarios.empty()) {
       std::fprintf(stderr, "no scenario matched\n");
       return 2;
     }
-    scenarios = std::move(kept);
   }
 
   if (want_topos.empty()) {
@@ -257,7 +235,6 @@ int main(int argc, char** argv) {
   config.topologies = std::move(topologies);
   config.seeds = std::move(seeds);
   config.jobs = jobs;
-  config.reproducer_stem = "chaosrun";
 
   std::printf("campaign: %zu scenarios x %zu topologies x %zu seeds = %zu runs\n",
               config.scenarios.size(), config.topologies.size(),

@@ -14,25 +14,27 @@
 //                                      engine's moves land in the timeline
 //                                      as flight events and the transcript
 //                                      prints below the actions)
-#include <algorithm>
+//   postmortem --scenario cable-cut-restore --topo line6 --seed 0
+//              --workload 'rpc bytes 256 response 32 window 2 timeout 2s'
+//                                     (campaign-level --workload and
+//                                      --adversary flags, as chaosrun stamps
+//                                      them into reproducer lines)
+//
+// Scenario mode replays through chaos::RunOne itself, workload and
+// adversary included, so the timeline is the one a failed campaign
+// attached to its violations.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/adversary/adversary.h"
 #include "src/adversary/spec.h"
 #include "src/chaos/corpus.h"
-#include "src/chaos/executor.h"
-#include "src/chaos/oracles.h"
 #include "src/chaos/runner.h"
 #include "src/check/explore.h"
-#include "src/core/network.h"
+#include "src/obs/json.h"
 #include "src/obs/postmortem.h"
+#include "src/workload/spec.h"
 
 using namespace autonet;
 
@@ -48,23 +50,14 @@ int Usage(const char* argv0) {
       "  --topo NAME       topology name (chaos registry)\n"
       "  --seed N          scenario seed (default 0)\n"
       "  --corpus FILE     scenario file instead of the built-in corpora\n"
-      "  --adversary SPEC  arm a campaign-level adversary, as in chaosrun\n"
+      "  --workload SPEC   drive a campaign-level workload, as in chaosrun\n"
       "                    reproducer lines (scenario-level specs win)\n"
+      "  --adversary SPEC  arm a campaign-level adversary, likewise\n"
       "  --schedule ID     protocheck schedule id instead of a scenario\n"
       "  --events          list every flight-recorder event per epoch\n"
       "  --trace FILE      write a Perfetto-compatible trace (scenario mode)\n",
       argv0, argv0);
   return 2;
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-            content.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace
@@ -73,6 +66,7 @@ int main(int argc, char** argv) {
   std::string scenario_name;
   std::string topo_name;
   std::string corpus_file;
+  std::string workload_text;
   std::string adversary_text;
   std::string schedule_id;
   std::string trace_file;
@@ -100,6 +94,10 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       corpus_file = v;
+    } else if (arg == "--workload") {
+      const char* v = next();
+      if (v == nullptr) return Usage(argv[0]);
+      workload_text = v;
     } else if (arg == "--adversary") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -127,15 +125,15 @@ int main(int argc, char** argv) {
                    schedule_id.c_str());
       return 2;
     }
-    check::ExploreConfig config;
-    config.capture_postmortem = true;
-    check::ScheduleResult result = check::RunSchedule(config, *id);
+    obs::PostMortem pm;
+    check::ScheduleResult result =
+        check::RunSchedule(check::ExploreConfig(), *id, &pm);
     for (const chaos::Violation& v : result.violations) {
       std::printf("[%s] %s\n", v.oracle.c_str(), v.detail.c_str());
     }
     std::printf("schedule %s: %s\n\n", result.id.c_str(),
                 result.ok ? "all oracles green" : "VIOLATED");
-    std::fputs(result.postmortem.c_str(), stdout);
+    std::fputs(pm.RenderText(with_events).c_str(), stdout);
     return result.ok ? 0 : 1;
   }
 
@@ -144,116 +142,58 @@ int main(int argc, char** argv) {
   }
 
   // --- chaosrun reproducer mode ---
-  // Replays the run exactly as chaos::RunOne does (same boot, script, and
-  // oracle sequence), so the reconstructed timeline matches the one a
-  // failed campaign attached to its violations.
   std::vector<chaos::Scenario> scenarios;
-  if (corpus_file.empty()) {
-    scenarios = chaos::DefaultCorpus();
-    for (auto& extra : {chaos::SloCorpus(), chaos::AdversaryCorpus()}) {
-      scenarios.insert(scenarios.end(), extra.begin(), extra.end());
-    }
-  } else {
-    std::ifstream in(corpus_file);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", corpus_file.c_str());
-      return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string error;
-    scenarios = chaos::ParseScenarios(text.str(), &error);
-    if (scenarios.empty()) {
-      std::fprintf(stderr, "%s: %s\n", corpus_file.c_str(), error.c_str());
-      return 2;
-    }
+  std::string error;
+  if (!chaos::LoadScenarios(corpus_file, &scenarios, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
-  const chaos::Scenario* scenario = nullptr;
-  for (const chaos::Scenario& s : scenarios) {
-    if (s.name == scenario_name) {
-      scenario = &s;
-      break;
-    }
-  }
-  if (scenario == nullptr) {
+  scenarios = chaos::FilterScenarios(scenarios, {scenario_name});
+  if (scenarios.empty()) {
     std::fprintf(stderr, "unknown scenario '%s'\n", scenario_name.c_str());
     return 2;
   }
-  std::string error;
-  TopoSpec spec = chaos::TopologyByName(topo_name, &error);
+  chaos::TopologyCase topo{topo_name,
+                           chaos::TopologyByName(topo_name, &error)};
   if (!error.empty()) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-
   chaos::CampaignConfig config;
-  Network net(spec, config.network);
-  net.sim().flight().Arm();
-  net.Boot();
-  Tick boot_deadline = config.convergence_base +
-                       config.convergence_per_hop * chaos::HealthyDiameter(net);
-  if (!net.WaitForConsistency(boot_deadline, config.quiet)) {
-    std::fprintf(stderr, "bootstrap never converged; timeline follows\n");
-    obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
-    std::fputs(pm.RenderText(with_events).c_str(), stdout);
-    return 1;
+  if (!workload_text.empty() &&
+      !workload::ParseSpecText(workload_text, &config.workload, &error)) {
+    std::fprintf(stderr, "--workload: %s\n", error.c_str());
+    return 2;
   }
-  net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond);
-
-  // Arm the adversary exactly as chaos::RunOne does: the scenario's own
-  // spec wins, else a campaign-level one passed back in via --adversary
-  // (chaosrun stamps it into reproducer lines).
-  adversary::Spec cli_adv;
   if (!adversary_text.empty() &&
-      !adversary::ParseSpecText(adversary_text, &cli_adv, &error)) {
+      !adversary::ParseSpecText(adversary_text, &config.adversary, &error)) {
     std::fprintf(stderr, "--adversary: %s\n", error.c_str());
     return 2;
   }
-  const adversary::Spec& adv =
-      scenario->adversary.enabled() ? scenario->adversary : cli_adv;
 
-  chaos::ScenarioExecutor executor(&net, *scenario, seed);
-  Tick script_start = net.sim().now();
-  executor.Schedule(script_start);
-  std::unique_ptr<adversary::Engine> adv_engine;
-  if (adv.enabled()) {
-    adv_engine = std::make_unique<adversary::Engine>(&net, adv, seed);
-    adv_engine->Arm(script_start);
-  }
-  Tick run_until = executor.script_end();
-  if (adv_engine != nullptr) {
-    run_until = std::max(run_until, adv_engine->end());
-  }
-  if (run_until > net.sim().now()) {
-    net.Run(run_until - net.sim().now());
-  }
-  for (const std::string& action : executor.resolved()) {
+  obs::PostMortem pm;
+  chaos::RunResult result =
+      chaos::RunOne(config, scenarios.front(), topo, seed, nullptr, &pm);
+  for (const std::string& action : result.resolved_actions) {
     std::printf("action: %s\n", action.c_str());
   }
-  if (adv_engine != nullptr) {
-    for (const std::string& line : adv_engine->transcript()) {
-      std::printf("adversary: %s\n", line.c_str());
-    }
+  for (const std::string& line : result.adversary_transcript) {
+    std::printf("adversary: %s\n", line.c_str());
   }
-
-  chaos::OracleContext ctx;
-  ctx.net = &net;
-  ctx.quiet = config.quiet;
-  ctx.deadline = net.sim().now() + config.convergence_base +
-                 config.convergence_per_hop * chaos::HealthyDiameter(net);
-  bool violated = false;
-  for (const auto& oracle : chaos::StandardOracles()) {
-    std::string detail = oracle->Check(ctx);
-    if (!detail.empty()) {
-      std::printf("[%s] %s\n", oracle->name().c_str(), detail.c_str());
-      violated = true;
-    }
+  if (!result.workload.empty()) {
+    std::printf("workload: %s: %llu ops, worst outage %.1f ms, lost %llu\n",
+                result.workload.c_str(),
+                static_cast<unsigned long long>(result.slo_ops),
+                result.slo_max_outage_ms,
+                static_cast<unsigned long long>(result.slo_recovery_lost));
+  }
+  for (const chaos::Violation& v : result.violations) {
+    std::printf("[%s] %s\n", v.oracle.c_str(), v.detail.c_str());
   }
   std::printf("run %s --topo %s --seed %llu: %s\n\n", scenario_name.c_str(),
               topo_name.c_str(), static_cast<unsigned long long>(seed),
-              violated ? "VIOLATED" : "all oracles green");
+              result.ok ? "all oracles green" : "VIOLATED");
 
-  obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
   std::fputs(pm.RenderText(with_events).c_str(), stdout);
   if (!trace_file.empty()) {
     if (!WriteFile(trace_file, pm.ToChromeTraceJson())) {
@@ -262,5 +202,5 @@ int main(int argc, char** argv) {
     }
     std::printf("trace: %s\n", trace_file.c_str());
   }
-  return violated ? 1 : 0;
+  return result.ok ? 0 : 1;
 }

@@ -146,11 +146,11 @@ int main(int argc, char** argv) {
   }
 
   if (list_only) {
-    std::printf("check topologies:");
-    for (const std::string& name : CheckTopologyNames()) {
+    std::printf("topologies:");
+    for (const std::string& name : chaos::AllTopologyNames()) {
       std::printf(" %s", name.c_str());
     }
-    std::printf(" (plus any chaos topology name)\n");
+    std::printf("\n");
     return 0;
   }
   if (fuzz_cases <= 0 && corpus_file.empty() && inject_count <= 0 &&

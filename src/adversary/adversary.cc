@@ -5,6 +5,7 @@
 
 #include "src/autopilot/port_state.h"
 #include "src/autopilot/reconfig.h"
+#include "src/common/hash.h"
 #include "src/common/packet.h"
 #include "src/obs/flight.h"
 
@@ -12,9 +13,6 @@ namespace autonet {
 namespace adversary {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 // How long a phase-snipe cut is left in place before the engine heals it and
 // stalks the next phase window: long enough to land inside the wave it
@@ -60,10 +58,7 @@ void Engine::Arm(Tick start) {
 std::uint64_t Engine::TranscriptHash() const {
   std::uint64_t h = kFnvOffset;
   for (const std::string& line : transcript_) {
-    for (char c : line) {
-      h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
-    }
-    h = (h ^ static_cast<unsigned char>('\n')) * kFnvPrime;
+    h = Fnv1a(Fnv1a(h, line), "\n");
   }
   return h;
 }
@@ -544,7 +539,7 @@ void Engine::Note(const char* fmt, ...) {
   va_start(args, fmt);
   std::vsnprintf(buf, sizeof buf, fmt, args);
   va_end(args);
-  transcript_.push_back("t=" + TimeText(net_->sim().now()) + " " +
+  transcript_.push_back("t=" + FormatTime(net_->sim().now()) + " " +
                         StrategyName(spec_.strategy) + ": " + buf);
 }
 

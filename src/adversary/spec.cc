@@ -1,8 +1,6 @@
 #include "src/adversary/spec.h"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 namespace autonet {
@@ -32,60 +30,7 @@ const char* StrategyName(Strategy strategy) {
   return "none";
 }
 
-std::string TimeText(Tick t) {
-  auto exact = [&](Tick unit) { return t % unit == 0; };
-  char buf[32];
-  if (t != 0 && exact(kSecond)) {
-    std::snprintf(buf, sizeof buf, "%llds", static_cast<long long>(t / kSecond));
-  } else if (t != 0 && exact(kMillisecond)) {
-    std::snprintf(buf, sizeof buf, "%lldms",
-                  static_cast<long long>(t / kMillisecond));
-  } else if (t != 0 && exact(kMicrosecond)) {
-    std::snprintf(buf, sizeof buf, "%lldus",
-                  static_cast<long long>(t / kMicrosecond));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t));
-  }
-  return buf;
-}
-
 namespace {
-
-bool ParseTime(const std::string& tok, Tick* out) {
-  std::size_t i = 0;
-  while (i < tok.size() &&
-         (std::isdigit(static_cast<unsigned char>(tok[i])) || tok[i] == '.')) {
-    ++i;
-  }
-  if (i == 0 || i == tok.size()) {
-    return false;
-  }
-  double value;
-  try {
-    std::size_t consumed;
-    value = std::stod(tok.substr(0, i), &consumed);
-    if (consumed != i) {
-      return false;
-    }
-  } catch (...) {
-    return false;
-  }
-  std::string unit = tok.substr(i);
-  double scale;
-  if (unit == "ns") {
-    scale = 1.0;
-  } else if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    return false;
-  }
-  *out = static_cast<Tick>(std::llround(value * scale));
-  return true;
-}
 
 bool ParseCount(const std::string& tok, long long* out) {
   try {
@@ -128,9 +73,9 @@ std::string Spec::ToText() const {
   if (strategy == Strategy::kNone) {
     return out.str();
   }
-  out << " moves " << moves << " duration " << TimeText(duration);
+  out << " moves " << moves << " duration " << FormatTime(duration);
   if (period > 0) {
-    out << " period " << TimeText(period);
+    out << " period " << FormatTime(period);
   }
   switch (strategy) {
     case Strategy::kPhaseSnipe:

@@ -29,11 +29,6 @@ enum class Strategy : std::uint8_t {
 
 const char* StrategyName(Strategy strategy);
 
-// Time literal in the scenario grammar's forms ("250ms", "3s"); kept here
-// because chaos depends on adversary, not the other way around.  Used by
-// Spec::ToText and the engine's transcript lines.
-std::string TimeText(Tick t);
-
 struct Spec {
   Strategy strategy = Strategy::kNone;
   int moves = 4;                 // attack moves before the adversary retires

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace autonet {
 namespace chaos {
@@ -249,6 +251,44 @@ std::vector<Scenario> AdversaryCorpus() {
     std::abort();
   }
   return scenarios;
+}
+
+bool LoadScenarios(const std::string& corpus_file,
+                   std::vector<Scenario>* out, std::string* error) {
+  if (corpus_file.empty()) {
+    *out = DefaultCorpus();
+    for (const std::vector<Scenario>& extra : {SloCorpus(), AdversaryCorpus()}) {
+      out->insert(out->end(), extra.begin(), extra.end());
+    }
+    return true;
+  }
+  std::ifstream in(corpus_file);
+  if (!in) {
+    *error = "cannot read " + corpus_file;
+    return false;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  *out = ParseScenarios(text.str(), error);
+  if (out->empty()) {
+    *error = corpus_file + ": " + *error;
+    return false;
+  }
+  return true;
+}
+
+std::vector<Scenario> FilterScenarios(const std::vector<Scenario>& scenarios,
+                                      const std::vector<std::string>& names) {
+  std::vector<Scenario> kept;
+  for (const Scenario& s : scenarios) {
+    for (const std::string& name : names) {
+      if (s.name == name) {
+        kept.push_back(s);
+        break;
+      }
+    }
+  }
+  return kept;
 }
 
 }  // namespace chaos

@@ -36,6 +36,17 @@ std::vector<Scenario> SloCorpus();
 const std::string& AdversaryCorpusText();
 std::vector<Scenario> AdversaryCorpus();
 
+// The scenarios a reproducer line can name: every built-in corpus merged
+// (default, SLO, adversary), or the scenarios parsed from `corpus_file` when
+// it is non-empty.  False with *error set when the file cannot be read or
+// parsed.  chaosrun and postmortem both look scenarios up here.
+bool LoadScenarios(const std::string& corpus_file,
+                   std::vector<Scenario>* out, std::string* error);
+
+// The scenarios whose name is in `names`, in corpus order.
+std::vector<Scenario> FilterScenarios(const std::vector<Scenario>& scenarios,
+                                      const std::vector<std::string>& names);
+
 }  // namespace chaos
 }  // namespace autonet
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/hash.h"
+
 namespace autonet {
 namespace chaos {
 
@@ -11,12 +13,7 @@ namespace {
 // independent victim choices in different scenarios while staying fully
 // determined by (scenario, seed).
 std::uint64_t MixSeed(std::uint64_t seed, const std::string& name) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h ^ seed;
+  return Fnv1a(kFnvOffset, name) ^ seed;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "src/chaos/scenario.h"
 #include "src/routing/verify.h"
+#include "src/topo/planner.h"
 
 namespace autonet {
 namespace chaos {
@@ -81,34 +82,12 @@ std::vector<ComponentView> BuildComponents(Network& net) {
   return views;
 }
 
-int Diameter(const NetTopology& topo) {
-  int diameter = 0;
-  for (int s = 0; s < topo.size(); ++s) {
-    std::vector<int> dist(topo.size(), -1);
-    std::vector<int> queue{s};
-    dist[s] = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      int u = queue[head];
-      for (const TopoLink& link : topo.switches[u].links) {
-        if (dist[link.remote_switch] < 0) {
-          dist[link.remote_switch] = dist[u] + 1;
-          queue.push_back(link.remote_switch);
-        }
-      }
-    }
-    for (int d : dist) {
-      diameter = std::max(diameter, d);
-    }
-  }
-  return diameter;
-}
-
 class ConvergenceOracle : public Oracle {
  public:
   std::string name() const override { return "convergence"; }
   std::string Check(OracleContext& ctx) override {
     Network& net = *ctx.net;
-    if (!net.WaitForConsistency(ctx.deadline, ctx.quiet)) {
+    if (!net.WaitForConsistency(ctx.deadline)) {
       std::string why = net.CheckConsistency();
       return "no consistent configuration by t=" + FormatTime(ctx.deadline) +
              (why.empty() ? ": still quiescing" : ": " + why);
@@ -364,7 +343,7 @@ class PortSanityOracle : public Oracle {
 }  // namespace
 
 int HealthyDiameter(const Network& net) {
-  return Diameter(net.HealthyTopology());
+  return LongestShortestPath(net.HealthyTopology());
 }
 
 std::unique_ptr<Oracle> MakeConvergenceOracle() {

@@ -39,10 +39,9 @@ namespace chaos {
 
 struct OracleContext {
   Network* net = nullptr;
-  // Absolute sim-time deadline for convergence and the quiet period used to
-  // detect it; set by the runner from the topology diameter.
+  // Absolute sim-time deadline for convergence; the runner sets it from
+  // the topology diameter (chaos::ConvergenceDeadline).
   Tick deadline = 0;
-  Tick quiet = 100 * kMillisecond;
   // Filled in by the convergence oracle for the report.
   Tick converged_at = -1;
 };
@@ -61,8 +60,9 @@ class Oracle {
 // the network to the quiescence point the others inspect).
 std::vector<std::unique_ptr<Oracle>> StandardOracles();
 
-// Maximum switch-to-switch hop distance over the largest component of the
-// healthy topology (0 for a single switch or an empty network).
+// Maximum switch-to-switch hop distance within any component of the
+// healthy topology (0 for a single switch or an empty network): a
+// partitioned network is judged by its widest surviving part.
 int HealthyDiameter(const Network& net);
 
 // --- individual oracles (exposed for targeted tests) ---

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <map>
 #include <thread>
 
 #include "src/adversary/adversary.h"
 #include "src/chaos/executor.h"
+#include "src/common/hash.h"
 #include "src/obs/json.h"
 #include "src/obs/postmortem.h"
 #include "src/workload/engine.h"
@@ -18,41 +17,45 @@ namespace chaos {
 
 namespace {
 
-std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
+// The smallest topologies: a pair, and a triangle (the smallest topology
+// where a cut leaves redundancy, so position races have real alternatives
+// to disagree about, and the SLO smoke topology — a cable cut must be a
+// pause, not a partition).
+TopoSpec MakeSmall(int switches) {
+  TopoSpec spec;
+  for (int i = 0; i < switches; ++i) {
+    spec.AddSwitch("s" + std::to_string(i));
   }
-  return h;
-}
-
-std::uint64_t Fnv1a(std::uint64_t h, const std::string& s) {
-  return Fnv1a(h, s.data(), s.size());
-}
-
-std::uint64_t HashMergedLog(const Network& net) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const LogEntry& e : net.MergedLog()) {
-    h = Fnv1a(h, &e.time, sizeof e.time);
-    h = Fnv1a(h, e.node);
-    h = Fnv1a(h, e.message);
+  spec.Cable(0, 1);
+  if (switches == 3) {
+    spec.Cable(1, 2);
+    spec.Cable(0, 2);
   }
-  return h;
+  for (int i = 0; i < switches; ++i) {
+    spec.AddHost(i);
+  }
+  return spec;
 }
 
-std::string HexU64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+struct NamedTopology {
+  const char* name;
+  TopoSpec (*make)();
+};
 
-double WallMsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
+// The registry, in AllTopologyNames() order.
+constexpr NamedTopology kTopologies[] = {
+    {"line6", [] { return MakeLine(6, 1); }},
+    {"ring8", [] { return MakeRing(8, 1); }},
+    {"torus3x3", [] { return MakeTorus(3, 3, 1); }},
+    {"torus4x4", [] { return MakeTorus(4, 4, 1); }},
+    {"tree2x3", [] { return MakeTree(2, 3, 1); }},
+    {"random12", [] { return MakeRandom(12, 4, /*seed=*/7, 1); }},
+    {"srclan16", [] { return MakeSrcLan(16); }},
+    {"small3", [] { return MakeSmall(3); }},
+    {"pair2", [] { return MakeSmall(2); }},
+    {"line3", [] { return MakeLine(3, 1); }},
+    {"ring4", [] { return MakeRing(4, 1); }},
+};
 
 }  // namespace
 
@@ -60,41 +63,10 @@ TopoSpec TopologyByName(const std::string& name, std::string* error) {
   if (error != nullptr) {
     error->clear();
   }
-  if (name == "line6") {
-    return MakeLine(6, 1);
-  }
-  if (name == "ring8") {
-    return MakeRing(8, 1);
-  }
-  if (name == "torus3x3") {
-    return MakeTorus(3, 3, 1);
-  }
-  if (name == "torus4x4") {
-    return MakeTorus(4, 4, 1);
-  }
-  if (name == "tree2x3") {
-    return MakeTree(2, 3, 1);
-  }
-  if (name == "random12") {
-    return MakeRandom(12, 4, /*seed=*/7, 1);
-  }
-  if (name == "srclan16") {
-    return MakeSrcLan(16);
-  }
-  if (name == "small3") {
-    // A triangle: the smallest topology where a cut leaves redundancy (the
-    // SLO smoke topology — a cable cut must be a pause, not a partition).
-    TopoSpec spec;
-    spec.AddSwitch("s0");
-    spec.AddSwitch("s1");
-    spec.AddSwitch("s2");
-    spec.Cable(0, 1);
-    spec.Cable(1, 2);
-    spec.Cable(0, 2);
-    spec.AddHost(0);
-    spec.AddHost(1);
-    spec.AddHost(2);
-    return spec;
+  for (const NamedTopology& t : kTopologies) {
+    if (name == t.name) {
+      return t.make();
+    }
   }
   if (error != nullptr) {
     *error = "unknown topology '" + name + "'";
@@ -107,13 +79,118 @@ std::vector<std::string> StandardTopologyNames() {
 }
 
 std::vector<std::string> AllTopologyNames() {
-  return {"line6",    "ring8",    "torus3x3", "torus4x4",
-          "tree2x3",  "random12", "srclan16", "small3"};
+  std::vector<std::string> names;
+  for (const NamedTopology& t : kTopologies) {
+    names.push_back(t.name);
+  }
+  return names;
+}
+
+Tick ConvergenceDeadline(Network& net) {
+  return net.sim().now() + kConvergenceBase +
+         kConvergencePerHop * HealthyDiameter(net);
+}
+
+std::string BootToBaseline(Network& net) {
+  // Arm the flight recorder for every run: recording writes only to the
+  // recorder's own rings, so the log and metrics fingerprints are
+  // unaffected, and a failed run can be explained post mortem.
+  net.sim().flight().Arm();
+  net.Boot();
+  // The fault script is judged from a converged baseline, so a violation
+  // means the *script's* consequences broke an invariant rather than a
+  // cold-boot race.
+  Tick deadline = ConvergenceDeadline(net);
+  if (!net.WaitForConsistency(deadline)) {
+    return "no consistent boot configuration by t=" + FormatTime(deadline);
+  }
+  net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond);
+  return "";
+}
+
+Tick Judge(Network& net, const std::vector<std::unique_ptr<Oracle>>& oracles,
+           const std::string& reproducer, std::vector<Violation>* violations) {
+  OracleContext ctx;
+  ctx.net = &net;
+  ctx.deadline = ConvergenceDeadline(net);
+  for (const auto& oracle : oracles) {
+    std::string detail = oracle->Check(ctx);
+    if (!detail.empty()) {
+      violations->push_back({oracle->name(), detail, reproducer, "", ""});
+    }
+  }
+  return ctx.converged_at;
+}
+
+void AttachPostMortem(Network& net, std::vector<Violation>* violations,
+                      obs::PostMortem* postmortem) {
+  if (violations->empty() && postmortem == nullptr) {
+    return;
+  }
+  obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
+  if (!violations->empty()) {
+    std::string timeline = pm.RenderText();
+    std::string blame =
+        pm.epochs().empty() ? "" : pm.epochs().back().BlameChain();
+    for (Violation& v : *violations) {
+      v.blame = blame;
+      v.timeline = timeline;
+    }
+  }
+  if (postmortem != nullptr) {
+    *postmortem = std::move(pm);
+  }
+}
+
+std::uint64_t HashMergedLog(const Network& net) {
+  std::uint64_t h = kFnvOffset;
+  for (const LogEntry& e : net.MergedLog()) {
+    h = Fnv1a(h, &e.time, sizeof e.time);
+    h = Fnv1a(h, e.node);
+    h = Fnv1a(h, e.message);
+  }
+  return h;
+}
+
+int ResolveJobs(int jobs) {
+  if (jobs <= 0) {
+    jobs = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  return std::max(1, jobs);
+}
+
+void ParallelFor(std::size_t n, int jobs,
+                 const std::function<void(int worker, std::size_t i)>& fn) {
+  if (n == 0) {
+    return;
+  }
+  int workers = std::max(1, std::min<int>(jobs, static_cast<int>(n)));
+  std::atomic<std::size_t> next{0};
+  auto worker = [&](int w) {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      fn(w, i);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (int w = 0; w < workers; ++w) {
+    pool.emplace_back(worker, w);
+  }
+  for (std::thread& t : pool) {
+    t.join();
+  }
+}
+
+double WallMsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
                  const TopologyCase& topo, std::uint64_t seed,
-                 obs::MetricRegistry* merge_metrics) {
+                 obs::MetricRegistry* merge_metrics,
+                 obs::PostMortem* postmortem) {
   auto t0 = std::chrono::steady_clock::now();
   RunResult result;
   result.scenario = scenario.name;
@@ -126,55 +203,25 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
       scenario.workload.enabled() ? scenario.workload : config.workload;
   const adversary::Spec& adv =
       scenario.adversary.enabled() ? scenario.adversary : config.adversary;
-  std::string reproducer = config.reproducer_stem + " --scenario " +
-                           scenario.name + " --topo " + topo.name +
-                           " --seed " + std::to_string(seed);
+  std::string reproducer = "chaosrun --scenario " + scenario.name +
+                           " --topo " + topo.name + " --seed " +
+                           std::to_string(seed);
   if (config.workload.enabled() && !scenario.workload.enabled()) {
     reproducer += " --workload '" + config.workload.ToText() + "'";
   }
   if (config.adversary.enabled() && !scenario.adversary.enabled()) {
     reproducer += " --adversary '" + config.adversary.ToText() + "'";
   }
-  auto violate = [&](const std::string& oracle, const std::string& detail) {
-    result.violations.push_back({oracle, detail, reproducer, "", ""});
-  };
 
   Network net(topo.spec, config.network);
-  // Arm the flight recorder for every run: recording writes only to the
-  // recorder's own rings, so the log and metrics fingerprints are
-  // unaffected, and a failed run can be explained post mortem.
-  net.sim().flight().Arm();
-  // On failure, stamp every violation with the reconstructed epoch
-  // timeline and the blame chain of the epoch the oracles judged.
-  auto attach_postmortem = [&] {
-    if (result.violations.empty()) {
-      return;
-    }
-    obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
-    std::string timeline = pm.RenderText();
-    std::string blame =
-        pm.epochs().empty() ? "" : pm.epochs().back().BlameChain();
-    for (Violation& v : result.violations) {
-      v.blame = blame;
-      v.timeline = timeline;
-    }
-  };
-  net.Boot();
-
-  // Bootstrap: the fault script is judged from a converged baseline, so a
-  // violation means the *script's* consequences broke an invariant rather
-  // than a cold-boot race.
-  Tick boot_deadline = config.convergence_base +
-                       config.convergence_per_hop * HealthyDiameter(net);
-  if (!net.WaitForConsistency(boot_deadline, config.quiet)) {
-    violate("bootstrap", "no consistent boot configuration by t=" +
-                             FormatTime(boot_deadline));
-    attach_postmortem();
+  std::string boot = BootToBaseline(net);
+  if (!boot.empty()) {
+    result.violations.push_back({"bootstrap", boot, reproducer, "", ""});
+    AttachPostMortem(net, &result.violations, postmortem);
     result.ok = false;
     result.wall_ms = WallMsSince(t0);
     return result;
   }
-  net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond);
 
   // Workload phase 1: steady state — the latency baseline and the proof
   // that a quiet network has zero outage windows.
@@ -208,20 +255,9 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
   }
   result.resolved_actions = executor.resolved();
 
-  OracleContext ctx;
-  ctx.net = &net;
-  ctx.quiet = config.quiet;
-  ctx.deadline = net.sim().now() + config.convergence_base +
-                 config.convergence_per_hop * HealthyDiameter(net);
-
-  std::vector<std::unique_ptr<Oracle>> oracles =
-      config.oracles ? config.oracles() : StandardOracles();
-  for (const auto& oracle : oracles) {
-    std::string detail = oracle->Check(ctx);
-    if (!detail.empty()) {
-      violate(oracle->name(), detail);
-    }
-  }
+  Tick converged_at =
+      Judge(net, config.oracles ? config.oracles() : StandardOracles(),
+            reproducer, &result.violations);
 
   // Workload phases 2+3: the fault phase ran concurrently with the script
   // and the oracle battery's wait for quiescence; now sample recovery,
@@ -229,7 +265,7 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
   // convergence oracle alone — its SLO numbers are reported but not judged
   // (there is no "after quiescence" to hold the workload to).
   if (engine != nullptr) {
-    if (ctx.converged_at >= 0) {
+    if (converged_at >= 0) {
       engine->SetPhase(workload::Phase::kRecovery);
       net.Run(config.slo_recovery);
     }
@@ -247,9 +283,9 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
     result.slo_ops = slo.completed;
     result.slo_recovery_lost = slo.recovery_lost;
     result.slo_outage_windows = slo.outage_windows;
-    if (ctx.converged_at >= 0) {
+    if (converged_at >= 0) {
       for (const auto& [oracle, detail] : workload::JudgeSlo(slo)) {
-        violate(oracle, detail);
+        result.violations.push_back({oracle, detail, reproducer, "", ""});
       }
     }
   }
@@ -259,11 +295,10 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
     result.adversary_hash = adv_engine->TranscriptHash();
     result.adversary_moves = adv_engine->moves_made();
   }
-  attach_postmortem();
+  AttachPostMortem(net, &result.violations, postmortem);
 
-  if (ctx.converged_at >= 0) {
-    result.converge_ms =
-        static_cast<double>(ctx.converged_at - script_start) / 1e6;
+  if (converged_at >= 0) {
+    result.converge_ms = static_cast<double>(converged_at - script_start) / 1e6;
   }
   Tick wave = net.LastReconfig().Duration();
   if (wave >= 0) {
@@ -271,8 +306,7 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
   }
 
   result.log_hash = HashMergedLog(net);
-  result.metrics_hash =
-      Fnv1a(1469598103934665603ull, net.DumpMetricsJson());
+  result.metrics_hash = Fnv1a(kFnvOffset, net.DumpMetricsJson());
   if (merge_metrics != nullptr) {
     merge_metrics->MergeFrom(net.sim().metrics());
   }
@@ -299,37 +333,17 @@ CampaignReport RunCampaign(const CampaignConfig& config) {
     }
   }
   report.runs.resize(keys.size());
+  report.jobs = std::min(ResolveJobs(config.jobs),
+                         std::max(1, static_cast<int>(keys.size())));
 
-  int jobs = config.jobs > 0
-                 ? config.jobs
-                 : static_cast<int>(std::thread::hardware_concurrency());
-  jobs = std::max(1, std::min<int>(jobs, static_cast<int>(keys.size())));
-  report.jobs = jobs;
-
-  // Work-stealing over the flattened run list.  Each worker owns a metric
-  // registry; results land in distinct slots.  No locks anywhere on the run
-  // path.
-  std::atomic<std::size_t> next{0};
-  std::vector<obs::MetricRegistry> worker_metrics(jobs);
-  auto worker = [&](int w) {
-    for (;;) {
-      std::size_t i = next.fetch_add(1);
-      if (i >= keys.size()) {
-        return;
-      }
-      const RunKey& key = keys[i];
-      report.runs[i] = RunOne(config, *key.scenario, *key.topo, key.seed,
-                              &worker_metrics[w]);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (int w = 0; w < jobs; ++w) {
-    pool.emplace_back(worker, w);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
+  // Each worker owns a metric registry; results land in distinct slots.  No
+  // locks anywhere on the run path.
+  std::vector<obs::MetricRegistry> worker_metrics(report.jobs);
+  ParallelFor(keys.size(), report.jobs, [&](int w, std::size_t i) {
+    const RunKey& key = keys[i];
+    report.runs[i] = RunOne(config, *key.scenario, *key.topo, key.seed,
+                            &worker_metrics[w]);
+  });
 
   for (const obs::MetricRegistry& m : worker_metrics) {
     report.metrics.MergeFrom(m);
@@ -483,14 +497,7 @@ std::string CampaignReport::ToJson() const {
 }
 
 bool CampaignReport::WriteJson(const std::string& path) const {
-  std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteFile(path, ToJson());
 }
 
 }  // namespace chaos

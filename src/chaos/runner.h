@@ -12,6 +12,7 @@
 #ifndef SRC_CHAOS_RUNNER_H_
 #define SRC_CHAOS_RUNNER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -27,12 +28,16 @@
 #include "src/workload/slo.h"
 
 namespace autonet {
+namespace obs {
+class PostMortem;
+}  // namespace obs
+
 namespace chaos {
 
 struct Violation {
   std::string oracle;
   std::string detail;
-  std::string reproducer;  // a chaosrun command line replaying this run
+  std::string reproducer;  // a command line replaying this run
   // Flight-recorder forensics for the failed run (same for every violation
   // of the run): the blame chain of the last reconfiguration epoch and the
   // full per-epoch timeline with phase breakdowns (src/obs/postmortem.h).
@@ -45,8 +50,11 @@ struct TopologyCase {
   TopoSpec spec;
 };
 
-// The named topologies a reproducer line can refer to.  Unknown names leave
-// *error set.  StandardTopologyNames() is the default campaign matrix.
+// The one registry of named topologies, for reproducer lines, schedule ids
+// and fuzz runs alike.  Unknown names leave *error set.
+// StandardTopologyNames() is the default campaign matrix; AllTopologyNames()
+// adds the larger fabrics and the 2-4 switch ones sized for exhaustive
+// interleaving exploration.
 TopoSpec TopologyByName(const std::string& name, std::string* error);
 std::vector<std::string> StandardTopologyNames();
 std::vector<std::string> AllTopologyNames();
@@ -56,14 +64,6 @@ struct CampaignConfig {
   std::vector<TopologyCase> topologies;
   std::vector<std::uint64_t> seeds;
   int jobs = 0;  // worker threads; 0 = hardware concurrency
-
-  // Convergence deadline per run: base + per_hop * diameter of the healthy
-  // topology, following the paper's conjecture that reconfiguration time is
-  // a function of the maximum switch-to-switch distance (section 6.6.5,
-  // cross-checked by bench E2).
-  Tick convergence_base = 30 * kSecond;
-  Tick convergence_per_hop = 2 * kSecond;
-  Tick quiet = 100 * kMillisecond;
 
   NetworkConfig network;  // applied to every run's Network
 
@@ -88,9 +88,6 @@ struct CampaignConfig {
   // Oracle battery factory; default StandardOracles.  Tests substitute
   // deliberately broken oracles here to prove violations are caught.
   std::function<std::vector<std::unique_ptr<Oracle>>()> oracles;
-
-  // Command stem used when formatting reproducer lines.
-  std::string reproducer_stem = "chaosrun";
 };
 
 struct RunResult {
@@ -150,12 +147,69 @@ struct CampaignReport {
 
 // Executes a single (scenario, topology, seed) run — the reproducer path.
 // When `merge_metrics` is non-null the run's full metric registry is merged
-// into it before the Network is torn down.
+// into it before the Network is torn down; when `postmortem` is non-null it
+// receives the run's flight-recorder reconstruction, pass or fail.
 RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
                  const TopologyCase& topo, std::uint64_t seed,
-                 obs::MetricRegistry* merge_metrics = nullptr);
+                 obs::MetricRegistry* merge_metrics = nullptr,
+                 obs::PostMortem* postmortem = nullptr);
 
 CampaignReport RunCampaign(const CampaignConfig& config);
+
+// --- the run harness ---
+//
+// Every judged run is the same three steps around its own fault plan:
+//
+//   1. BootToBaseline   arm the flight recorder, boot, and wait for a
+//                       consistent configuration and registered hosts;
+//   2. Judge            run the oracle battery at quiescence, convergence
+//                       bounded by ConvergenceDeadline;
+//   3. AttachPostMortem stamp the violations with the flight recorder's
+//                       blame chain and epoch timeline.
+//
+// RunOne (chaosrun, postmortem), check::RunSchedule (protocheck --sweep and
+// --replay, postmortem --schedule) and check::FuzzInject (protocheck
+// --inject) are built from them.
+
+// The convergence budget: base + per hop of the healthy topology's
+// diameter, following the paper's conjecture that reconfiguration time is a
+// function of the maximum switch-to-switch distance (section 6.6.5,
+// cross-checked by bench E2).
+inline constexpr Tick kConvergenceBase = 30 * kSecond;
+inline constexpr Tick kConvergencePerHop = 2 * kSecond;
+
+// Now plus the convergence budget for `net`'s healthy topology.
+Tick ConvergenceDeadline(Network& net);
+
+// Step 1.  Empty when the network reached a consistent configuration by
+// ConvergenceDeadline, else the bootstrap violation's detail.
+std::string BootToBaseline(Network& net);
+
+// Step 2.  Runs `oracles` in order; every failure is appended to
+// *violations with `reproducer`.  Returns when the convergence oracle saw a
+// consistent configuration, or -1 if it never did.
+Tick Judge(Network& net, const std::vector<std::unique_ptr<Oracle>>& oracles,
+           const std::string& reproducer, std::vector<Violation>* violations);
+
+// Step 3.  Stamps every violation with the blame chain of the last epoch
+// and the full timeline, and stores the reconstruction in *postmortem when
+// non-null.  Builds nothing when there is neither.
+void AttachPostMortem(Network& net, std::vector<Violation>* violations,
+                      obs::PostMortem* postmortem);
+
+// FNV-1a over the merged event log: the run's log fingerprint.
+std::uint64_t HashMergedLog(const Network& net);
+
+// The worker pool of RunCampaign and check::Explore.  ResolveJobs maps a
+// `jobs` knob (0 = hardware concurrency) to a worker count of at least 1;
+// ParallelFor calls fn(worker, i) for every i in [0, n) on min(jobs, n)
+// threads, handing out indices in order.  Workers share nothing but the
+// index counter, so fn must write only to slot i or to worker-local state.
+int ResolveJobs(int jobs);
+void ParallelFor(std::size_t n, int jobs,
+                 const std::function<void(int worker, std::size_t i)>& fn);
+
+double WallMsSince(std::chrono::steady_clock::time_point t0);
 
 }  // namespace chaos
 }  // namespace autonet

@@ -1,7 +1,6 @@
 #include "src/chaos/scenario.h"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -108,24 +107,6 @@ Tick Scenario::ScriptEnd() const {
     }
   }
   return end;
-}
-
-std::string FormatTime(Tick t) {
-  auto exact = [&](Tick unit) { return t % unit == 0; };
-  char buf[32];
-  if (t != 0 && exact(kSecond)) {
-    std::snprintf(buf, sizeof buf, "%llds",
-                  static_cast<long long>(t / kSecond));
-  } else if (t != 0 && exact(kMillisecond)) {
-    std::snprintf(buf, sizeof buf, "%lldms",
-                  static_cast<long long>(t / kMillisecond));
-  } else if (t != 0 && exact(kMicrosecond)) {
-    std::snprintf(buf, sizeof buf, "%lldus",
-                  static_cast<long long>(t / kMicrosecond));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t));
-  }
-  return buf;
 }
 
 namespace {
@@ -236,42 +217,6 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
-bool ParseTimeLiteral(const std::string& tok, Tick* out) {
-  std::size_t i = 0;
-  while (i < tok.size() &&
-         (std::isdigit(static_cast<unsigned char>(tok[i])) || tok[i] == '.')) {
-    ++i;
-  }
-  if (i == 0 || i == tok.size()) {
-    return false;
-  }
-  double value;
-  try {
-    std::size_t consumed;
-    value = std::stod(tok.substr(0, i), &consumed);
-    if (consumed != i) {
-      return false;
-    }
-  } catch (...) {
-    return false;
-  }
-  std::string unit = tok.substr(i);
-  double scale;
-  if (unit == "ns") {
-    scale = 1.0;
-  } else if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    return false;
-  }
-  *out = static_cast<Tick>(std::llround(value * scale));
-  return true;
-}
-
 // `random`, `?name`, or a non-negative index.
 bool ParseTarget(const std::string& tok, int* target, std::string* pick) {
   *target = kRandomTarget;
@@ -352,9 +297,8 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
       if (t.size() != 9 || t[1] != "cable" || t[3] != "period" ||
           t[5] != "from" || t[7] != "until" ||
           !ParseTarget(t[2], &a.target, &a.pick) ||
-          !ParseTimeLiteral(t[4], &a.period) ||
-          !ParseTimeLiteral(t[6], &a.at) ||
-          !ParseTimeLiteral(t[8], &a.until)) {
+          !ParseTime(t[4], &a.period) || !ParseTime(t[6], &a.at) ||
+          !ParseTime(t[8], &a.until)) {
         return fail(
             "expected: flap cable <target> period <t> from <t> until <t>");
       }
@@ -369,7 +313,7 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
       return fail("expected: at <time> <action> ...");
     }
     Tick at;
-    if (!ParseTimeLiteral(t[1], &at)) {
+    if (!ParseTime(t[1], &at)) {
       return fail("bad time literal '" + t[1] + "'");
     }
     const std::string& verb = t[2];
@@ -449,7 +393,7 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
       a.kind = Action::Kind::kBurstCables;
       a.at = at;
       if (t.size() != 7 || t[5] != "until" ||
-          !ParseTimeLiteral(t[6], &a.until)) {
+          !ParseTime(t[6], &a.until)) {
         return fail("expected: at <time> burst cables <count> until <time>");
       }
       try {
@@ -467,7 +411,7 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
       a.at = at;
       a.until = -1;  // never restart by default
       if (t.size() == 7 && t[5] == "until") {
-        if (!ParseTimeLiteral(t[6], &a.until)) {
+        if (!ParseTime(t[6], &a.until)) {
           return fail("bad time literal '" + t[6] + "'");
         }
       } else if (t.size() != 5) {

@@ -120,14 +120,11 @@ struct Scenario {
 //     at <time> burst cables <count> until <time>
 //     at <time> burst switches <count> [until <time>]
 //
-// <time> is a number with unit suffix ns/us/ms/s (e.g. 250ms, 1.5s) and
+// <time> is a time literal (src/common/time.h: 250ms, 1.5s) and
 // <target> is an index, `random`, or a named pick `?a`.  Returns the parsed
 // scenarios, or an empty vector with *error set to "line N: why".
 std::vector<Scenario> ParseScenarios(const std::string& text,
                                      std::string* error);
-
-// Formats a Tick as the shortest exact time literal ("250ms", "1.5s").
-std::string FormatTime(Tick t);
 
 }  // namespace chaos
 }  // namespace autonet

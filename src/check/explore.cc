@@ -1,51 +1,15 @@
 #include "src/check/explore.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
-#include <thread>
 
+#include "src/common/hash.h"
 #include "src/obs/json.h"
-#include "src/obs/postmortem.h"
 
 namespace autonet {
 namespace check {
 
 namespace {
-
-std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t HashMergedLog(const Network& net) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const LogEntry& e : net.MergedLog()) {
-    h = Fnv1a(h, &e.time, sizeof e.time);
-    h = Fnv1a(h, e.node.data(), e.node.size());
-    h = Fnv1a(h, e.message.data(), e.message.size());
-  }
-  return h;
-}
-
-std::string HexU64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-double WallMsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // --- fault grammar: "cut<c>", "crash<s>", optionally "+restore",
 // "+restart", or "+cut<c2>" ---
@@ -151,76 +115,7 @@ void ApplySecondary(Network& net, const FaultPlan& plan) {
   }
 }
 
-// Minimal thread pool over a fixed index space (the chaos runner's
-// work-stealing shape).
-template <typename Fn>
-void RunPool(std::size_t n, int jobs, Fn fn) {
-  if (n == 0) {
-    return;
-  }
-  jobs = std::max(1, std::min<int>(jobs, static_cast<int>(n)));
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      std::size_t i = next.fetch_add(1);
-      if (i >= n) {
-        return;
-      }
-      fn(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (int w = 0; w < jobs; ++w) {
-    pool.emplace_back(worker);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-}
-
 }  // namespace
-
-TopoSpec CheckTopologyByName(const std::string& name, std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
-  if (name == "pair2") {
-    TopoSpec spec;
-    spec.AddSwitch("s0");
-    spec.AddSwitch("s1");
-    spec.Cable(0, 1);
-    spec.AddHost(0);
-    spec.AddHost(1);
-    return spec;
-  }
-  if (name == "line3") {
-    return MakeLine(3, 1);
-  }
-  if (name == "small3") {
-    // A triangle: the smallest topology where a cut leaves redundancy, so
-    // position races have real alternatives to disagree about.
-    TopoSpec spec;
-    spec.AddSwitch("s0");
-    spec.AddSwitch("s1");
-    spec.AddSwitch("s2");
-    spec.Cable(0, 1);
-    spec.Cable(1, 2);
-    spec.Cable(0, 2);
-    spec.AddHost(0);
-    spec.AddHost(1);
-    spec.AddHost(2);
-    return spec;
-  }
-  if (name == "ring4") {
-    return MakeRing(4, 1);
-  }
-  return chaos::TopologyByName(name, error);
-}
-
-std::vector<std::string> CheckTopologyNames() {
-  return {"pair2", "line3", "small3", "ring4"};
-}
 
 std::vector<std::string> FaultMatrix(const TopoSpec& spec) {
   std::vector<std::string> faults;
@@ -324,23 +219,23 @@ std::optional<ScheduleId> ScheduleId::FromString(const std::string& text) {
   return id;
 }
 
-ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id) {
+ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id,
+                           obs::PostMortem* postmortem) {
   auto t0 = std::chrono::steady_clock::now();
   ScheduleResult result;
   result.id = id.ToString();
-  std::string reproducer =
-      config.reproducer_stem + " --replay " + result.id;
+  std::string reproducer = "protocheck --replay " + result.id;
   auto violate = [&](const std::string& oracle, const std::string& detail) {
     result.violations.push_back({oracle, detail, reproducer, "", ""});
   };
   auto finish = [&] {
     result.ok = result.violations.empty();
-    result.wall_ms = WallMsSince(t0);
+    result.wall_ms = chaos::WallMsSince(t0);
     return result;
   };
 
   std::string error;
-  TopoSpec spec = CheckTopologyByName(id.topo, &error);
+  TopoSpec spec = chaos::TopologyByName(id.topo, &error);
   if (!error.empty()) {
     violate("setup", error);
     return finish();
@@ -359,16 +254,12 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id) {
   }
 
   Network net(spec, config.network);
-  net.sim().flight().Arm();
-  net.Boot();
-  int diameter = chaos::HealthyDiameter(net);
-  Tick boot_deadline =
-      config.convergence_base + config.convergence_per_hop * diameter;
-  if (!net.WaitForConsistency(boot_deadline, config.quiet)) {
-    violate("bootstrap", "no consistent boot configuration");
+  std::string boot = chaos::BootToBaseline(net);
+  if (!boot.empty()) {
+    violate("bootstrap", boot);
+    chaos::AttachPostMortem(net, &result.violations, postmortem);
     return finish();
   }
-  net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond);
 
   Simulator& sim = net.sim();
   Tick t_fault = sim.now() + 50 * kMillisecond;
@@ -405,35 +296,13 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id) {
   sim.ScheduleAt(t_end, [&] { sim.SetTieChooser(nullptr); });
   net.Run(t_end - sim.now() + kMillisecond);
 
-  chaos::OracleContext ctx;
-  ctx.net = &net;
-  ctx.quiet = config.quiet;
-  ctx.deadline = sim.now() + config.convergence_base +
-                 config.convergence_per_hop * chaos::HealthyDiameter(net);
-  for (const auto& oracle : chaos::StandardOracles()) {
-    std::string detail = oracle->Check(ctx);
-    if (!detail.empty()) {
-      violate(oracle->name(), detail);
-    }
-  }
+  chaos::Judge(net, chaos::StandardOracles(), reproducer, &result.violations);
 
   result.decision_points = rec.count;
   result.dropped_decisions = rec.dropped;
   result.branch_factors = std::move(rec.branch);
-  result.log_hash = HashMergedLog(net);
-  if (config.capture_postmortem || !result.violations.empty()) {
-    obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
-    std::string timeline = pm.RenderText();
-    std::string blame =
-        pm.epochs().empty() ? "" : pm.epochs().back().BlameChain();
-    for (chaos::Violation& v : result.violations) {
-      v.blame = blame;
-      v.timeline = timeline;
-    }
-    if (config.capture_postmortem) {
-      result.postmortem = std::move(timeline);
-    }
-  }
+  result.log_hash = chaos::HashMergedLog(net);
+  chaos::AttachPostMortem(net, &result.violations, postmortem);
   return finish();
 }
 
@@ -443,24 +312,20 @@ ExploreReport Explore(const ExploreConfig& config) {
   report.topo = config.topo;
 
   std::string error;
-  TopoSpec spec = CheckTopologyByName(config.topo, &error);
+  TopoSpec spec = chaos::TopologyByName(config.topo, &error);
   if (!error.empty()) {
     ScheduleResult bad;
     bad.id = config.topo;
     bad.violations.push_back({"setup", error, "", "", ""});
     report.runs.push_back(std::move(bad));
     report.failed = 1;
-    report.wall_ms = WallMsSince(t0);
+    report.wall_ms = chaos::WallMsSince(t0);
     return report;
   }
 
   const std::vector<Tick>& offsets =
       config.offsets.empty() ? DefaultOffsets() : config.offsets;
-  int jobs = config.jobs > 0
-                 ? config.jobs
-                 : static_cast<int>(std::thread::hardware_concurrency());
-  jobs = std::max(1, jobs);
-  report.jobs = jobs;
+  report.jobs = chaos::ResolveJobs(config.jobs);
 
   // Phase 1: baselines.  Offsets only matter to two-part faults (the offset
   // separates primary from secondary); single faults run at offset 0 only.
@@ -484,7 +349,7 @@ ExploreReport Explore(const ExploreConfig& config) {
   report.baselines = static_cast<int>(baselines.size());
 
   std::vector<ScheduleResult> base_results(baselines.size());
-  RunPool(baselines.size(), jobs, [&](std::size_t i) {
+  chaos::ParallelFor(baselines.size(), report.jobs, [&](int, std::size_t i) {
     base_results[i] = RunSchedule(config, baselines[i]);
   });
 
@@ -512,7 +377,7 @@ ExploreReport Explore(const ExploreConfig& config) {
       report.deviations_possible - deviations.size();
 
   std::vector<ScheduleResult> dev_results(deviations.size());
-  RunPool(deviations.size(), jobs, [&](std::size_t i) {
+  chaos::ParallelFor(deviations.size(), report.jobs, [&](int, std::size_t i) {
     dev_results[i] = RunSchedule(config, deviations[i]);
   });
   // Deviation runs hit max_decision_points too; without this the report
@@ -532,7 +397,7 @@ ExploreReport Explore(const ExploreConfig& config) {
       ++report.failed;
     }
   }
-  report.wall_ms = WallMsSince(t0);
+  report.wall_ms = chaos::WallMsSince(t0);
   return report;
 }
 
@@ -592,14 +457,7 @@ std::string ExploreReport::ToJson() const {
 }
 
 bool ExploreReport::WriteJson(const std::string& path) const {
-  std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteFile(path, ToJson());
 }
 
 }  // namespace check

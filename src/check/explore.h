@@ -36,11 +36,6 @@
 namespace autonet {
 namespace check {
 
-// Small topologies sized for exhaustive exploration (2-4 switches), plus
-// passthrough to the chaos registry for the larger named ones.
-TopoSpec CheckTopologyByName(const std::string& name, std::string* error);
-std::vector<std::string> CheckTopologyNames();
-
 // The fault matrix explored on a topology: every single cable cut, cut plus
 // restore, switch crash, crash plus restart, and ordered double cut.
 std::vector<std::string> FaultMatrix(const TopoSpec& spec);
@@ -62,22 +57,13 @@ struct ScheduleId {
 };
 
 struct ExploreConfig {
-  std::string topo = "small3";
+  std::string topo = "small3";  // a chaos::TopologyByName name
   int budget = 50000;           // total schedules (baselines + deviations)
   int max_decision_points = 64; // decision points recorded per schedule
   int jobs = 0;                 // worker threads; 0 = hardware concurrency
-  std::uint64_t seed = 1;       // reserved for future stochastic modes
   std::vector<Tick> offsets;    // empty = DefaultOffsets()
   Tick chooser_window = 2 * kSecond;  // how long ties stay under our control
-  Tick convergence_base = 30 * kSecond;
-  Tick convergence_per_hop = 2 * kSecond;
-  Tick quiet = 100 * kMillisecond;
   NetworkConfig network;
-  std::string reproducer_stem = "protocheck";
-  // Fill ScheduleResult::postmortem with the reconstructed epoch timeline
-  // even when the schedule passes (the `postmortem --schedule` path).
-  // Failed schedules always carry a timeline in their violations.
-  bool capture_postmortem = false;
 };
 
 struct ScheduleResult {
@@ -91,8 +77,6 @@ struct ScheduleResult {
   std::vector<std::uint32_t> branch_factors;
   std::uint64_t log_hash = 0;  // FNV-1a over the merged event log
   double wall_ms = 0;
-  // Epoch timeline text (set when ExploreConfig::capture_postmortem).
-  std::string postmortem;
 };
 
 struct ExploreReport {
@@ -117,8 +101,11 @@ struct ExploreReport {
 };
 
 // Executes one schedule — the `--replay` path.  Pure function of the id
-// (plus the explore tuning in `config`).
-ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id);
+// (plus the explore tuning in `config`).  Boots and judges through the chaos
+// run harness; when `postmortem` is non-null it receives the schedule's
+// flight-recorder reconstruction, pass or fail.
+ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id,
+                           obs::PostMortem* postmortem = nullptr);
 
 // The sweep: baselines over FaultMatrix x offsets, then every single
 // deviation each baseline exposed, across a worker pool, within budget.

@@ -9,8 +9,7 @@
 
 #include "src/autopilot/messages.h"
 #include "src/autopilot/reconfig.h"
-#include "src/chaos/oracles.h"
-#include "src/check/explore.h"
+#include "src/chaos/runner.h"
 #include "src/core/network.h"
 #include "src/host/srp_client.h"
 
@@ -516,7 +515,7 @@ FuzzReport CheckCorpus(const std::vector<CorpusEntry>& entries) {
 InjectReport FuzzInject(const InjectConfig& config) {
   InjectReport report;
   std::string error;
-  TopoSpec spec = CheckTopologyByName(config.topo, &error);
+  TopoSpec spec = chaos::TopologyByName(config.topo, &error);
   if (!error.empty()) {
     report.findings.push_back({"", "setup", error, "", ""});
     return report;
@@ -529,7 +528,7 @@ InjectReport FuzzInject(const InjectConfig& config) {
          ""});
     return report;
   }
-  std::string reproducer = config.reproducer_stem + " --inject " +
+  std::string reproducer = "protocheck --inject " +
                            std::to_string(config.count) + " --topo " +
                            config.topo + " --seed " +
                            std::to_string(config.seed);
@@ -538,16 +537,12 @@ InjectReport FuzzInject(const InjectConfig& config) {
   }
 
   Network net(spec);
-  net.Boot();
-  int diameter = chaos::HealthyDiameter(net);
-  Tick boot_deadline = 30 * kSecond + 2 * kSecond * diameter;
-  if (!net.WaitForConsistency(boot_deadline)) {
-    report.findings.push_back(
-        {"", "bootstrap", "no consistent boot configuration", "", reproducer});
+  std::string boot = chaos::BootToBaseline(net);
+  if (!boot.empty()) {
+    report.findings.push_back({"", "bootstrap", boot, "", reproducer});
     return report;
   }
   report.booted = true;
-  net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond);
 
   for (int i = 0; i < net.num_switches(); ++i) {
     report.epoch_before =
@@ -671,14 +666,10 @@ InjectReport FuzzInject(const InjectConfig& config) {
 
   // The network absorbed the barrage; it must settle back to a consistent
   // configuration and a plausible epoch.
-  chaos::OracleContext ctx;
-  ctx.net = &net;
-  ctx.deadline = net.sim().now() + 30 * kSecond + 2 * kSecond * diameter;
-  for (const auto& oracle : chaos::StandardOracles()) {
-    std::string detail = oracle->Check(ctx);
-    if (!detail.empty()) {
-      report.findings.push_back({"", oracle->name(), detail, "", reproducer});
-    }
+  std::vector<chaos::Violation> violations;
+  chaos::Judge(net, chaos::StandardOracles(), reproducer, &violations);
+  for (const chaos::Violation& v : violations) {
+    report.findings.push_back({"", v.oracle, v.detail, "", reproducer});
   }
 
   for (int i = 0; i < net.num_switches(); ++i) {

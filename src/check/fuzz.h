@@ -104,7 +104,7 @@ FuzzReport CheckCorpus(const std::vector<CorpusEntry>& entries);
 // --- live injection ---
 
 struct InjectConfig {
-  std::string topo = "small3";  // a check/chaos topology name
+  std::string topo = "small3";  // a chaos::TopologyByName name
   std::uint64_t seed = 1;
   int count = 100;              // packets to inject
   // Which parsers face the barrage: "switch" delivers into switch control
@@ -112,7 +112,6 @@ struct InjectConfig {
   // (kHostAddress replies targeted at registered hosts' UIDs, kSrp bodies
   // that exercise the driver and SRP-client parsers), "all" alternates.
   std::string target = "switch";
-  std::string reproducer_stem = "protocheck";
 };
 
 struct InjectReport {
@@ -124,11 +123,12 @@ struct InjectReport {
   bool ok() const { return booted && findings.empty(); }
 };
 
-// Boots the named topology to consistency, then delivers `count` mutated
-// control-message bodies as intact packets into the configured target
-// parsers (the CRC-escaped-corruption model): switch control processors,
-// and/or host-side parsers via fabric-forwarded packets.  Afterwards the
-// standard chaos oracle battery must pass, the epoch must stay within a
+// Boots the named topology to consistency (chaos::BootToBaseline), then
+// delivers `count` mutated control-message bodies as intact packets into the
+// configured target parsers (the CRC-escaped-corruption model): switch
+// control processors, and/or host-side parsers via fabric-forwarded packets.
+// Afterwards the standard chaos oracle battery (chaos::Judge) must pass, the
+// epoch must stay within a
 // small linear burn budget, and every registered host's short address must
 // still name its actual attachment point.
 InjectReport FuzzInject(const InjectConfig& config);

@@ -5,6 +5,7 @@
 #define SRC_COMMON_TIME_H_
 
 #include <cstdint>
+#include <string>
 
 namespace autonet {
 
@@ -28,6 +29,17 @@ inline constexpr Tick kRouterCycleNs = 6 * kSlotNs;
 constexpr Tick PropagationDelayNs(double km) {
   return static_cast<Tick>(64.1 * km * static_cast<double>(kSlotNs));
 }
+
+// Time literals, the one form every line grammar (scenarios, workloads,
+// adversaries) and reproducer line uses: a non-negative number with a unit
+// suffix ns/us/ms/s ("250ms", "1.5s", "100us").
+//
+// FormatTime prints the largest unit that divides the value exactly ("2s",
+// "250ms", "0ns"); ParseTime reads any literal back, rounding to the
+// nearest ns.  ParseTime returns false on a missing number or unit, a sign,
+// or an unknown unit.
+std::string FormatTime(Tick t);
+bool ParseTime(const std::string& literal, Tick* out);
 
 }  // namespace autonet
 

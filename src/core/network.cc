@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <map>
 
+#include "src/obs/json.h"
 #include "src/routing/spanning_tree.h"
 #include "src/routing/updown.h"
 #include "src/routing/verify.h"
@@ -546,14 +546,7 @@ std::string Network::DumpTraceJson() const {
 }
 
 bool Network::WriteMetricsJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string json = DumpMetricsJson();
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteFile(path, DumpMetricsJson());
 }
 
 bool Network::WriteTraceJson(const std::string& path) const {

@@ -391,4 +391,13 @@ std::optional<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
 }
 
+bool WriteFile(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace autonet

@@ -55,6 +55,11 @@ class JsonWriter {
   bool key_pending_ = false;
 };
 
+// Writes `text` to `path`, replacing any previous contents: the one file
+// writer behind every report, metrics and trace export.  False on any I/O
+// failure.
+bool WriteFile(const std::string& path, std::string_view text);
+
 // Parsed JSON value (numbers are doubles).
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };

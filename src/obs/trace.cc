@@ -1,7 +1,6 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/obs/json.h"
 
@@ -117,14 +116,7 @@ std::string TraceRecorder::ToChromeTraceJson() const {
 }
 
 bool TraceRecorder::WriteChromeTraceFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string json = ToChromeTraceJson();
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteFile(path, ToChromeTraceJson());
 }
 
 }  // namespace obs

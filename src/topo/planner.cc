@@ -8,11 +8,9 @@
 
 namespace autonet {
 
-int TopologyDiameter(const NetTopology& topo) {
-  if (topo.size() == 0) {
-    return -1;
-  }
-  int diameter = 0;
+int LongestShortestPath(const NetTopology& topo, bool* connected) {
+  bool all_reached = true;
+  int longest = 0;
   for (int s = 0; s < topo.size(); ++s) {
     std::vector<int> dist(topo.size(), -1);
     std::vector<int> queue{s};
@@ -27,13 +25,20 @@ int TopologyDiameter(const NetTopology& topo) {
       }
     }
     for (int d : dist) {
-      if (d < 0) {
-        return -1;  // disconnected
-      }
-      diameter = std::max(diameter, d);
+      all_reached = all_reached && d >= 0;
+      longest = std::max(longest, d);
     }
   }
-  return diameter;
+  if (connected != nullptr) {
+    *connected = all_reached;
+  }
+  return longest;
+}
+
+int TopologyDiameter(const NetTopology& topo) {
+  bool connected = false;
+  int longest = LongestShortestPath(topo, &connected);
+  return topo.size() == 0 || !connected ? -1 : longest;
 }
 
 namespace {

@@ -53,6 +53,11 @@ InstallationPlan PlanInstallation(const InstallationRequirements& req);
 
 // --- analysis helpers (exposed for tests and tools) ---
 
+// Longest shortest-path between any two switches that reach each other: the
+// widest component's diameter (0 for an empty or single-switch topology).
+// Sets *connected, when non-null, to whether every switch reaches every
+// other.
+int LongestShortestPath(const NetTopology& topo, bool* connected = nullptr);
 // Longest shortest-path between switches; -1 if disconnected or empty.
 int TopologyDiameter(const NetTopology& topo);
 // The fabric stays connected after removing any single link.

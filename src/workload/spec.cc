@@ -1,8 +1,6 @@
 #include "src/workload/spec.h"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 namespace autonet {
@@ -23,61 +21,6 @@ const char* KindName(Kind kind) {
 }
 
 namespace {
-
-// Same literal forms as the chaos scenario grammar ("250ms", "1.5s"), kept
-// local because chaos depends on workload, not the other way around.
-std::string TimeText(Tick t) {
-  auto exact = [&](Tick unit) { return t % unit == 0; };
-  char buf[32];
-  if (t != 0 && exact(kSecond)) {
-    std::snprintf(buf, sizeof buf, "%llds", static_cast<long long>(t / kSecond));
-  } else if (t != 0 && exact(kMillisecond)) {
-    std::snprintf(buf, sizeof buf, "%lldms",
-                  static_cast<long long>(t / kMillisecond));
-  } else if (t != 0 && exact(kMicrosecond)) {
-    std::snprintf(buf, sizeof buf, "%lldus",
-                  static_cast<long long>(t / kMicrosecond));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t));
-  }
-  return buf;
-}
-
-bool ParseTime(const std::string& tok, Tick* out) {
-  std::size_t i = 0;
-  while (i < tok.size() &&
-         (std::isdigit(static_cast<unsigned char>(tok[i])) || tok[i] == '.')) {
-    ++i;
-  }
-  if (i == 0 || i == tok.size()) {
-    return false;
-  }
-  double value;
-  try {
-    std::size_t consumed;
-    value = std::stod(tok.substr(0, i), &consumed);
-    if (consumed != i) {
-      return false;
-    }
-  } catch (...) {
-    return false;
-  }
-  std::string unit = tok.substr(i);
-  double scale;
-  if (unit == "ns") {
-    scale = 1.0;
-  } else if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    return false;
-  }
-  *out = static_cast<Tick>(std::llround(value * scale));
-  return true;
-}
 
 bool ParseCount(const std::string& tok, long long* out) {
   try {
@@ -105,14 +48,14 @@ std::string Spec::ToText() const {
   switch (kind) {
     case Kind::kRpc:
       out << " response " << response_bytes << " window " << window
-          << " timeout " << TimeText(timeout);
+          << " timeout " << FormatTime(timeout);
       break;
     case Kind::kAllreduce:
-      out << " timeout " << TimeText(timeout);
+      out << " timeout " << FormatTime(timeout);
       break;
     case Kind::kStreams:
-      out << " period " << TimeText(period) << " deadline "
-          << TimeText(deadline);
+      out << " period " << FormatTime(period) << " deadline "
+          << FormatTime(deadline);
       break;
     case Kind::kNone:
       break;

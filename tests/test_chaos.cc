@@ -13,6 +13,7 @@
 #include "src/common/event_log.h"
 #include "src/core/network.h"
 #include "src/obs/json.h"
+#include "src/obs/postmortem.h"
 #include "src/topo/spec.h"
 
 namespace autonet {
@@ -298,6 +299,65 @@ TEST(Runner, BrokenOracleProducesViolationWithWorkingReproducer) {
   EXPECT_EQ(replay.violations[0].reproducer, v.reproducer);
   EXPECT_EQ(replay.log_hash, report.runs[0].log_hash);
   EXPECT_EQ(replay.resolved_actions, report.runs[0].resolved_actions);
+}
+
+TEST(Runner, PostMortemOutParameterMatchesAttachedTimeline) {
+  // A scenario with its own workload line, judged by a battery that always
+  // fails: the campaign attaches the flight-recorder timeline to the
+  // violation, and a replay through RunOne's post-mortem out-parameter (the
+  // postmortem CLI's path) must reconstruct exactly that timeline.
+  std::string error;
+  std::vector<Scenario> parsed = ParseScenarios(R"(
+scenario wl-cut-restore
+  workload streams bytes 64 period 20ms deadline 100ms
+  at 100ms cut cable ?a
+  at 400ms restore cable ?a
+)",
+                                                &error);
+  ASSERT_EQ(error, "");
+  ASSERT_EQ(parsed.size(), 1u);
+  const Scenario& s = parsed[0];
+  CampaignConfig config;
+  config.topologies.push_back({"small3", TopologyByName("small3", &error)});
+  config.scenarios = {s};
+  config.seeds = {2};
+  config.jobs = 1;
+  config.oracles = BrokenBattery;
+
+  CampaignReport report = RunCampaign(config);
+  ASSERT_EQ(report.runs.size(), 1u);
+  const RunResult& run = report.runs[0];
+  EXPECT_EQ(run.workload, s.workload.ToText());
+  ASSERT_FALSE(run.violations.empty());
+  const std::string& timeline = run.violations[0].timeline;
+  EXPECT_FALSE(timeline.empty());
+
+  obs::PostMortem pm;
+  RunResult replay =
+      RunOne(config, s, config.topologies[0], 2, nullptr, &pm);
+  EXPECT_EQ(pm.RenderText(), timeline);
+  EXPECT_EQ(replay.log_hash, run.log_hash);
+  EXPECT_EQ(replay.slo_json, run.slo_json);
+}
+
+// --- scenario lookup ----------------------------------------------------------
+
+TEST(Scenario, LoadScenariosMergesEveryBuiltInCorpus) {
+  std::vector<Scenario> all;
+  std::string error;
+  ASSERT_TRUE(LoadScenarios("", &all, &error)) << error;
+  EXPECT_EQ(all.size(), DefaultCorpus().size() + SloCorpus().size() +
+                            AdversaryCorpus().size());
+  std::vector<Scenario> picked =
+      FilterScenarios(all, {"slo-cable-cut", "cable-cut-restore"});
+  ASSERT_EQ(picked.size(), 2u);
+  // Corpus order, not request order: the default corpus comes first.
+  EXPECT_EQ(picked[0].name, "cable-cut-restore");
+  EXPECT_EQ(picked[1].name, "slo-cable-cut");
+  EXPECT_TRUE(FilterScenarios(all, {"no-such-scenario"}).empty());
+
+  EXPECT_FALSE(LoadScenarios("/nonexistent/corpus.chaos", &all, &error));
+  EXPECT_NE(error.find("cannot read"), std::string::npos) << error;
 }
 
 // --- topology registry -------------------------------------------------------

@@ -153,7 +153,7 @@ TEST(ScheduleIds, FromStringRejectsMalformedIds) {
 
 TEST(ScheduleIds, FaultMatrixCoversCablesAndSwitches) {
   std::string error;
-  TopoSpec spec = CheckTopologyByName("small3", &error);
+  TopoSpec spec = chaos::TopologyByName("small3", &error);
   ASSERT_TRUE(error.empty());
   std::vector<std::string> faults = FaultMatrix(spec);
   auto has = [&](const std::string& f) {
@@ -178,7 +178,7 @@ TEST(Inject, ImplausibleEpochIsDroppedNotJoined) {
   // epoch sequence of the whole network forever.  Jumps beyond
   // ReconfigEngine::kMaxEpochJump must be dropped as damage.
   std::string error;
-  Network net(CheckTopologyByName("pair2", &error));
+  Network net(chaos::TopologyByName("pair2", &error));
   ASSERT_TRUE(error.empty());
   net.Boot();
   ASSERT_TRUE(net.WaitForConsistency(40 * kSecond));
@@ -222,7 +222,7 @@ TEST(Inject, SuspectEpochHeldUntilConfirmedBySecondSighting) {
   // retransmission confirms a genuine jump, while one-shot corruption
   // never reproduces the value.
   std::string error;
-  Network net(CheckTopologyByName("pair2", &error));
+  Network net(chaos::TopologyByName("pair2", &error));
   ASSERT_TRUE(error.empty());
   net.Boot();
   ASSERT_TRUE(net.WaitForConsistency(40 * kSecond));
@@ -330,7 +330,7 @@ TEST(Inject, SrpClientChainsClientTraffic) {
   // while its address book stayed perfectly intact.  The client must chain
   // displaced handlers through.
   std::string error;
-  Network net(CheckTopologyByName("small3", &error));
+  Network net(chaos::TopologyByName("small3", &error));
   ASSERT_TRUE(error.empty());
   net.Boot();
   ASSERT_TRUE(net.WaitForConsistency(40 * kSecond));

@@ -10,6 +10,7 @@
 #include "src/common/packet.h"
 #include "src/common/port_vector.h"
 #include "src/common/serialize.h"
+#include "src/common/time.h"
 
 namespace autonet {
 namespace {
@@ -353,6 +354,35 @@ TEST(Histogram, P999WithFewerSamplesThanATail) {
 TEST(Time, PropagationDelayMatchesPaperFormula) {
   // W = 64.1 slots/km: a 2 km link is 128.2 slots one way (section 6.2).
   EXPECT_EQ(PropagationDelayNs(2.0), static_cast<Tick>(128.2 * 80));
+}
+
+TEST(Time, LiteralsRoundTrip) {
+  for (Tick t : {Tick{0}, 7 * kSecond, 250 * kMillisecond, 1500 * kMillisecond,
+                 100 * kMicrosecond, Tick{870}}) {
+    Tick back = -1;
+    ASSERT_TRUE(ParseTime(FormatTime(t), &back)) << FormatTime(t);
+    EXPECT_EQ(back, t);
+  }
+  EXPECT_EQ(FormatTime(2 * kSecond), "2s");
+  EXPECT_EQ(FormatTime(1500 * kMillisecond), "1500ms");
+  EXPECT_EQ(FormatTime(100 * kMicrosecond), "100us");
+  EXPECT_EQ(FormatTime(0), "0ns");
+
+  Tick t = 0;
+  EXPECT_TRUE(ParseTime("1.5s", &t));
+  EXPECT_EQ(t, 1500 * kMillisecond);
+  EXPECT_TRUE(ParseTime("250ms", &t));
+  EXPECT_EQ(t, 250 * kMillisecond);
+}
+
+TEST(Time, LiteralsRejectMalformedText) {
+  Tick t = 42;
+  EXPECT_FALSE(ParseTime("5", &t));     // no unit
+  EXPECT_FALSE(ParseTime("ms", &t));    // no number
+  EXPECT_FALSE(ParseTime("1.5x", &t));  // unknown unit
+  EXPECT_FALSE(ParseTime("-1ms", &t));  // negative
+  EXPECT_FALSE(ParseTime("", &t));
+  EXPECT_EQ(t, 42) << "a rejected literal must leave the output alone";
 }
 
 }  // namespace

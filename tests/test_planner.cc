@@ -15,6 +15,10 @@ TEST(Analysis, DiameterOfRingAndDisconnected) {
   line.switches[2].links.clear();
   line.SymmetrizeLinks();
   EXPECT_EQ(TopologyDiameter(line), -1);
+  // The oracles' view of a partition: the widest part's diameter.
+  bool connected = true;
+  EXPECT_EQ(LongestShortestPath(line, &connected), 1);
+  EXPECT_FALSE(connected);
 }
 
 TEST(Analysis, TwoEdgeConnectivity) {
