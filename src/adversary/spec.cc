@@ -1,7 +1,9 @@
 #include "src/adversary/spec.h"
 
-#include <cctype>
+#include <limits>
 #include <sstream>
+
+#include "src/common/tokens.h"
 
 namespace autonet {
 namespace adversary {
@@ -32,19 +34,7 @@ const char* StrategyName(Strategy strategy) {
 
 namespace {
 
-bool ParseCount(const std::string& tok, long long* out) {
-  try {
-    std::size_t consumed;
-    long long v = std::stoll(tok, &consumed);
-    if (consumed != tok.size() || v < 0) {
-      return false;
-    }
-    *out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
+constexpr long long kNoLimit = std::numeric_limits<long long>::max();
 
 bool ValidPhase(const std::string& phase) {
   return phase == "monitor" || phase == "tree" || phase == "fanin" ||
@@ -139,7 +129,7 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
     long long count = 0;
     Tick t = 0;
     if (key == "moves") {
-      if (!ParseCount(value, &count) || count == 0 || count > 1000) {
+      if (!ParseNumber(value, 1LL, 1000LL, &count)) {
         return fail("bad moves '" + value + "' (1..1000)");
       }
       spec.moves = static_cast<int>(count);
@@ -160,12 +150,12 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
       }
       spec.phase = value;
     } else if (key == "burst") {
-      if (!ParseCount(value, &count) || count == 0 || count > 64) {
+      if (!ParseNumber(value, 1LL, 64LL, &count)) {
         return fail("bad burst '" + value + "' (1..64)");
       }
       spec.burst = static_cast<int>(count);
     } else if (key == "amount") {
-      if (!ParseCount(value, &count)) {
+      if (!ParseNumber(value, 0LL, kNoLimit, &count)) {
         return fail("bad amount '" + value + "'");
       }
       spec.amount = static_cast<std::uint64_t>(count);
@@ -181,22 +171,7 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
 }
 
 bool ParseSpecText(const std::string& text, Spec* out, std::string* error) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!cur.empty()) {
-        tokens.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    tokens.push_back(std::move(cur));
-  }
-  return ParseSpec(tokens, 0, out, error);
+  return ParseSpec(SplitTokens(text), 0, out, error);
 }
 
 }  // namespace adversary

@@ -15,8 +15,7 @@ ReconfigEngine::ReconfigEngine(Simulator* sim, Uid self_uid,
       log_(log),
       callbacks_(std::move(callbacks)),
       pos_root_(self_uid),
-      retransmit_task_(sim, [this] { Retransmit(); }),
-      trace_track_(log->node_name() + ".reconfig") {
+      retransmit_task_(sim, [this] { Retransmit(); }) {
   obs::MetricRegistry& reg = sim_->metrics();
   const std::string prefix = "switch." + log->node_name() + ".reconfig.";
   m_epochs_joined_ = reg.GetCounter(prefix + "epochs_joined");
@@ -59,31 +58,14 @@ ReconfigEngine::Stats ReconfigEngine::stats() const {
   return s;
 }
 
-void ReconfigEngine::BeginPhaseSpan(const char* phase) {
-  obs::TraceRecorder& trace = sim_->trace();
-  trace.EndSpan(phase_span_, sim_->now());
-  phase_span_ = trace.BeginSpan(trace_track_, phase, sim_->now());
-}
-
-void ReconfigEngine::EndSpans() {
-  obs::TraceRecorder& trace = sim_->trace();
-  trace.EndSpan(phase_span_, sim_->now());
-  trace.EndSpan(epoch_span_, sim_->now());
-  phase_span_ = 0;
-  epoch_span_ = 0;
-}
-
 void ReconfigEngine::Shutdown() {
   outgoing_.clear();
   retransmit_task_.Stop();
   in_progress_ = false;
-  EndSpans();
 }
 
 void ReconfigEngine::Trigger(const char* reason) {
   m_triggers_->Increment();
-  sim_->trace().Instant(trace_track_, std::string("trigger: ") + reason,
-                        sim_->now());
   if (flight_->armed()) {
     obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kTrigger);
     ev.epoch = epoch_ + 1;
@@ -110,12 +92,6 @@ void ReconfigEngine::JoinEpoch(std::uint64_t epoch, const char* reason,
   }
   m_epochs_joined_->Increment();
   last_join_time_ = sim_->now();
-  // An epoch joined while another is open means the old one was aborted;
-  // its spans end where the new epoch's begin.
-  EndSpans();
-  epoch_span_ = sim_->trace().BeginSpan(
-      trace_track_, "epoch " + std::to_string(epoch), sim_->now());
-  BeginPhaseSpan("tree");
   log_->Logf(sim_->now(), "reconfig: join epoch %llu (%s)",
              static_cast<unsigned long long>(epoch), reason);
 
@@ -787,9 +763,6 @@ void ReconfigEngine::CheckStability() {
     flight_->Record(ev);
   }
   SendReliable(parent_port_, std::move(msg));
-  // The tree phase is over for this switch: it now waits for the root's
-  // configuration (a changed subtree reopens the phase via re-report).
-  BeginPhaseSpan("await-config");
 }
 
 std::vector<SwitchRecord> ReconfigEngine::BuildSubtreeRecords() const {
@@ -837,7 +810,6 @@ std::uint64_t ReconfigEngine::Fingerprint(
 void ReconfigEngine::Terminate() {
   m_roots_terminated_->Increment();
   last_termination_time_ = sim_->now();
-  BeginPhaseSpan("distribute");
   std::vector<SwitchRecord> records = BuildSubtreeRecords();
   NetTopology topo = RecordsToTopology(records);
   AssignSwitchNumbers(&topo);
@@ -890,7 +862,6 @@ void ReconfigEngine::Distribute(const std::vector<SwitchRecord>& records,
     m_epoch_ms_->Add(static_cast<double>(sim_->now() - last_join_time_) /
                      1e6);
   }
-  EndSpans();
   callbacks_.apply_config(topo, self_index, epoch_);
 }
 

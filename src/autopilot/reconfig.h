@@ -40,7 +40,6 @@
 #include "src/common/ids.h"
 #include "src/obs/flight.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/routing/topology.h"
 #include "src/sim/timer.h"
 
@@ -177,11 +176,6 @@ class ReconfigEngine {
                  Uid origin = Uid());
   // A flight event pre-stamped with the current time and epoch.
   obs::FlightEvent FlightBase(obs::FlightEventKind kind) const;
-  // Trace-span phase transitions on this engine's `<name>.reconfig` track:
-  // an outer "epoch <N>" span with one inner phase span at a time ("tree",
-  // then "await-config" or "distribute").
-  void BeginPhaseSpan(const char* phase);
-  void EndSpans();
   void ReevaluatePosition();
   void SendPositionTo(PortNum port);
   void SendAckTo(PortNum port, std::uint32_t their_seq);
@@ -279,11 +273,6 @@ class ReconfigEngine {
   Tick last_join_time_ = -1;
   Tick last_config_time_ = -1;
   Tick last_termination_time_ = -1;
-
-  // Trace spans for the current epoch.
-  std::string trace_track_;
-  obs::TraceRecorder::SpanId epoch_span_ = 0;
-  obs::TraceRecorder::SpanId phase_span_ = 0;
 };
 
 }  // namespace autonet

@@ -1,8 +1,10 @@
 #include "src/chaos/scenario.h"
 
-#include <cctype>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+
+#include "src/common/tokens.h"
 
 namespace autonet {
 namespace chaos {
@@ -194,28 +196,7 @@ std::string Scenario::ToText() const {
 
 namespace {
 
-// Splits a line into whitespace-separated tokens, dropping '#' comments.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  for (char c : line) {
-    if (c == '#') {
-      break;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!cur.empty()) {
-        tokens.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    tokens.push_back(std::move(cur));
-  }
-  return tokens;
-}
+constexpr int kMaxInt = std::numeric_limits<int>::max();
 
 // `random`, `?name`, or a non-negative index.
 bool ParseTarget(const std::string& tok, int* target, std::string* pick) {
@@ -228,17 +209,7 @@ bool ParseTarget(const std::string& tok, int* target, std::string* pick) {
     *pick = tok.substr(1);
     return true;
   }
-  try {
-    std::size_t consumed;
-    int v = std::stoi(tok, &consumed);
-    if (consumed != tok.size() || v < 0) {
-      return false;
-    }
-    *target = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
+  return ParseNumber(tok, 0, kMaxInt, target);
 }
 
 }  // namespace
@@ -258,7 +229,7 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
 
   while (std::getline(in, line)) {
     ++line_no;
-    std::vector<std::string> t = Tokenize(line);
+    std::vector<std::string> t = SplitTokens(line);
     if (t.empty()) {
       continue;
     }
@@ -363,13 +334,8 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
       if (!ParseTarget(t[4], &a.target, &a.pick)) {
         return fail("bad cable target '" + t[4] + "'");
       }
-      try {
-        a.rate = std::stod(t[6]);
-      } catch (...) {
-        return fail("bad corruption rate '" + t[6] + "'");
-      }
-      if (a.rate < 0.0 || a.rate > 1.0) {
-        return fail("corruption rate must be in [0, 1]");
+      if (!ParseNumber(t[6], 0.0, 1.0, &a.rate)) {
+        return fail("bad corruption rate '" + t[6] + "' (0..1)");
       }
       s.actions.push_back(a);
     } else if (verb == "reflect" && t.size() == 7 && t[3] == "cable" &&
@@ -396,13 +362,8 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
           !ParseTime(t[6], &a.until)) {
         return fail("expected: at <time> burst cables <count> until <time>");
       }
-      try {
-        a.count = std::stoi(t[4]);
-      } catch (...) {
-        return fail("bad burst count '" + t[4] + "'");
-      }
-      if (a.count < 1) {
-        return fail("burst count must be >= 1");
+      if (!ParseNumber(t[4], 1, kMaxInt, &a.count)) {
+        return fail("bad burst count '" + t[4] + "' (>= 1)");
       }
       s.actions.push_back(a);
     } else if (verb == "burst" && t.size() >= 5 && t[3] == "switches") {
@@ -418,13 +379,8 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
         return fail(
             "expected: at <time> burst switches <count> [until <time>]");
       }
-      try {
-        a.count = std::stoi(t[4]);
-      } catch (...) {
-        return fail("bad burst count '" + t[4] + "'");
-      }
-      if (a.count < 1) {
-        return fail("burst count must be >= 1");
+      if (!ParseNumber(t[4], 1, kMaxInt, &a.count)) {
+        return fail("bad burst count '" + t[4] + "' (>= 1)");
       }
       s.actions.push_back(a);
     } else {

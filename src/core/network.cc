@@ -541,16 +541,8 @@ std::string Network::DumpMetricsJson(const std::string& prefix) const {
   return sim_.metrics().SnapshotJson(prefix);
 }
 
-std::string Network::DumpTraceJson() const {
-  return sim_.trace().ToChromeTraceJson();
-}
-
 bool Network::WriteMetricsJson(const std::string& path) const {
   return WriteFile(path, DumpMetricsJson());
-}
-
-bool Network::WriteTraceJson(const std::string& path) const {
-  return sim_.trace().WriteChromeTraceFile(path);
 }
 
 }  // namespace autonet

@@ -152,13 +152,11 @@ class Network {
 
   // --- telemetry export ---
   // Network-wide metric snapshot (optionally restricted by name prefix,
-  // e.g. "switch.s4.") and the Chrome-trace view of every reconfiguration
-  // span recorded so far; the Write variants put them in files that load
-  // directly in Perfetto / chrome://tracing.
+  // e.g. "switch.s4."); WriteMetricsJson puts the full snapshot in a file.
+  // The Perfetto trace of the reconfigurations comes from the armed flight
+  // recorder: obs::PostMortem::Build(sim().flight()).ToChromeTraceJson().
   std::string DumpMetricsJson(const std::string& prefix = "") const;
-  std::string DumpTraceJson() const;
   bool WriteMetricsJson(const std::string& path) const;
-  bool WriteTraceJson(const std::string& path) const;
 
  private:
   void RefreshLinkMode(int cable);

@@ -5,7 +5,7 @@
 #include <map>
 #include <unordered_map>
 
-#include "src/obs/trace.h"
+#include "src/obs/json.h"
 
 namespace autonet {
 namespace obs {
@@ -23,6 +23,80 @@ bool IsPrecursorKind(FlightEventKind kind) {
   return kind == FlightEventKind::kLinkChange ||
          kind == FlightEventKind::kSkepticTrip;
 }
+
+// Chrome trace-event JSON of complete ("X") spans and thread-scoped
+// instants on named tracks.  Track ids follow first use, and Perfetto
+// names each track from its thread_name record.  Timestamps are
+// microseconds of simulated time.
+class ChromeTrace {
+ public:
+  void Span(const std::string& track, std::string name, Tick begin,
+            Tick end) {
+    events_.push_back(Event{Track(track), std::move(name), begin, end, false});
+  }
+  void Instant(const std::string& track, std::string name, Tick at) {
+    events_.push_back(Event{Track(track), std::move(name), at, at, true});
+  }
+
+  std::string ToJson() {
+    JsonWriter w;
+    w.BeginObject();
+    w.Key("displayTimeUnit").String("ms");
+    w.Key("traceEvents").BeginArray();
+    for (const auto& [track, tid] : tracks_) {
+      w.BeginObject();
+      w.Key("ph").String("M");
+      w.Key("name").String("thread_name");
+      w.Key("pid").Int(1);
+      w.Key("tid").Int(tid);
+      w.Key("args").BeginObject().Key("name").String(track).EndObject();
+      w.EndObject();
+    }
+    // By begin time, longer first, so equal-start spans nest outer-first.
+    std::stable_sort(events_.begin(), events_.end(),
+                     [](const Event& a, const Event& b) {
+                       if (a.begin != b.begin) {
+                         return a.begin < b.begin;
+                       }
+                       return a.end - a.begin > b.end - b.begin;
+                     });
+    for (const Event& e : events_) {
+      w.BeginObject();
+      w.Key("name").String(e.name);
+      w.Key("pid").Int(1);
+      w.Key("tid").Int(e.tid);
+      w.Key("ts").Number(static_cast<double>(e.begin) / 1000.0);
+      if (e.instant) {
+        w.Key("ph").String("i");
+        w.Key("s").String("t");
+      } else {
+        w.Key("ph").String("X");
+        w.Key("dur").Number(static_cast<double>(e.end - e.begin) / 1000.0);
+      }
+      w.EndObject();
+    }
+    w.EndArray();
+    w.EndObject();
+    return w.Take();
+  }
+
+ private:
+  struct Event {
+    int tid;
+    std::string name;
+    Tick begin;
+    Tick end;
+    bool instant;
+  };
+
+  int Track(const std::string& track) {
+    return tracks_.try_emplace(track, static_cast<int>(tracks_.size()) + 1)
+        .first->second;
+  }
+
+  std::map<std::string, int> tracks_;  // name -> tid
+  std::vector<Event> events_;
+};
 
 }  // namespace
 
@@ -335,7 +409,7 @@ std::string PostMortem::RenderText(bool with_events) const {
 }
 
 std::string PostMortem::ToChromeTraceJson() const {
-  TraceRecorder tr(1 << 20);
+  ChromeTrace trace;
   for (const EpochTimeline& tl : epochs_) {
     // The monitor phase begins on the previous epoch's ring (the skeptic
     // trip that gated the trigger), so the epoch span is widened to keep
@@ -346,15 +420,11 @@ std::string PostMortem::ToChromeTraceJson() const {
       monitor_start = tl.trigger_time - tl.phases.monitor;
       begin = std::min(begin, monitor_start);
     }
-    const std::string epoch_name = "epoch " + std::to_string(tl.epoch);
-    TraceRecorder::SpanId outer = tr.BeginSpan("reconfig", epoch_name, begin);
+    trace.Span("reconfig", "epoch " + std::to_string(tl.epoch), begin, tl.end);
     auto phase = [&](const char* name, Tick from, Tick to) {
-      if (from < 0 || to < from) {
-        return;
+      if (from >= 0 && to >= from) {
+        trace.Span("reconfig.phase", name, from, to);
       }
-      TraceRecorder::SpanId id =
-          tr.BeginSpan("reconfig.phase", std::string(name), from);
-      tr.EndSpan(id, to);
     };
     if (monitor_start >= 0) {
       phase("monitor", monitor_start, tl.trigger_time);
@@ -379,11 +449,10 @@ std::string PostMortem::ToChromeTraceJson() const {
       if (pe.ev.detail[0] != '\0') {
         name += std::string(" ") + pe.ev.detail;
       }
-      tr.Instant(pe.node + ".flight", std::move(name), pe.ev.time);
+      trace.Instant(pe.node + ".flight", std::move(name), pe.ev.time);
     }
-    tr.EndSpan(outer, tl.end);
   }
-  return tr.ToChromeTraceJson();
+  return trace.ToJson();
 }
 
 }  // namespace obs

@@ -13,9 +13,9 @@
 //
 // The reconstruction is read-only over the recorder and deterministic:
 // events are ordered by (time, node name, ring position).  Renderers
-// produce a human text report and a Perfetto-compatible Chrome trace
-// (reusing TraceRecorder's exporter), and the chaos runner attaches the
-// per-epoch summaries to failed-oracle entries.
+// produce a human text report and the repo's only Perfetto-compatible
+// Chrome trace, and the chaos runner attaches the per-epoch summaries to
+// failed-oracle entries.
 #ifndef SRC_OBS_POSTMORTEM_H_
 #define SRC_OBS_POSTMORTEM_H_
 

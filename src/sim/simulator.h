@@ -27,7 +27,6 @@
 #include "src/common/time.h"
 #include "src/obs/flight.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace autonet {
 
@@ -203,15 +202,12 @@ class Simulator {
   std::uint64_t events_processed() const { return events_processed_; }
 
   // Telemetry shared by every component in this simulation: a network-wide
-  // metric registry and a sim-time trace span recorder.  Hung off the
+  // metric registry and the reconfiguration flight recorder.  Hung off the
   // simulator because every component already holds a Simulator*, including
   // standalone single-switch test rigs that have no Network.
   obs::MetricRegistry& metrics() { return metrics_; }
   const obs::MetricRegistry& metrics() const { return metrics_; }
-  obs::TraceRecorder& trace() { return trace_; }
-  const obs::TraceRecorder& trace() const { return trace_; }
-  // The reconfiguration flight recorder (disarmed by default; see
-  // src/obs/flight.h).
+  // The flight recorder is disarmed by default; see src/obs/flight.h.
   obs::FlightRecorder& flight() { return flight_; }
   const obs::FlightRecorder& flight() const { return flight_; }
 
@@ -522,7 +518,6 @@ class Simulator {
 #endif
   obs::Counter* past_clamped_ = nullptr;  // created on first clamp
   obs::MetricRegistry metrics_;
-  obs::TraceRecorder trace_;
   obs::FlightRecorder flight_;
 };
 

@@ -101,8 +101,24 @@ int TopoSpec::AddHost(int primary_sw, int alt_sw, double length_km,
 
 std::string TopoSpec::Validate() const {
   char buf[128];
+  const int n = static_cast<int>(switches.size());
+  auto bad_switch = [n](int sw) { return sw < 0 || sw >= n; };
+  for (std::size_t i = 0; i < cables.size(); ++i) {
+    if (bad_switch(cables[i].sw_a) || bad_switch(cables[i].sw_b)) {
+      std::snprintf(buf, sizeof(buf), "cable %zu: switch index out of range",
+                    i);
+      return buf;
+    }
+  }
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    if (bad_switch(hosts[i].primary_switch) ||
+        (hosts[i].alt_switch != -1 && bad_switch(hosts[i].alt_switch))) {
+      std::snprintf(buf, sizeof(buf), "host %zu: switch index out of range",
+                    i);
+      return buf;
+    }
+  }
   for (std::size_t i = 0; i < switches.size(); ++i) {
-    std::set<PortNum> seen;
     std::set<PortNum> used;
     CollectUsedPorts(*this, static_cast<int>(i), &used);
     for (PortNum p : used) {
@@ -112,7 +128,6 @@ std::string TopoSpec::Validate() const {
         return buf;
       }
     }
-    (void)seen;
   }
   // Detect double-cabling of a port.
   std::set<std::pair<int, PortNum>> taken;

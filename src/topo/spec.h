@@ -57,7 +57,8 @@ struct TopoSpec {
   // Highest free external port on a switch (-1 if full).
   PortNum HighestFreePort(int sw) const;
 
-  // Empty string when well-formed (ports in range, no double-cabling).
+  // Empty string when well-formed (switch indices and ports in range, no
+  // double-cabling).
   std::string Validate() const;
 
   // The NetTopology the reconfiguration should converge to, assuming every

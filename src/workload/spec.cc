@@ -1,7 +1,9 @@
 #include "src/workload/spec.h"
 
-#include <cctype>
+#include <limits>
 #include <sstream>
+
+#include "src/common/tokens.h"
 
 namespace autonet {
 namespace workload {
@@ -22,19 +24,7 @@ const char* KindName(Kind kind) {
 
 namespace {
 
-bool ParseCount(const std::string& tok, long long* out) {
-  try {
-    std::size_t consumed;
-    long long v = std::stoll(tok, &consumed);
-    if (consumed != tok.size() || v <= 0) {
-      return false;
-    }
-    *out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
+constexpr long long kNoLimit = std::numeric_limits<long long>::max();
 
 }  // namespace
 
@@ -96,17 +86,17 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
     long long count = 0;
     Tick t = 0;
     if (key == "bytes") {
-      if (!ParseCount(value, &count)) {
+      if (!ParseNumber(value, 1LL, kNoLimit, &count)) {
         return fail("bad bytes '" + value + "'");
       }
       spec.data_bytes = static_cast<std::size_t>(count);
     } else if (key == "response") {
-      if (!ParseCount(value, &count)) {
+      if (!ParseNumber(value, 1LL, kNoLimit, &count)) {
         return fail("bad response '" + value + "'");
       }
       spec.response_bytes = static_cast<std::size_t>(count);
     } else if (key == "window") {
-      if (!ParseCount(value, &count) || count > 64) {
+      if (!ParseNumber(value, 1LL, 64LL, &count)) {
         return fail("bad window '" + value + "' (1..64)");
       }
       spec.window = static_cast<int>(count);
@@ -137,22 +127,7 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
 }
 
 bool ParseSpecText(const std::string& text, Spec* out, std::string* error) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!cur.empty()) {
-        tokens.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    tokens.push_back(std::move(cur));
-  }
-  return ParseSpec(tokens, 0, out, error);
+  return ParseSpec(SplitTokens(text), 0, out, error);
 }
 
 }  // namespace workload

@@ -48,7 +48,7 @@ struct Spec {
 bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
                Spec* out, std::string* error);
 
-// Convenience: tokenizes `text` (whitespace-separated) and calls ParseSpec.
+// Convenience: splits `text` with SplitTokens and calls ParseSpec.
 bool ParseSpecText(const std::string& text, Spec* out, std::string* error);
 
 }  // namespace workload

@@ -88,6 +88,17 @@ TEST(Scenario, ParseErrorsNameTheLine) {
   EXPECT_TRUE(
       ParseScenarios("scenario x\n  at 5ms melt cable 0\n", &error).empty());
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+
+  // Numbers must fill their whole token.
+  for (const char* line : {"at 1s burst cables 3x until 2s",
+                           "at 1s burst switches 2.9",
+                           "at 1s corrupt cable 0 rate 0.5abc"}) {
+    EXPECT_TRUE(
+        ParseScenarios(std::string("scenario x\n") + line + "\n", &error)
+            .empty())
+        << line;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  }
 }
 
 // --- deterministic resolution ----------------------------------------------

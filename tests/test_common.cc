@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "src/common/port_vector.h"
 #include "src/common/serialize.h"
 #include "src/common/time.h"
+#include "src/common/tokens.h"
 
 namespace autonet {
 namespace {
@@ -383,6 +385,32 @@ TEST(Time, LiteralsRejectMalformedText) {
   EXPECT_FALSE(ParseTime("-1ms", &t));  // negative
   EXPECT_FALSE(ParseTime("", &t));
   EXPECT_EQ(t, 42) << "a rejected literal must leave the output alone";
+}
+
+TEST(Tokens, SplitDropsCommentsToEndOfLine) {
+  EXPECT_EQ(SplitTokens("  at 1s\tcut cable 0 # note\nat 2s#x\n restore"),
+            (std::vector<std::string>{"at", "1s", "cut", "cable", "0", "at",
+                                      "2s", "restore"}));
+  EXPECT_TRUE(SplitTokens(" # only a comment\n\n").empty());
+}
+
+TEST(Tokens, NumbersMustFillTheWholeToken) {
+  long long n = 7;
+  EXPECT_TRUE(ParseNumber("64", 1LL, 64LL, &n));
+  EXPECT_EQ(n, 64);
+  for (const char* bad : {"", "3x", "2.9", "+1", "0", "65", " 5",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseNumber(bad, 1LL, 64LL, &n)) << bad;
+  }
+  EXPECT_EQ(n, 64) << "a rejected token must leave the output alone";
+
+  double r = 0.25;
+  EXPECT_TRUE(ParseNumber("1e-3", 0.0, 1.0, &r));
+  EXPECT_DOUBLE_EQ(r, 0.001);
+  for (const char* bad : {"0.5abc", "nan", "inf", "1.5", "-0.1"}) {
+    EXPECT_FALSE(ParseNumber(bad, 0.0, 1.0, &r)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(r, 0.001);
 }
 
 }  // namespace

@@ -76,6 +76,22 @@ TEST(TopoSpec, ParserRejectsGarbage) {
   std::string error;
   TopoSpec::FromText("switches 2\nfrobnicate 1 2\n", &error);
   EXPECT_NE(error, "");
+
+  // Switch indices must name a declared switch; alt switch -1 means none.
+  for (const char* text : {"switches 2\ncable 0 1 5 1 0.01\n",
+                           "switches 2\ncable -1 1 0 1 0.01\n",
+                           "switches 2\nhost 7 11 -1 -1 0.01\n",
+                           "switches 2\nhost 0 11 2 11 0.01\n",
+                           "switches 2\nhost 0 11 -2 11 0.01\n",
+                           "switches 2\ncable 0 1 5 1 0.01\n"
+                           "host 7 11 -1 -1 0.01\n"}) {
+    TopoSpec::FromText(text, &error);
+    EXPECT_NE(error.find("switch index out of range"), std::string::npos)
+        << text;
+  }
+  TopoSpec::FromText("switches 2\ncable 0 1 1 1 0.01\nhost 1 11 -1 -1 0.01\n",
+                     &error);
+  EXPECT_EQ(error, "");
 }
 
 TEST(Generators, LineHasNMinusOneCables) {
