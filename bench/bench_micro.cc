@@ -1,129 +1,34 @@
-// Wall-clock microbenchmarks (google-benchmark) for the simulation
-// substrate itself: event queue throughput, FIFO operations, forwarding
-// table lookups, route computation, and end-to-end simulated-seconds per
-// wall-second for a mid-size network.  These guard the *simulator's*
-// performance — the paper-facing measurements live in the other bench
-// binaries.
-//
-// Besides the google-benchmark tables, the binary always runs four fixed
-// workloads — raw event dispatch throughput, schedule/cancel churn, and a
-// multi-hop traffic stream with the flight recorder disarmed and armed —
-// and writes them to BENCH_SIM.json.  That file is the committed perf
-// baseline the CI bench-smoke job diffs against (>20% event-throughput
-// regression fails the build; >5% armed-vs-disarmed flight overhead too).
-#include <benchmark/benchmark.h>
-
+// Throughput baseline for the simulation substrate itself; the
+// paper-facing measurements live in the other bench binaries.  The binary
+// runs five fixed workloads: raw event dispatch, schedule/cancel churn, a
+// multi-hop traffic stream with the flight recorder disarmed and armed, and
+// an RPC fleet through a reconfiguration.  It writes them to BENCH_SIM.json,
+// the committed perf baseline the CI bench-smoke job diffs against (>20%
+// event-throughput regression fails the build; >5% armed-vs-disarmed flight
+// overhead too).
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <functional>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/network.h"
-#include "src/fabric/forwarding_table.h"
-#include "src/workload/engine.h"
-#include "src/fabric/port_fifo.h"
-#include "src/routing/spanning_tree.h"
-#include "src/routing/updown.h"
 #include "src/sim/simulator.h"
 #include "src/topo/spec.h"
+#include "src/workload/engine.h"
 
 namespace autonet {
 namespace {
 
-void BM_SimulatorScheduleDispatch(benchmark::State& state) {
-  Simulator sim;
-  std::uint64_t count = 0;
-  for (auto _ : state) {
-    sim.ScheduleAfter(10, [&count] { ++count; });
-    sim.Step();
-  }
-  benchmark::DoNotOptimize(count);
-}
-BENCHMARK(BM_SimulatorScheduleDispatch);
-
-void BM_SimulatorPendingHeap(benchmark::State& state) {
-  // Scheduling into a deep queue (the switch-fabric steady state).
-  Simulator sim;
-  for (int i = 0; i < 10000; ++i) {
-    sim.ScheduleAfter(1000000 + i, [] {});
-  }
-  for (auto _ : state) {
-    auto id = sim.ScheduleAfter(500, [] {});
-    sim.Cancel(id);
-  }
-}
-BENCHMARK(BM_SimulatorPendingHeap);
-
-void BM_PortFifoPushPop(benchmark::State& state) {
-  PortFifo fifo(4096);
-  Packet p;
-  p.payload.assign(64, 0);
-  PacketRef pkt = MakePacket(std::move(p));
-  for (auto _ : state) {
-    fifo.PushBegin(pkt);
-    for (int i = 0; i < 64; ++i) {
-      fifo.PushByte();
-    }
-    fifo.PushEnd(EndFlags{});
-    while (fifo.PopByte().has_value()) {
-    }
-    fifo.TryPopEnd();
-  }
-}
-BENCHMARK(BM_PortFifoPushPop);
-
-void BM_ForwardingTableLookup(benchmark::State& state) {
-  ForwardingTable table = ForwardingTable::OneHopOnly();
-  std::uint16_t addr = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        table.Lookup(static_cast<PortNum>(addr % 13), ShortAddress(addr)));
-    ++addr;
-  }
-}
-BENCHMARK(BM_ForwardingTableLookup);
-
-void BM_BuildForwardingTable(benchmark::State& state) {
-  TopoSpec spec = MakeTorus(4, 8, 1);
-  NetTopology topo = spec.ExpectedTopology();
-  AssignSwitchNumbers(&topo);
-  SpanningTree tree = ComputeSpanningTree(topo);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildForwardingTable(topo, tree, 0));
-  }
-}
-BENCHMARK(BM_BuildForwardingTable);
-
-void BM_SpanningTree30Switches(benchmark::State& state) {
-  TopoSpec spec = MakeSrcLan(0);
-  NetTopology topo = spec.ExpectedTopology();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeSpanningTree(topo));
-  }
-}
-BENCHMARK(BM_SpanningTree30Switches);
-
-void BM_NetworkBootConvergence(benchmark::State& state) {
-  // Simulated seconds of a 12-switch network boot, per wall iteration.
-  for (auto _ : state) {
-    Network net(MakeTorus(3, 4, 1));
-    net.Boot();
-    bool ok = net.WaitForConsistency(5 * 60 * kSecond);
-    benchmark::DoNotOptimize(ok);
-  }
-}
-BENCHMARK(BM_NetworkBootConvergence)->Unit(benchmark::kMillisecond);
-
 // --- BENCH_SIM.json workloads -----------------------------------------
 //
-// Fixed-size runs timed independently of google-benchmark, so the JSON
-// numbers are directly comparable across commits.  Throughput is computed
-// from process CPU time, not wall time: these benches run on shared
-// machines (CI runners, VMs with steal time) where wall clocks measure the
-// neighbours as much as the code, and the >20% CI regression gate needs a
-// number that does not move when the host is busy.  Wall time is still
-// reported alongside for context.
+// Fixed-size runs, so the JSON numbers are directly comparable across
+// commits.  Throughput is computed from process CPU time, not wall time:
+// these benches run on shared machines (CI runners, VMs with steal time)
+// where wall clocks measure the neighbours as much as the code, and the >20%
+// CI regression gate needs a number that does not move when the host is
+// busy.  Wall time is still reported alongside for context.
 
 double WallSecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -323,14 +228,7 @@ void MeasureRpcReconfigSlo(bench::JsonReport* report) {
 }  // namespace
 }  // namespace autonet
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+int main() {
   autonet::bench::Title("SIM", "event-engine throughput baseline");
   autonet::bench::JsonReport report("SIM");
   autonet::MeasureEventThroughput(&report);

@@ -57,17 +57,11 @@ class JsonReport {
   bool Write() {
     writer_.EndArray();
     writer_.EndObject();
-    std::string json = writer_.Take();
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
+    if (!WriteFile(path_, writer_.Take())) {
       return false;
     }
-    bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    ok = std::fclose(f) == 0 && ok;
-    if (ok) {
-      std::printf("\n[wrote %s]\n", path_.c_str());
-    }
-    return ok;
+    std::printf("\n[wrote %s]\n", path_.c_str());
+    return true;
   }
 
  private:

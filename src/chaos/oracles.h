@@ -7,15 +7,17 @@
 // The standard battery (StandardOracles) covers the paper's claims:
 //   convergence    the control plane reaches a consistent configuration
 //                  within a diameter-scaled deadline (liveness, §6.6.5's
-//                  "function of the maximum switch-to-switch distance")
-//   epochs         all alive switches of each physical component agree on
-//                  the epoch number (§6.6.2)
-//   routes         the loaded forwarding tables deliver every (origin,
-//                  destination) pair legally, loop-free, with broadcasts
-//                  reaching every station exactly once (§6.6.4)
-//   deadlock       the channel-dependency graph of the loaded tables is
-//                  acyclic, so the flow-controlled fabric cannot wedge
-//                  (§4.2)
+//                  "function of the maximum switch-to-switch distance").
+//                  Consistent is Network::CheckConsistency, the one judge
+//                  of each physical component (Network::HealthyComponents):
+//                  its switches agree on the epoch (§6.6.2), topology and
+//                  switch numbers; its loaded forwarding tables deliver
+//                  every (origin, destination) pair legally, loop-free,
+//                  with broadcasts reaching every station exactly once
+//                  (§6.6.4); and their channel-dependency graph is acyclic,
+//                  so the flow-controlled fabric cannot wedge (§4.2).  A
+//                  run that does not converge gets one violation for all of
+//                  these, carrying CheckConsistency's first failure.
 //   delivery       after convergence, fresh client traffic flows intact
 //                  between every pair of registered hosts that share a
 //                  component ("whatever physical configuration is
@@ -67,9 +69,6 @@ int HealthyDiameter(const Network& net);
 
 // --- individual oracles (exposed for targeted tests) ---
 std::unique_ptr<Oracle> MakeConvergenceOracle();
-std::unique_ptr<Oracle> MakeEpochAgreementOracle();
-std::unique_ptr<Oracle> MakeRouteLegalityOracle();
-std::unique_ptr<Oracle> MakeDeadlockFreedomOracle();
 std::unique_ptr<Oracle> MakeDeliveryOracle();
 std::unique_ptr<Oracle> MakePortSanityOracle();
 

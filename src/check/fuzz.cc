@@ -704,10 +704,8 @@ InjectReport FuzzInject(const InjectConfig& config) {
     if (!net.driver_at(h).HasAddress()) {
       continue;
     }
-    const TopoSpec::HostSpec& hs = net.spec().hosts[h];
-    bool primary = net.host_at(h).active_port() == 0;
-    int sw = primary ? hs.primary_switch : hs.alt_switch;
-    PortNum port = primary ? hs.primary_port : hs.alt_port;
+    PortNum port = 0;
+    int sw = net.HostAttachment(h, &port);
     if (sw < 0 || !net.switch_alive(sw)) {
       continue;
     }

@@ -214,30 +214,23 @@ bool SameTopology(const NetTopology& a, const NetTopology& b,
   return true;
 }
 
-}  // namespace
-
-std::string Network::CheckConsistency() {
-  NetTopology expected = HealthyTopology();
-  if (expected.size() == 0) {
-    return "";
-  }
-  // Each connected component of the healthy topology converges as an
-  // independent operational network (section 6.6: "the reconfiguration
-  // process will configure physically separated partitions as disconnected
-  // operational networks").  Check each component on its own.
-  std::vector<int> component(expected.size(), -1);
-  int components = 0;
-  for (int start = 0; start < expected.size(); ++start) {
+// Component id of every switch of `topo`, counting up from 0 in DFS
+// discovery order.  The one partition of the healthy topology: both
+// HealthyComponents() and CheckConsistency() read it.
+std::vector<int> ComponentIds(const NetTopology& topo) {
+  std::vector<int> component(topo.size(), -1);
+  int next = 0;
+  for (int start = 0; start < topo.size(); ++start) {
     if (component[start] >= 0) {
       continue;
     }
-    int id = components++;
+    int id = next++;
     std::vector<int> stack{start};
     component[start] = id;
     while (!stack.empty()) {
       int node = stack.back();
       stack.pop_back();
-      for (const TopoLink& link : expected.switches[node].links) {
+      for (const TopoLink& link : topo.switches[node].links) {
         if (component[link.remote_switch] < 0) {
           component[link.remote_switch] = id;
           stack.push_back(link.remote_switch);
@@ -245,23 +238,76 @@ std::string Network::CheckConsistency() {
       }
     }
   }
+  return component;
+}
+
+}  // namespace
+
+std::vector<int> Network::HealthyComponents() const {
+  // HealthyTopology() holds the alive switches in index order.
+  std::vector<int> ids = ComponentIds(HealthyTopology());
+  std::vector<int> component(num_switches(), -1);
+  for (int s = 0, i = 0; s < num_switches(); ++s) {
+    if (alive_[s]) {
+      component[s] = ids[i++];
+    }
+  }
+  return component;
+}
+
+int Network::HostAttachment(int host, PortNum* port) const {
+  const TopoSpec::HostSpec& hs = spec_.hosts[host];
+  bool primary = hosts_[host]->active_port() == 0;
+  if (port != nullptr) {
+    *port = primary ? hs.primary_port : hs.alt_port;
+  }
+  return primary ? hs.primary_switch : hs.alt_switch;
+}
+
+int Network::HostComponent(int host,
+                           const std::vector<int>& components) const {
+  int sw = HostAttachment(host);
+  const Link* link = host_links_[host][hosts_[host]->active_port()].get();
+  if (sw < 0 || !alive_[sw] || link->mode() != LinkMode::kNormal ||
+      !drivers_[host]->HasAddress()) {
+    return -1;
+  }
+  return components[sw];
+}
+
+std::string Network::CheckConsistency() {
+  NetTopology expected = HealthyTopology();
+  // Each connected component of the healthy topology converges as an
+  // independent operational network (section 6.6: "the reconfiguration
+  // process will configure physically separated partitions as disconnected
+  // operational networks").  Check each component on its own.
+  std::vector<int> component = ComponentIds(expected);
+  int components = 0;
+  for (int id : component) {
+    components = std::max(components, id + 1);
+  }
+  std::vector<int> live;  // switch index of each expected switch
+  for (int s = 0; s < num_switches(); ++s) {
+    if (alive_[s]) {
+      live.push_back(s);
+    }
+  }
 
   for (int comp = 0; comp < components; ++comp) {
     // Build the expected sub-topology for this component.
     NetTopology part;
+    std::vector<int> members;  // expected index of each part switch
     std::vector<int> new_index(expected.size(), -1);
     for (int i = 0; i < expected.size(); ++i) {
       if (component[i] == comp) {
         new_index[i] = part.size();
+        members.push_back(i);
         SwitchDescriptor sw = expected.switches[i];
         sw.links.clear();
         part.switches.push_back(std::move(sw));
       }
     }
-    for (int i = 0; i < expected.size(); ++i) {
-      if (component[i] != comp) {
-        continue;
-      }
+    for (int i : members) {
       for (const TopoLink& link : expected.switches[i].links) {
         part.switches[new_index[i]].links.push_back(
             {link.local_port, new_index[link.remote_switch],
@@ -269,39 +315,29 @@ std::string Network::CheckConsistency() {
       }
     }
 
-    // Locate the live switches of this component, check agreement, and
-    // collect their tables.
+    // Check the component's switches agree, and collect their tables.
     std::uint64_t epoch = 0;
-    bool first = true;
     std::vector<ForwardingTable> tables;
     for (int i = 0; i < part.size(); ++i) {
-      Uid uid = part.switches[i].uid;
-      int live_index = -1;
-      for (int s = 0; s < num_switches(); ++s) {
-        if (alive_[s] && spec_.switches[s].uid == uid) {
-          live_index = s;
-          break;
-        }
-      }
-      const Autopilot& ap = *autopilots_[live_index];
+      int s = live[members[i]];
+      const Autopilot& ap = *autopilots_[s];
       if (!ap.topology().has_value()) {
-        return switches_[live_index]->name() + " has no configuration";
+        return switches_[s]->name() + " has no configuration";
       }
-      if (first) {
+      if (i == 0) {
         epoch = ap.epoch();
-        first = false;
       } else if (ap.epoch() != epoch) {
-        return switches_[live_index]->name() + " epoch mismatch";
+        return switches_[s]->name() + " epoch mismatch";
       }
       std::string why;
       if (!SameTopology(*ap.topology(), part, &why)) {
-        return switches_[live_index]->name() + " topology mismatch: " + why;
+        return switches_[s]->name() + " topology mismatch: " + why;
       }
       if (ap.switch_num() == 0) {
-        return switches_[live_index]->name() + " has no switch number";
+        return switches_[s]->name() + " has no switch number";
       }
       part.switches[i].assigned_num = ap.switch_num();
-      tables.push_back(switches_[live_index]->forwarding_table());
+      tables.push_back(switches_[s]->forwarding_table());
     }
 
     // Verify the loaded tables as a set: deliverability, loop freedom,
@@ -321,13 +357,9 @@ std::string Network::CheckConsistency() {
 bool Network::WaitForHostsRegistered(Tick deadline) {
   while (sim_.now() < deadline) {
     bool all = true;
-    for (const auto& driver : drivers_) {
-      const TopoSpec::HostSpec& hs = spec_.hosts[&driver - &drivers_[0]];
-      int active_switch = driver->controller()->active_port() == 0
-                              ? hs.primary_switch
-                              : hs.alt_switch;
-      if (active_switch >= 0 && alive_[active_switch] &&
-          !driver->HasAddress()) {
+    for (int h = 0; h < num_hosts(); ++h) {
+      int sw = HostAttachment(h);
+      if (sw >= 0 && alive_[sw] && !drivers_[h]->HasAddress()) {
         all = false;
         break;
       }

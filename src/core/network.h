@@ -83,10 +83,12 @@ class Network {
   // Runs the simulation for the given duration.
   void Run(Tick duration) { sim_.RunUntil(sim_.now() + duration); }
 
-  // Empty string when the converged control plane is consistent: all alive
-  // switches agree on the epoch and topology, the topology matches the
-  // healthy part of the spec, every pair of hosts is routed, and the
-  // channel dependency graph is acyclic.
+  // Empty string when the converged control plane is consistent.  Each
+  // component of HealthyComponents() is judged on its own: its switches
+  // agree on the epoch and topology, the topology matches that component of
+  // the healthy spec, every switch holds a number, every pair of its hosts
+  // is routed, and the channel dependency graph is acyclic.  Otherwise the
+  // first failure, naming a switch of the failing component.
   std::string CheckConsistency();
 
   // --- fault injection ---
@@ -147,6 +149,24 @@ class Network {
 
   // The topology the control plane should converge to given current faults.
   NetTopology HealthyTopology() const;
+
+  // HealthyTopology() split into its physically connected components, each
+  // of which configures as a separate operational network (section 6.6):
+  // the component id of every switch index, -1 for a dead switch.  Ids count
+  // up from 0 in the order a DFS over HealthyTopology() discovers them.
+  std::vector<int> HealthyComponents() const;
+
+  // The switch serving `host` on its active attachment (the alternate once
+  // the driver has failed over), or -1 when that is the alternate of a
+  // single-homed host.  `port`, when given, receives the switch port.
+  int HostAttachment(int host, PortNum* port = nullptr) const;
+
+  // The component, in a HealthyComponents() snapshot, of the switch serving
+  // `host`; -1 when the host is off the network: its attachment switch is
+  // missing or dead, its active link is not normal, or it has no short
+  // address yet.  Two hosts can exchange traffic once both are in the same
+  // component.
+  int HostComponent(int host, const std::vector<int>& components) const;
 
   std::vector<LogEntry> MergedLog() const;
 

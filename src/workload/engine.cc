@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/routing/topology.h"
-
 namespace autonet {
 namespace workload {
 
@@ -418,50 +416,12 @@ void WorkloadEngine::RefreshComponents() {
     return;
   }
   comp_generation_ = gen;
-  NetTopology healthy = net_->HealthyTopology();
-  std::vector<int> comp(static_cast<std::size_t>(healthy.size()), -1);
-  int next = 0;
-  for (int start = 0; start < healthy.size(); ++start) {
-    if (comp[start] >= 0) {
-      continue;
-    }
-    int id = next++;
-    std::vector<int> stack{start};
-    comp[start] = id;
-    while (!stack.empty()) {
-      int node = stack.back();
-      stack.pop_back();
-      for (const TopoLink& link : healthy.switches[node].links) {
-        if (comp[link.remote_switch] < 0) {
-          comp[link.remote_switch] = id;
-          stack.push_back(link.remote_switch);
-        }
-      }
-    }
-  }
-  comp_of_uid_.clear();
-  for (int s = 0; s < healthy.size(); ++s) {
-    comp_of_uid_[healthy.switches[s].uid.value()] = comp[s];
-  }
-}
-
-int WorkloadEngine::HostComponent(int host) const {
-  const TopoSpec::HostSpec& hs = net_->spec().hosts[host];
-  Network* net = net_;
-  int active = net->driver_at(host).controller()->active_port();
-  int sw = active == 0 ? hs.primary_switch : hs.alt_switch;
-  if (sw < 0 || !net->switch_alive(sw) ||
-      net->host_link(host, active).mode() != LinkMode::kNormal ||
-      !net->driver_at(host).HasAddress()) {
-    return -1;
-  }
-  auto it = comp_of_uid_.find(net->spec().switches[sw].uid.value());
-  return it == comp_of_uid_.end() ? -1 : it->second;
+  components_ = net_->HealthyComponents();
 }
 
 bool WorkloadEngine::Serviceable(const Flow& flow) const {
-  int a = HostComponent(flow.src);
-  return a >= 0 && a == HostComponent(flow.dst);
+  int a = net_->HostComponent(flow.src, components_);
+  return a >= 0 && a == net_->HostComponent(flow.dst, components_);
 }
 
 SloReport WorkloadEngine::Finalize() {

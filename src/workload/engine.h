@@ -34,7 +34,6 @@
 #define SRC_WORKLOAD_ENGINE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -120,9 +119,9 @@ class WorkloadEngine {
   void CompleteOp(Flow& flow, std::uint32_t seq);
 
   // Serviceability: both endpoints attached to alive switches in the same
-  // component of the healthy topology (the delivery oracle's test).
+  // component of the healthy topology (Network::HostComponent, the delivery
+  // oracle's test), read against the snapshot RefreshComponents takes.
   void RefreshComponents();
-  int HostComponent(int host) const;
   bool Serviceable(const Flow& flow) const;
 
   Network* net_;
@@ -149,9 +148,10 @@ class WorkloadEngine {
   std::uint64_t damaged_ = 0;
   std::uint64_t recovery_lost_ = 0;
 
-  // Component cache, recomputed when the Network's fault generation moves.
+  // Network::HealthyComponents() snapshot, retaken when the Network's
+  // fault generation moves.
   std::uint64_t comp_generation_ = ~0ull;
-  std::map<std::uint64_t, int> comp_of_uid_;
+  std::vector<int> components_;
 };
 
 }  // namespace workload

@@ -283,9 +283,10 @@ TEST(Reconfig, PartitionFormsTwoNetworks) {
 
   net.CutCable(0);  // between 0 and 1
   net.CutCable(3);  // between 3 and 4
-  // CheckConsistency assumes a connected network; a partition must instead
-  // settle into two independently consistent halves.
-  ASSERT_TRUE(net.WaitForConvergence(net.sim().now() + kDeadline));
+  // A partition settles into two independently consistent halves, and
+  // CheckConsistency judges each half on its own.
+  ASSERT_TRUE(net.WaitForConsistency(net.sim().now() + kDeadline))
+      << net.CheckConsistency();
 
   // Sides {1,2,3} and {4,5,0} each agree internally.
   EXPECT_EQ(net.autopilot_at(1).topology()->size(), 3);

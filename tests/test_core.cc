@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/network.h"
 #include "src/topo/spec.h"
 
@@ -176,6 +179,83 @@ TEST(Network, ConsistencyRejectsTamperedTable) {
   (void)no_reset_cfg;
   net.switch_at(0).LoadForwardingTable(bogus);
   EXPECT_NE(net.CheckConsistency(), "");
+
+  // On a ring cut into halves {4,5,0} and {1,2,3}, each half is judged on
+  // its own: a bad table in the second half fails the check, and the
+  // failure names a switch of that half only.
+  Network ring(MakeRing(6, 1));
+  ring.Boot();
+  ASSERT_TRUE(ring.WaitForConsistency(kDeadline));
+  ring.CutCable(0);  // between 0 and 1
+  ring.CutCable(3);  // between 3 and 4
+  ASSERT_TRUE(ring.WaitForConsistency(ring.sim().now() + kDeadline))
+      << ring.CheckConsistency();
+  ring.switch_at(2).LoadForwardingTable(bogus);
+  std::string why = ring.CheckConsistency();
+  ASSERT_NE(why, "");
+  auto names = [&](int sw) {
+    return why.find(ring.spec().switches[sw].uid.ToString()) !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(names(1) || names(2) || names(3)) << why;
+  EXPECT_FALSE(names(4) || names(5) || names(0)) << why;
+}
+
+TEST(Network, HealthyComponentsSplitAndMerge) {
+  Network net(MakeRing(6, 1));  // host h on switch h
+  auto host_component = [&](int h) {
+    return net.HealthyComponents()[net.HostAttachment(h)];
+  };
+  for (int h = 0; h < net.num_hosts(); ++h) {
+    EXPECT_EQ(host_component(h), 0) << h;
+  }
+
+  // Two cuts split the ring into halves {0,4,5} and {1,2,3}.
+  net.CutCable(0);
+  net.CutCable(3);
+  EXPECT_EQ(net.HealthyComponents(), (std::vector<int>{0, 1, 1, 1, 0, 0}));
+  EXPECT_NE(host_component(1), host_component(4));
+
+  // A host on a crashed switch has no component.
+  net.CrashSwitch(3);
+  EXPECT_EQ(host_component(3), -1);
+  EXPECT_EQ(host_component(2), host_component(1));
+
+  // Restoring the cables and the switch merges the ids again.
+  net.RestartSwitch(3);
+  net.RestoreCable(0);
+  net.RestoreCable(3);
+  EXPECT_EQ(net.HealthyComponents(), std::vector<int>(6, 0));
+}
+
+TEST(Network, HostAttachmentFollowsFailover) {
+  TopoSpec spec = MakeRing(4, 1);
+  int roamer = spec.AddHost(1, 3);  // dual-homed: primary 1, alternate 3
+  Network net(std::move(spec));
+  net.Boot();
+  ASSERT_TRUE(net.WaitForConsistency(kDeadline)) << net.CheckConsistency();
+  ASSERT_TRUE(net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond));
+  PortNum port = -1;
+  EXPECT_EQ(net.HostAttachment(roamer, &port), 1);
+  EXPECT_EQ(port, net.spec().hosts[roamer].primary_port);
+  EXPECT_EQ(net.HostAttachment(0), 0);  // single-homed
+
+  // Cut switch 1 off and the roamer's primary link: the driver fails over
+  // to its alternate, and the roamer joins switch 3's component.
+  net.CutCable(0);  // between 0 and 1
+  net.CutCable(1);  // between 1 and 2
+  net.CutHostLink(roamer, 0);
+  ASSERT_TRUE(net.WaitForConsistency(net.sim().now() + kDeadline))
+      << net.CheckConsistency();
+  net.Run(15 * kSecond);
+  ASSERT_TRUE(net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond));
+  EXPECT_EQ(net.HostAttachment(roamer, &port), 3);
+  EXPECT_EQ(port, net.spec().hosts[roamer].alt_port);
+  std::vector<int> components = net.HealthyComponents();
+  EXPECT_NE(components[1], components[3]);
+  EXPECT_EQ(net.HostComponent(roamer, components), components[3]);
+  EXPECT_EQ(net.HostComponent(1, components), components[1]);
+  EXPECT_EQ(net.HostComponent(0, components), components[3]);
 }
 
 }  // namespace
