@@ -390,9 +390,11 @@ void Autopilot::SampleStatus() {
 // diverge from the image the control program last loaded, so any mismatch
 // is a memory fault in the table RAM and the image is simply reloaded.
 // The comparison models the hardware's background parity sweep and costs
-// no control-processor time; only an actual repair consumes the usual
-// table-load cost (and, on the prototype hardware, the reset that comes
-// with it — cheaper than forwarding through a corrupt entry indefinitely).
+// no control-processor time; while the live table still shares the loaded
+// image's buffer it is a pointer compare.  Only an actual repair consumes
+// the usual table-load cost (and, on the prototype hardware, the reset that
+// comes with it — cheaper than forwarding through a corrupt entry
+// indefinitely).
 void Autopilot::ScrubTable() {
   if (node_->forwarding_table() == expected_table_) {
     return;

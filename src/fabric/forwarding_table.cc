@@ -2,11 +2,20 @@
 
 namespace autonet {
 
-ForwardingTable::ForwardingTable() : entries_(kEntries, Pack(Entry::Discard())) {}
-
-void ForwardingTable::Clear() {
-  entries_.assign(kEntries, Pack(Entry::Discard()));
+ForwardingTable::ForwardingTable() {
+  static const std::shared_ptr<Image> kDiscard = [] {
+    auto image = std::make_shared<Image>();
+    image->fill(Pack(Entry::Discard()));
+    return image;
+  }();
+  entries_ = kDiscard;
 }
+
+void ForwardingTable::Unshare() {
+  entries_ = std::make_shared<Image>(*entries_);
+}
+
+void ForwardingTable::Clear() { *this = ForwardingTable(); }
 
 void ForwardingTable::SetForAllInports(ShortAddress addr, Entry entry) {
   for (PortNum p = 0; p < kPortsPerSwitch; ++p) {
@@ -32,9 +41,12 @@ void ForwardingTable::AddOneHopEntries() {
 }
 
 ForwardingTable ForwardingTable::OneHopOnly() {
-  ForwardingTable table;
-  table.AddOneHopEntries();
-  return table;
+  static const ForwardingTable kOneHop = [] {
+    ForwardingTable table;
+    table.AddOneHopEntries();
+    return table;
+  }();
+  return kOneHop;
 }
 
 }  // namespace autonet

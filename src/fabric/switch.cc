@@ -76,11 +76,11 @@ void Switch::LoadForwardingTable(const ForwardingTable& table) {
     // The switch does not know the reconfiguration epoch; the post-mortem
     // reconstructor attributes the install to the latest epoch-join at or
     // before this time on the same ring.
-    static const ForwardingTable kOneHop = ForwardingTable::OneHopOnly();
     obs::FlightEvent ev;
     ev.time = sim_->now();
     ev.kind = obs::FlightEventKind::kRouteInstall;
-    ev.a = (table == kOneHop) ? 0 : 1;  // 0 = one-hop bootstrap, 1 = full
+    // 0 = one-hop bootstrap, 1 = full
+    ev.a = (table == ForwardingTable::OneHopOnly()) ? 0 : 1;
     ev.b = config_.reset_on_table_load ? 1 : 0;
     flight_->Record(ev);
   }

@@ -66,7 +66,7 @@ bool Link::CarrierAt(Side rx_side) const {
 }
 
 void Link::FlitRing::Grow() {
-  std::size_t cap = buf_.empty() ? 256 : buf_.size() * 2;
+  std::size_t cap = buf_.empty() ? kInitialCapacity : buf_.size() * 2;
   std::vector<Flit> bigger(cap);
   std::size_t n = size();
   for (std::size_t i = 0; i < n; ++i) {

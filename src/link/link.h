@@ -166,7 +166,10 @@ class Link {
 
   // Power-of-two ring buffer of in-flight flits: push/pop are an index
   // increment and a masked store/load, with none of std::deque's segment
-  // bookkeeping on the per-byte path.
+  // bookkeeping on the per-byte path.  A channel holds about one flit per
+  // slot of propagation delay (64 per km), and most cables are metres long
+  // and hold one or two, so the ring starts small and doubles only when
+  // full: each channel's ring is sized to what it has had in flight.
   class FlitRing {
    public:
     bool empty() const { return head_ == tail_; }
@@ -183,6 +186,8 @@ class Link {
     void pop_front() { ++head_; }
 
    private:
+    static constexpr std::size_t kInitialCapacity = 4;
+
     void Grow();
 
     std::vector<Flit> buf_;

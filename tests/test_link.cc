@@ -282,5 +282,89 @@ TEST(Link, TruncatedEndFlagPropagates) {
   EXPECT_TRUE(b.ends[0].truncated);
 }
 
+// Records each symbol's kind, offset and arrival time, in arrival order.
+class TimingEndpoint : public LinkEndpoint {
+ public:
+  struct Symbol {
+    char kind;  // 'b'egin, 'd'ata or 'e'nd
+    std::uint32_t offset;
+    Tick at;
+    bool operator==(const Symbol&) const = default;
+  };
+
+  explicit TimingEndpoint(Simulator* sim) : sim_(sim) {}
+  void OnPacketBegin(const PacketRef&) override {
+    symbols.push_back({'b', 0, sim_->now()});
+  }
+  void OnDataByte(const PacketRef&, std::uint32_t offset, bool) override {
+    symbols.push_back({'d', offset, sim_->now()});
+  }
+  void OnPacketEnd(EndFlags) override {
+    symbols.push_back({'e', 0, sim_->now()});
+  }
+  void OnFlowDirective(FlowDirective) override {}
+  void OnCarrierChange(bool) override {}
+
+  std::vector<Symbol> symbols;
+
+ private:
+  Simulator* sim_;
+};
+
+TEST(Link, LongCableDeliversEverySymbolAfterOneDelayInOrder) {
+  // A 2 km cable holds about 128 symbols in flight, so the channel's flit
+  // ring grows by doubling from its small start.  A one-byte packet sent
+  // and drained first leaves the ring's head mid-buffer, so the first
+  // growth has to unwrap a wrapped ring.
+  Simulator sim;
+  Link link(&sim, 2.0);
+  TimingEndpoint b(&sim);
+  link.Attach(Link::Side::kB, &b);
+  const Tick delay = PropagationDelayNs(2.0);
+  ASSERT_GT(delay, 128 * kSlotNs);
+
+  auto full_size = [] {
+    Packet p;
+    p.payload.assign(1500, 0xD5);
+    return MakePacket(std::move(p));
+  };
+  const PacketRef packets[] = {TestPacket(), full_size(), full_size()};
+  const std::uint32_t lengths[] = {1, 1500, 1500};
+  // Symbols go out one per slot: the short packet at t = 0, then the two
+  // 1500-byte packets back to back once it has drained.
+  std::vector<TimingEndpoint::Symbol> sent;
+  Tick t = 0;
+  for (int i = 0; i < 3; ++i) {
+    if (i == 1) {
+      t = 2 * delay;
+    }
+    const PacketRef& pkt = packets[i];
+    sent.push_back({'b', 0, t});
+    sim.ScheduleAt(t, [&link, pkt] { link.TransmitBegin(Link::Side::kA, pkt); });
+    t += kSlotNs;
+    for (std::uint32_t off = 0; off < lengths[i]; ++off, t += kSlotNs) {
+      sent.push_back({'d', off, t});
+      sim.ScheduleAt(t, [&link, pkt, off] {
+        link.TransmitByte(Link::Side::kA, pkt, off);
+      });
+    }
+    sent.push_back({'e', 0, t});
+    sim.ScheduleAt(t, [&link] {
+      link.TransmitEnd(Link::Side::kA, EndFlags{});
+    });
+    t += kSlotNs;
+  }
+  sim.Run();
+
+  std::vector<TimingEndpoint::Symbol> expected = sent;
+  for (TimingEndpoint::Symbol& s : expected) {
+    s.at += delay;
+  }
+  ASSERT_EQ(b.symbols.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(b.symbols[i], expected[i]) << "symbol " << i;
+  }
+}
+
 }  // namespace
 }  // namespace autonet

@@ -278,8 +278,8 @@ void RecordEpochFive(obs::FlightRecorder* rec) {
   obs::FlightRing* sw0 = rec->Ring("sw0", Uid(0x10));
   obs::FlightRing* sw1 = rec->Ring("sw1", Uid(0x11));
 
-  auto record = [](obs::FlightRing* ring, Tick t, obs::FlightEventKind kind,
-                   std::uint64_t epoch) {
+  auto make_event = [](Tick t, obs::FlightEventKind kind,
+                       std::uint64_t epoch) {
     obs::FlightEvent ev;
     ev.time = t;
     ev.kind = kind;
@@ -289,36 +289,36 @@ void RecordEpochFive(obs::FlightRecorder* rec) {
   obs::FlightEvent ev;
 
   // Precursors carry the previous epoch's tag (4).
-  ev = record(sw0, 100, obs::FlightEventKind::kLinkChange, 4);
+  ev = make_event(100, obs::FlightEventKind::kLinkChange, 4);
   ev.port = 2;
   ev.a = 0;  // down
   ev.detail = "carrier loss";
   sw0->Record(ev);
-  ev = record(sw0, 200, obs::FlightEventKind::kSkepticTrip, 4);
+  ev = make_event(200, obs::FlightEventKind::kSkepticTrip, 4);
   ev.a = 0;  // status skeptic
   ev.b = 1;
   sw0->Record(ev);
 
-  ev = record(sw0, 1000, obs::FlightEventKind::kTrigger, 5);
+  ev = make_event(1000, obs::FlightEventKind::kTrigger, 5);
   ev.detail = "port change";
   sw0->Record(ev);
-  ev = record(sw0, 1000, obs::FlightEventKind::kEpochJoin, 5);
+  ev = make_event(1000, obs::FlightEventKind::kEpochJoin, 5);
   sw0->Record(ev);  // local: nil origin, port -1
-  ev = record(sw1, 1500, obs::FlightEventKind::kEpochJoin, 5);
+  ev = make_event(1500, obs::FlightEventKind::kEpochJoin, 5);
   ev.origin = Uid(0x10);
   ev.port = 3;
   sw1->Record(ev);
-  ev = record(sw0, 2000, obs::FlightEventKind::kTermination, 5);
+  ev = make_event(2000, obs::FlightEventKind::kTermination, 5);
   ev.a = 2;
   sw0->Record(ev);
-  ev = record(sw0, 2100, obs::FlightEventKind::kConfigCompute, 5);
+  ev = make_event(2100, obs::FlightEventKind::kConfigCompute, 5);
   sw0->Record(ev);
   // Route installs are recorded by the fabric with no epoch; the
   // reconstructor must attribute them to the latest join on the same ring.
-  ev = record(sw0, 2200, obs::FlightEventKind::kRouteInstall, 0);
+  ev = make_event(2200, obs::FlightEventKind::kRouteInstall, 0);
   ev.a = 1;
   sw0->Record(ev);
-  ev = record(sw1, 2300, obs::FlightEventKind::kRouteInstall, 0);
+  ev = make_event(2300, obs::FlightEventKind::kRouteInstall, 0);
   ev.a = 1;
   sw1->Record(ev);
 }

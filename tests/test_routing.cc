@@ -289,6 +289,79 @@ TEST(ForwardingTable, OneHopConstantPart) {
   EXPECT_TRUE(t.Lookup(2, ShortAddress(0x345)).IsDiscard());
 }
 
+TEST(ForwardingTable, WriteToCopyLeavesSourceUnchanged) {
+  const ForwardingTable::Entry via3 =
+      ForwardingTable::Entry::Alternatives(PortVector::Single(3));
+  ForwardingTable source = ForwardingTable::OneHopOnly();
+  source.Set(2, ShortAddress(0x345), via3);
+
+  ForwardingTable copy = source;
+  copy.Set(2, ShortAddress(0x345), ForwardingTable::Entry::Discard());
+  EXPECT_EQ(source.Lookup(2, ShortAddress(0x345)).ports,
+            PortVector::Single(3));
+  EXPECT_TRUE(copy.Lookup(2, ShortAddress(0x345)).IsDiscard());
+
+  copy = source;
+  copy.CorruptBits(7, OneHopAddress(5), 0x0004);
+  EXPECT_EQ(source.Lookup(7, OneHopAddress(5)).ports,
+            PortVector::Single(kCpPort));
+  EXPECT_NE(copy.Lookup(7, OneHopAddress(5)).ports,
+            PortVector::Single(kCpPort));
+  EXPECT_FALSE(copy == source);
+
+  // And the other way round: writes to the source leave the copy alone.
+  copy = source;
+  source.Set(4, ShortAddress(0x123), via3);
+  source.CorruptBits(7, OneHopAddress(5), 0x0004);
+  EXPECT_TRUE(copy.Lookup(4, ShortAddress(0x123)).IsDiscard());
+  EXPECT_EQ(copy.Lookup(7, OneHopAddress(5)).ports,
+            PortVector::Single(kCpPort));
+
+  // The shared one-hop image is untouched by all of the above.
+  EXPECT_TRUE(
+      ForwardingTable::OneHopOnly().Lookup(2, ShortAddress(0x345)).IsDiscard());
+  EXPECT_EQ(ForwardingTable::OneHopOnly().Lookup(7, OneHopAddress(5)).ports,
+            PortVector::Single(kCpPort));
+}
+
+TEST(ForwardingTable, SeparatelyBuiltTablesCompareByEntries) {
+  const ForwardingTable::Entry via3 =
+      ForwardingTable::Entry::Alternatives(PortVector::Single(3));
+  ForwardingTable a;
+  ForwardingTable b;
+  a.SetForAllInports(ShortAddress(0x120), via3);
+  b.SetForAllInports(ShortAddress(0x120), via3);
+  EXPECT_TRUE(a == b);
+
+  b.Set(12, ShortAddress(0x7FF), via3);
+  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(b == a);
+
+  // One entry differing only in the broadcast flag is a difference too.
+  ForwardingTable c = a;
+  c.Set(0, ShortAddress(0x120), ForwardingTable::Entry::Broadcast(
+                                    PortVector::Single(3)));
+  EXPECT_FALSE(a == c);
+}
+
+TEST(ForwardingTable, ClearEqualsDefault) {
+  ForwardingTable t = ForwardingTable::OneHopOnly();
+  t.Set(5, ShortAddress(0x200),
+        ForwardingTable::Entry::Alternatives(PortVector::Single(6)));
+  EXPECT_FALSE(t == ForwardingTable());
+  t.Clear();
+  EXPECT_TRUE(t == ForwardingTable());
+  EXPECT_TRUE(t.Lookup(kCpPort, OneHopAddress(5)).IsDiscard());
+}
+
+TEST(ForwardingTable, OneHopOnlyEqualsDefaultPlusOneHopEntries) {
+  ForwardingTable built;
+  built.AddOneHopEntries();
+  EXPECT_TRUE(ForwardingTable::OneHopOnly() == built);
+  EXPECT_TRUE(built == ForwardingTable::OneHopOnly());
+  EXPECT_FALSE(built == ForwardingTable());
+}
+
 TEST(ForwardingTable, DefaultIsDiscardEverywhere) {
   ForwardingTable t;
   EXPECT_TRUE(t.Lookup(0, ShortAddress(0x010)).IsDiscard());
