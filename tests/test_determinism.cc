@@ -21,6 +21,7 @@
 
 #include "src/common/event_log.h"
 #include "src/core/network.h"
+#include "src/obs/flight.h"
 #include "src/topo/spec.h"
 
 namespace autonet {
@@ -67,10 +68,40 @@ std::string RunMultiHopScenario() {
   return EventLog::Format(net.MergedLog());
 }
 
+// One line per retained flight event, every ring in node order: the text
+// form that pins what the recorder holds.
+std::string DumpFlight(const obs::FlightRecorder& flight) {
+  std::string out;
+  char buf[160];
+  flight.Visit([&](const obs::FlightRing& ring) {
+    for (const obs::FlightEvent& e : ring.Chronological()) {
+      std::snprintf(buf, sizeof(buf), "%s %lld %s %llu %llx %llu %llu %d ",
+                    ring.node().c_str(), static_cast<long long>(e.time),
+                    obs::FlightEventKindName(e.kind),
+                    static_cast<unsigned long long>(e.epoch),
+                    static_cast<unsigned long long>(e.origin.value()),
+                    static_cast<unsigned long long>(e.a),
+                    static_cast<unsigned long long>(e.b), e.port);
+      out += buf;
+      out += std::string(e.detail) + " | " + e.from + " | " + e.to + "\n";
+    }
+  });
+  return out;
+}
+
+struct ChaosRun {
+  std::string log;
+  std::string metrics;
+  std::string flight;
+};
+
 // A chaos-style scenario: cut a cable on a redundant topology, let the net
 // reconfigure, push traffic over the detour, heal, reconfigure again.
-std::string RunChaosScenario() {
+ChaosRun RunChaosScenario(bool armed = false) {
   Network net(MakeTorus(3, 3, 1));
+  if (armed) {
+    net.sim().flight().Arm();
+  }
   net.Boot();
   EXPECT_TRUE(net.WaitForConsistency(5 * 60 * kSecond));
   EXPECT_TRUE(net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond));
@@ -80,7 +111,8 @@ std::string RunChaosScenario() {
   net.Run(50 * kMillisecond);
   net.RestoreCable(0);
   EXPECT_TRUE(net.WaitForConsistency(net.sim().now() + 5 * 60 * kSecond));
-  return EventLog::Format(net.MergedLog());
+  return ChaosRun{EventLog::Format(net.MergedLog()), net.DumpMetricsJson(),
+                  DumpFlight(net.sim().flight())};
 }
 
 void CheckAgainstRecording(const std::string& name, const std::string& got) {
@@ -122,15 +154,25 @@ TEST(Determinism, MultiHopTransferMatchesPreTrainRecording) {
 }
 
 TEST(Determinism, ChaosScenarioMatchesPreTrainRecording) {
-  CheckAgainstRecording("determinism_chaos.log", RunChaosScenario());
+  CheckAgainstRecording("determinism_chaos.log", RunChaosScenario().log);
+}
+
+// Arming the flight recorder writes only to the rings: the merged log (the
+// disarmed recording) and the metrics stay the same, and the rings hold
+// the recorded event stream.
+TEST(Determinism, ArmedRecorderLeavesLogAndMetricsAndPinsFlightEvents) {
+  ChaosRun armed = RunChaosScenario(/*armed=*/true);
+  CheckAgainstRecording("determinism_chaos.log", armed.log);
+  EXPECT_EQ(armed.metrics, RunChaosScenario().metrics);
+  CheckAgainstRecording("determinism_flight.log", armed.flight);
 }
 
 TEST(Determinism, RepeatedRunsAreByteIdentical) {
   std::string first = RunMultiHopScenario();
   std::string second = RunMultiHopScenario();
   EXPECT_EQ(first, second);
-  std::string chaos_first = RunChaosScenario();
-  std::string chaos_second = RunChaosScenario();
+  std::string chaos_first = RunChaosScenario().log;
+  std::string chaos_second = RunChaosScenario().log;
   EXPECT_EQ(chaos_first, chaos_second);
 }
 
