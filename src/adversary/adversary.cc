@@ -544,17 +544,13 @@ void Engine::Note(const char* fmt, ...) {
 }
 
 void Engine::MarkFlight(int sw, const char* detail) {
-  obs::FlightRing* ring = net_->sim().flight().Ring(
-      net_->switch_at(sw).name(), net_->switch_at(sw).uid());
-  if (!ring->armed()) {
-    return;
+  obs::Emitter& emitter = net_->switch_at(sw).emitter();
+  if (emitter.armed()) {
+    emitter.Emit({.time = net_->sim().now(),
+                  .epoch = net_->autopilot_at(sw).epoch(),
+                  .kind = obs::FlightEventKind::kAdversary,
+                  .detail = detail});
   }
-  obs::FlightEvent e;
-  e.time = net_->sim().now();
-  e.epoch = net_->autopilot_at(sw).epoch();
-  e.kind = obs::FlightEventKind::kAdversary;
-  e.detail = detail;
-  ring->Record(e);
 }
 
 }  // namespace adversary

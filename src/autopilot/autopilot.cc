@@ -13,7 +13,7 @@ namespace autonet {
 Autopilot::Autopilot(Switch* node, AutopilotConfig config)
     : node_(node),
       config_(config),
-      engine_(node->sim(), node->uid(), &config_, &node->log(),
+      engine_(node->sim(), node->uid(), &config_, &node->emitter(),
               ReconfigEngine::Callbacks{
                   [this](PortNum p, const ReconfigMsg& m) {
                     SendReconfigMsg(p, m);
@@ -34,7 +34,6 @@ Autopilot::Autopilot(Switch* node, AutopilotConfig config)
   for (int p = 0; p < kPortsPerSwitch; ++p) {
     monitors_.emplace_back(config_);
   }
-  flight_ = node->sim()->flight().Ring(node->name(), node->uid());
 }
 
 void Autopilot::Boot() {
@@ -352,8 +351,9 @@ void Autopilot::HandleSrp(const Delivery& d) {
         entries.U64(value);
         ++count;
       };
-      synthetic("flight.depth", flight_->depth());
-      synthetic("flight.truncated", flight_->truncated());
+      const obs::FlightRing& ring = node_->emitter().ring();
+      synthetic("flight.depth", ring.depth());
+      synthetic("flight.truncated", ring.truncated());
       body.U16(count);
       body.Bytes(entries.bytes().data(), entries.size());
       break;
@@ -409,11 +409,7 @@ void Autopilot::ScrubTable() {
   node_->log().Logf(node_->now(),
                     "table scrub: live table diverged from loaded image; "
                     "reloading");
-  RunOnCpu(config_.cost_table_load, [this] {
-    node_->LoadForwardingTable(expected_table_);
-    ++stats_.tables_loaded;
-    stats_.last_table_load = node_->now();
-  });
+  RunOnCpu(config_.cost_table_load, [this] { InstallTable(expected_table_); });
 }
 
 void Autopilot::SamplePort(PortNum p, const PortStatus& snap) {
@@ -516,20 +512,14 @@ void Autopilot::TransitionPort(PortNum p, PortState next, const char* reason) {
 
   m.state = next;
   m.state_since = node_->now();
-  node_->log().Logf(node_->now(), "port %d: %s -> %s (%s)", p,
-                    PortStateName(prev), PortStateName(next), reason);
-  if (flight_->armed()) {
-    obs::FlightEvent ev;
-    ev.time = node_->now();
-    ev.epoch = engine_.epoch();
-    ev.kind = obs::FlightEventKind::kPortTransition;
-    ev.port = static_cast<std::int16_t>(p);
-    ev.origin = neighbor_uid;
-    ev.detail = reason;
-    ev.from = PortStateName(prev);
-    ev.to = PortStateName(next);
-    flight_->Record(ev);
-  }
+  node_->emitter().Emit({.time = node_->now(),
+                         .epoch = engine_.epoch(),
+                         .origin = neighbor_uid,
+                         .port = static_cast<std::int16_t>(p),
+                         .kind = obs::FlightEventKind::kPortTransition,
+                         .detail = reason,
+                         .from = PortStateName(prev),
+                         .to = PortStateName(next)});
   node_->SetPortForceIdhy(p, next == PortState::kDead);
   if (next == PortState::kDead || next == PortState::kChecking) {
     m.probe_outstanding = false;
@@ -558,17 +548,14 @@ void Autopilot::FailPort(PortNum p, const char* reason) {
   }
   ++stats_.port_deaths;
   m.status_skeptic.Penalize(node_->now());
-  if (flight_->armed()) {
-    obs::FlightEvent ev;
-    ev.time = node_->now();
-    ev.epoch = engine_.epoch();
-    ev.kind = obs::FlightEventKind::kSkepticTrip;
-    ev.port = static_cast<std::int16_t>(p);
-    ev.a = 0;  // status skeptic
-    ev.b = static_cast<std::uint64_t>(m.status_skeptic.level());
-    ev.detail = reason;
-    flight_->Record(ev);
-  }
+  node_->emitter().Emit({.time = node_->now(),
+                         .epoch = engine_.epoch(),
+                         .a = 0,  // status skeptic
+                         .b = static_cast<std::uint64_t>(
+                             m.status_skeptic.level()),
+                         .port = static_cast<std::int16_t>(p),
+                         .kind = obs::FlightEventKind::kSkepticTrip,
+                         .detail = reason});
   m.clean_since = node_->now();
   m.blocked_intervals = 0;
   m.stuck_intervals = 0;
@@ -614,17 +601,14 @@ void Autopilot::ProbePorts() {
       if (m.probe_misses >= config_.probe_misses_to_fail) {
         m.probe_misses = 0;
         m.conn_skeptic.Penalize(now);
-        if (flight_->armed()) {
-          obs::FlightEvent ev;
-          ev.time = now;
-          ev.epoch = engine_.epoch();
-          ev.kind = obs::FlightEventKind::kSkepticTrip;
-          ev.port = static_cast<std::int16_t>(p);
-          ev.a = 1;  // connectivity skeptic
-          ev.b = static_cast<std::uint64_t>(m.conn_skeptic.level());
-          ev.detail = "probe timeouts";
-          flight_->Record(ev);
-        }
+        node_->emitter().Emit({.time = now,
+                               .epoch = engine_.epoch(),
+                               .a = 1,  // connectivity skeptic
+                               .b = static_cast<std::uint64_t>(
+                                   m.conn_skeptic.level()),
+                               .port = static_cast<std::int16_t>(p),
+                               .kind = obs::FlightEventKind::kSkepticTrip,
+                               .detail = "probe timeouts"});
         if (m.state == PortState::kSwitchGood) {
           TransitionPort(p, PortState::kSwitchWho, "probe timeouts");
         }
@@ -730,14 +714,10 @@ void Autopilot::ApplyConfig(const NetTopology& topo, int self_index,
   topology_ = topo;
   self_index_ = self_index;
   switch_num_ = topo.switches[self_index].assigned_num;
-  if (flight_->armed()) {
-    obs::FlightEvent ev;
-    ev.time = node_->now();
-    ev.epoch = epoch;
-    ev.kind = obs::FlightEventKind::kConfigCompute;
-    ev.a = static_cast<std::uint64_t>(topo.size());
-    flight_->Record(ev);
-  }
+  node_->emitter().Emit({.time = node_->now(),
+                         .epoch = epoch,
+                         .a = static_cast<std::uint64_t>(topo.size()),
+                         .kind = obs::FlightEventKind::kConfigCompute});
   RunOnCpu(config_.cost_table_compute, [this, epoch] {
     if (!topology_.has_value()) {
       return;
@@ -748,10 +728,7 @@ void Autopilot::ApplyConfig(const NetTopology& topo, int self_index,
     ForwardingTable table =
         BuildForwardingTable(*topology_, tree, self_index_);
     RunOnCpu(config_.cost_table_load, [this, table = std::move(table), epoch] {
-      node_->LoadForwardingTable(table);
-      expected_table_ = table;
-      ++stats_.tables_loaded;
-      stats_.last_table_load = node_->now();
+      InstallTable(table);
       node_->log().Logf(node_->now(),
                         "config applied: epoch %llu, switch number %u",
                         static_cast<unsigned long long>(epoch), switch_num_);
@@ -778,12 +755,16 @@ void Autopilot::PatchLocalTable(const char* reason) {
       if (engine_.in_progress()) {
         return;  // a reconfiguration superseded the patch
       }
-      node_->LoadForwardingTable(table);
-      expected_table_ = table;
-      ++stats_.tables_loaded;
-      stats_.last_table_load = node_->now();
+      InstallTable(table);
     });
   });
+}
+
+void Autopilot::InstallTable(const ForwardingTable& table) {
+  node_->LoadForwardingTable(table);
+  expected_table_ = table;
+  ++stats_.tables_loaded;
+  stats_.last_table_load = node_->now();
 }
 
 }  // namespace autonet

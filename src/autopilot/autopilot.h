@@ -149,11 +149,13 @@ class Autopilot {
   void ApplyConfig(const NetTopology& topo, int self_index,
                    std::uint64_t epoch);
   void PatchLocalTable(const char* reason);
+  // Loads a computed (not one-hop) table, makes it the scrubber's image and
+  // counts it in stats_.
+  void InstallTable(const ForwardingTable& table);
 
   Switch* node_;
   AutopilotConfig config_;
   ReconfigEngine engine_;
-  obs::FlightRing* flight_;  // owned by the simulator's flight recorder
   std::vector<PortMonitor> monitors_;
   PeriodicTask sampler_task_;
   PeriodicTask probe_task_;

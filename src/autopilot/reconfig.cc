@@ -7,21 +7,22 @@
 namespace autonet {
 
 ReconfigEngine::ReconfigEngine(Simulator* sim, Uid self_uid,
-                               const AutopilotConfig* config, EventLog* log,
-                               Callbacks callbacks)
+                               const AutopilotConfig* config,
+                               obs::Emitter* emitter, Callbacks callbacks)
     : sim_(sim),
       self_uid_(self_uid),
       config_(config),
-      log_(log),
+      emit_(emitter),
       callbacks_(std::move(callbacks)),
       pos_root_(self_uid),
       retransmit_task_(sim, [this] { Retransmit(); }) {
   obs::MetricRegistry& reg = sim_->metrics();
-  const std::string prefix = "switch." + log->node_name() + ".reconfig.";
-  m_epochs_joined_ = reg.GetCounter(prefix + "epochs_joined");
-  m_triggers_ = reg.GetCounter(prefix + "triggers");
+  const std::string prefix =
+      "switch." + emitter->log().node_name() + ".reconfig.";
+  m_epochs_joined_ = emit_->counter(obs::FlightEventKind::kEpochJoin);
+  m_triggers_ = emit_->counter(obs::FlightEventKind::kTrigger);
   m_completions_ = reg.GetCounter(prefix + "completions");
-  m_roots_terminated_ = reg.GetCounter(prefix + "roots_terminated");
+  m_roots_terminated_ = emit_->counter(obs::FlightEventKind::kTermination);
   m_local_updates_applied_ = reg.GetCounter(prefix + "local_updates_applied");
   m_deltas_originated_ = reg.GetCounter(prefix + "deltas_originated");
   m_deltas_relayed_ = reg.GetCounter(prefix + "deltas_relayed");
@@ -29,15 +30,6 @@ ReconfigEngine::ReconfigEngine(Simulator* sim, Uid self_uid,
   m_messages_sent_ = reg.GetCounter(prefix + "messages_sent");
   m_retransmissions_ = reg.GetCounter(prefix + "retransmissions");
   m_epoch_ms_ = reg.GetHistogram("autopilot.reconfig.epoch_ms");
-  flight_ = sim_->flight().Ring(log->node_name(), self_uid);
-}
-
-obs::FlightEvent ReconfigEngine::FlightBase(obs::FlightEventKind kind) const {
-  obs::FlightEvent e;
-  e.time = sim_->now();
-  e.epoch = epoch_;
-  e.kind = kind;
-  return e;
 }
 
 ReconfigEngine::Stats ReconfigEngine::stats() const {
@@ -65,13 +57,10 @@ void ReconfigEngine::Shutdown() {
 }
 
 void ReconfigEngine::Trigger(const char* reason) {
-  m_triggers_->Increment();
-  if (flight_->armed()) {
-    obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kTrigger);
-    ev.epoch = epoch_ + 1;
-    ev.detail = reason;
-    flight_->Record(ev);
-  }
+  emit_->Emit({.time = sim_->now(),
+               .epoch = epoch_ + 1,
+               .kind = obs::FlightEventKind::kTrigger,
+               .detail = reason});
   JoinEpoch(epoch_ + 1, reason);
 }
 
@@ -83,17 +72,13 @@ void ReconfigEngine::JoinEpoch(std::uint64_t epoch, const char* reason,
   suspect_epochs_.fill(0);
   suspect_next_ = 0;
   implausibly_stale_ = 0;
-  if (flight_->armed()) {
-    obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kEpochJoin);
-    ev.port = static_cast<std::int16_t>(inport);
-    ev.origin = origin;
-    ev.detail = reason;
-    flight_->Record(ev);
-  }
-  m_epochs_joined_->Increment();
+  emit_->Emit({.time = sim_->now(),
+               .epoch = epoch,
+               .origin = origin,
+               .port = static_cast<std::int16_t>(inport),
+               .kind = obs::FlightEventKind::kEpochJoin,
+               .detail = reason});
   last_join_time_ = sim_->now();
-  log_->Logf(sim_->now(), "reconfig: join epoch %llu (%s)",
-             static_cast<unsigned long long>(epoch), reason);
 
   // Freeze the participant set for this epoch (section 6.6.2).
   participants_ = callbacks_.good_ports();
@@ -236,16 +221,12 @@ void ReconfigEngine::ReevaluatePosition() {
   parent_uid_ = best_parent;
   parent_port_ = best_port;
   ++pos_seq_;
-  log_->Logf(sim_->now(), "reconfig: position root=%llx level=%d parent-port=%d",
-             static_cast<unsigned long long>(pos_root_.value()), pos_level_,
-             parent_port_);
-  if (flight_->armed()) {
-    obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kPositionChange);
-    ev.a = static_cast<std::uint64_t>(pos_level_);
-    ev.port = static_cast<std::int16_t>(parent_port_);
-    ev.origin = pos_root_;
-    flight_->Record(ev);
-  }
+  emit_->Emit({.time = sim_->now(),
+               .epoch = epoch_,
+               .origin = pos_root_,
+               .a = static_cast<std::uint64_t>(pos_level_),
+               .port = static_cast<std::int16_t>(parent_port_),
+               .kind = obs::FlightEventKind::kPositionChange});
   // Everyone must re-ack the new position, and old child claims are void.
   for (PortNum p : participants_) {
     PortState& ps = ports_[p];
@@ -277,24 +258,12 @@ void ReconfigEngine::OnMessage(PortNum inport, const ReconfigMsg& msg) {
       // neighbors' epoch (Dolev-style self-stabilization: the register is
       // repaired from the ambient protocol traffic).
       if (++implausibly_stale_ >= kStaleResyncThreshold) {
-        if (m_epoch_resyncs_ == nullptr) {
-          m_epoch_resyncs_ = sim_->metrics().GetCounter(
-              "switch." + log_->node_name() + ".reconfig.epoch_resyncs");
-        }
-        m_epoch_resyncs_->Increment();
-        log_->Logf(sim_->now(),
-                   "reconfig: epoch register %llu implausibly ahead of "
-                   "neighbors (%llu); resyncing",
-                   static_cast<unsigned long long>(epoch_),
-                   static_cast<unsigned long long>(msg.epoch));
-        if (flight_->armed()) {
-          obs::FlightEvent ev =
-              FlightBase(obs::FlightEventKind::kEpochResync);
-          ev.a = msg.epoch;
-          ev.port = static_cast<std::int16_t>(inport);
-          ev.origin = msg.sender_uid;
-          flight_->Record(ev);
-        }
+        emit_->Emit({.time = sim_->now(),
+                     .epoch = epoch_,
+                     .origin = msg.sender_uid,
+                     .a = msg.epoch,
+                     .port = static_cast<std::int16_t>(inport),
+                     .kind = obs::FlightEventKind::kEpochResync});
         JoinEpoch(msg.epoch + 1, "epoch register resync", inport,
                   msg.sender_uid);
       }
@@ -324,17 +293,12 @@ void ReconfigEngine::OnMessage(PortNum inport, const ReconfigMsg& msg) {
       // parked near its ceiling (and the next wrap would break the
       // stale-epoch rule), so drop the message instead — retransmission
       // repairs the conversation at the real epoch.
-      log_->Logf(sim_->now(),
-                 "reconfig: ignored implausible epoch %llu (current %llu)",
-                 static_cast<unsigned long long>(msg.epoch),
-                 static_cast<unsigned long long>(epoch_));
-      if (flight_->armed()) {
-        obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kEpochRejected);
-        ev.epoch = msg.epoch;
-        ev.port = static_cast<std::int16_t>(inport);
-        ev.origin = msg.sender_uid;
-        flight_->Record(ev);
-      }
+      emit_->Emit({.time = sim_->now(),
+                   .epoch = msg.epoch,
+                   .origin = msg.sender_uid,
+                   .b = epoch_,
+                   .port = static_cast<std::int16_t>(inport),
+                   .kind = obs::FlightEventKind::kEpochRejected});
       return;
     }
     if (jump > kEpochConfirmJump) {
@@ -353,23 +317,12 @@ void ReconfigEngine::OnMessage(PortNum inport, const ReconfigMsg& msg) {
         // space stays unburnt.
         suspect_epochs_[suspect_next_] = msg.epoch;
         suspect_next_ = (suspect_next_ + 1) % suspect_epochs_.size();
-        if (m_suspect_held_ == nullptr) {
-          m_suspect_held_ = sim_->metrics().GetCounter(
-              "switch." + log_->node_name() + ".reconfig.suspect_epochs_held");
-        }
-        m_suspect_held_->Increment();
-        log_->Logf(sim_->now(),
-                   "reconfig: holding suspect epoch %llu (current %llu) for "
-                   "confirmation",
-                   static_cast<unsigned long long>(msg.epoch),
-                   static_cast<unsigned long long>(epoch_));
-        if (flight_->armed()) {
-          obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kEpochHeld);
-          ev.epoch = msg.epoch;
-          ev.port = static_cast<std::int16_t>(inport);
-          ev.origin = msg.sender_uid;
-          flight_->Record(ev);
-        }
+        emit_->Emit({.time = sim_->now(),
+                     .epoch = msg.epoch,
+                     .origin = msg.sender_uid,
+                     .b = epoch_,
+                     .port = static_cast<std::int16_t>(inport),
+                     .kind = obs::FlightEventKind::kEpochHeld});
         return;
       }
     }
@@ -433,13 +386,12 @@ void ReconfigEngine::OnMessage(PortNum inport, const ReconfigMsg& msg) {
       m_messages_sent_->Increment();
       callbacks_.send(inport, ack);
 
-      if (flight_->armed()) {
-        obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kReportRecv);
-        ev.a = msg.records.size();
-        ev.port = static_cast<std::int16_t>(inport);
-        ev.origin = msg.sender_uid;
-        flight_->Record(ev);
-      }
+      emit_->Emit({.time = sim_->now(),
+                   .epoch = epoch_,
+                   .origin = msg.sender_uid,
+                   .a = msg.records.size(),
+                   .port = static_cast<std::int16_t>(inport),
+                   .kind = obs::FlightEventKind::kReportRecv});
       std::uint64_t fp = Fingerprint(msg.records);
       bool changed = !ps.have_report || Fingerprint(ps.report) != fp;
       ps.claims_me = true;
@@ -468,13 +420,12 @@ void ReconfigEngine::OnMessage(PortNum inport, const ReconfigMsg& msg) {
       m_messages_sent_->Increment();
       callbacks_.send(inport, ack);
       if (!config_applied_) {
-        if (flight_->armed()) {
-          obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kConfigRecv);
-          ev.a = msg.records.size();
-          ev.port = static_cast<std::int16_t>(inport);
-          ev.origin = msg.sender_uid;
-          flight_->Record(ev);
-        }
+        emit_->Emit({.time = sim_->now(),
+                     .epoch = epoch_,
+                     .origin = msg.sender_uid,
+                     .a = msg.records.size(),
+                     .port = static_cast<std::int16_t>(inport),
+                     .kind = obs::FlightEventKind::kConfigRecv});
         Distribute(msg.records, inport);
       }
       break;
@@ -519,14 +470,13 @@ void ReconfigEngine::OnLinkStateChange(PortNum port, bool up,
                                        Uid neighbor_uid,
                                        PortNum neighbor_port,
                                        const char* reason) {
-  if (flight_->armed()) {
-    obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kLinkChange);
-    ev.a = up ? 1 : 0;
-    ev.port = static_cast<std::int16_t>(port);
-    ev.origin = neighbor_uid;
-    ev.detail = reason;
-    flight_->Record(ev);
-  }
+  emit_->Emit({.time = sim_->now(),
+               .epoch = epoch_,
+               .origin = neighbor_uid,
+               .a = up,
+               .port = static_cast<std::int16_t>(port),
+               .kind = obs::FlightEventKind::kLinkChange,
+               .detail = reason});
   if (!config_->enable_local_reconfig || !config_applied_ ||
       !applied_topo_.has_value()) {
     Trigger(reason);
@@ -539,8 +489,9 @@ void ReconfigEngine::OnLinkStateChange(PortNum port, bool up,
     return;
   }
   m_deltas_originated_->Increment();
-  log_->Logf(sim_->now(), "reconfig: local delta (%s link at port %d: %s)",
-             up ? "add" : "remove", port, reason);
+  emit_->log().Logf(sim_->now(),
+                    "reconfig: local delta (%s link at port %d: %s)",
+                    up ? "add" : "remove", port, reason);
   SendDeltaTowardRoot(delta);
 }
 
@@ -664,8 +615,8 @@ void ReconfigEngine::ApplyDeltaAsRoot(const LinkDelta& delta) {
   }
   applied_topo_ = topo;
   ++applied_version_;
-  log_->Logf(sim_->now(), "reconfig: minor config v%u (%s link)",
-             applied_version_, delta.add ? "added" : "removed");
+  emit_->log().Logf(sim_->now(), "reconfig: minor config v%u (%s link)",
+                    applied_version_, delta.add ? "added" : "removed");
 
   // Redistribute down the standing tree and apply locally.
   ReconfigMsg msg;
@@ -707,8 +658,8 @@ void ReconfigEngine::ApplyMinorConfig(const ReconfigMsg& msg, PortNum from) {
   applied_topo_ = topo;
   applied_version_ = msg.config_version;
   m_local_updates_applied_->Increment();
-  log_->Logf(sim_->now(), "reconfig: minor config v%u applied",
-             applied_version_);
+  emit_->log().Logf(sim_->now(), "reconfig: minor config v%u applied",
+                    applied_version_);
   // Forward down the standing tree.
   for (PortNum p : participants_) {
     if (p != from && ports_[p].claims_me) {
@@ -753,15 +704,12 @@ void ReconfigEngine::CheckStability() {
   msg.sender_uid = self_uid_;
   msg.payload_seq = ++payload_seq_;
   msg.records = std::move(records);
-  log_->Logf(sim_->now(), "reconfig: stable, reporting %zu switches to port %d",
-             msg.records.size(), parent_port_);
-  if (flight_->armed()) {
-    obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kReportSend);
-    ev.a = msg.records.size();
-    ev.port = static_cast<std::int16_t>(parent_port_);
-    ev.origin = parent_uid_;
-    flight_->Record(ev);
-  }
+  emit_->Emit({.time = sim_->now(),
+               .epoch = epoch_,
+               .origin = parent_uid_,
+               .a = msg.records.size(),
+               .port = static_cast<std::int16_t>(parent_port_),
+               .kind = obs::FlightEventKind::kReportSend});
   SendReliable(parent_port_, std::move(msg));
 }
 
@@ -808,19 +756,14 @@ std::uint64_t ReconfigEngine::Fingerprint(
 }
 
 void ReconfigEngine::Terminate() {
-  m_roots_terminated_->Increment();
   last_termination_time_ = sim_->now();
   std::vector<SwitchRecord> records = BuildSubtreeRecords();
   NetTopology topo = RecordsToTopology(records);
   AssignSwitchNumbers(&topo);
-  log_->Logf(sim_->now(),
-             "reconfig: root terminated epoch %llu with %d switches",
-             static_cast<unsigned long long>(epoch_), topo.size());
-  if (flight_->armed()) {
-    obs::FlightEvent ev = FlightBase(obs::FlightEventKind::kTermination);
-    ev.a = static_cast<std::uint64_t>(topo.size());
-    flight_->Record(ev);
-  }
+  emit_->Emit({.time = sim_->now(),
+               .epoch = epoch_,
+               .a = static_cast<std::uint64_t>(topo.size()),
+               .kind = obs::FlightEventKind::kTermination});
   Distribute(TopologyToRecords(topo), /*from=*/-1);
 }
 
@@ -829,7 +772,8 @@ void ReconfigEngine::Distribute(const std::vector<SwitchRecord>& records,
   NetTopology topo = RecordsToTopology(records);
   int self_index = topo.IndexOf(self_uid_);
   if (self_index < 0) {
-    log_->Logf(sim_->now(), "reconfig: config omits this switch; retrigger");
+    emit_->log().Logf(sim_->now(),
+                      "reconfig: config omits this switch; retrigger");
     Trigger("config omitted self");
     return;
   }

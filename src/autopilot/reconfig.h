@@ -110,7 +110,7 @@ class ReconfigEngine {
   };
 
   ReconfigEngine(Simulator* sim, Uid self_uid, const AutopilotConfig* config,
-                 EventLog* log, Callbacks callbacks);
+                 obs::Emitter* emitter, Callbacks callbacks);
 
   // A relevant port state change was noticed: start a new epoch.
   void Trigger(const char* reason);
@@ -174,8 +174,6 @@ class ReconfigEngine {
   // higher epoch, or (-1, nil) for a locally triggered epoch.
   void JoinEpoch(std::uint64_t epoch, const char* reason, PortNum inport = -1,
                  Uid origin = Uid());
-  // A flight event pre-stamped with the current time and epoch.
-  obs::FlightEvent FlightBase(obs::FlightEventKind kind) const;
   void ReevaluatePosition();
   void SendPositionTo(PortNum port);
   void SendAckTo(PortNum port, std::uint32_t their_seq);
@@ -207,7 +205,7 @@ class ReconfigEngine {
   Simulator* sim_;
   Uid self_uid_;
   const AutopilotConfig* config_;
-  EventLog* log_;
+  obs::Emitter* emit_;  // the switch's; every protocol event goes through it
   Callbacks callbacks_;
 
   std::uint64_t epoch_ = 0;
@@ -251,7 +249,8 @@ class ReconfigEngine {
   std::uint32_t applied_version_ = 0;
 
   // Registry instruments (owned by the simulator's registry) plus the raw
-  // sim-time marks that stats() folds into its snapshot.
+  // sim-time marks that stats() folds into its snapshot.  The emitter
+  // increments the epoch-join, trigger and termination counters.
   obs::Counter* m_epochs_joined_;
   obs::Counter* m_triggers_;
   obs::Counter* m_completions_;
@@ -262,14 +261,7 @@ class ReconfigEngine {
   obs::Counter* m_local_fallbacks_;
   obs::Counter* m_messages_sent_;
   obs::Counter* m_retransmissions_;
-  // Created lazily on the first held epoch so clean runs register no new
-  // instrument (keeps metric snapshots — and the chaos fingerprints over
-  // them — byte-identical).
-  obs::Counter* m_suspect_held_ = nullptr;
-  // Created lazily on the first epoch-register resync (same reasoning).
-  obs::Counter* m_epoch_resyncs_ = nullptr;
   Histogram* m_epoch_ms_;  // network-wide autopilot.reconfig.epoch_ms
-  obs::FlightRing* flight_;  // owned by the simulator's flight recorder
   Tick last_join_time_ = -1;
   Tick last_config_time_ = -1;
   Tick last_termination_time_ = -1;

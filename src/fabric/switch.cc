@@ -11,6 +11,7 @@ Switch::Switch(Simulator* sim, Uid uid, std::string name, Config config)
       name_(std::move(name)),
       config_(config),
       log_(name_),
+      emitter_(sim->flight().Ring(name_, uid), &log_, &sim->metrics()),
       sched_(sim, SchedulerEngine::Config{config.router_cycle_ns,
                                           config.fcfs_scheduler}) {
   const std::string prefix = "switch." + name_ + ".fabric.";
@@ -18,7 +19,7 @@ Switch::Switch(Simulator* sim, Uid uid, std::string name, Config config)
   m_packets_forwarded_ = reg.GetCounter(prefix + "packets_forwarded");
   m_packets_discarded_ = reg.GetCounter(prefix + "packets_discarded");
   m_bytes_forwarded_ = reg.GetCounter(prefix + "bytes_forwarded");
-  m_table_loads_ = reg.GetCounter(prefix + "table_loads");
+  m_table_loads_ = emitter_.counter(obs::FlightEventKind::kRouteInstall);
   m_resets_ = reg.GetCounter(prefix + "resets");
   sched_.SetMetrics(reg.GetCounter(prefix + "sched_grants"),
                     reg.GetCounter(prefix + "sched_blocked_cycles"));
@@ -35,7 +36,6 @@ Switch::Switch(Simulator* sim, Uid uid, std::string name, Config config)
   sched_.SetHooks([this] { return FreeOutputPorts(); },
                   [this](const SchedulerEngine::Request& request,
                          PortVector ports) { Grant(request, ports); });
-  flight_ = sim_->flight().Ring(name_, uid_);
 }
 
 Switch::Switch(Simulator* sim, Uid uid, std::string name)
@@ -71,19 +71,15 @@ void Switch::SendPanic(PortNum port) { link_unit(port).SendPanicPulse(); }
 
 void Switch::LoadForwardingTable(const ForwardingTable& table) {
   table_ = table;
-  m_table_loads_->Increment();
-  if (flight_->armed()) {
-    // The switch does not know the reconfiguration epoch; the post-mortem
-    // reconstructor attributes the install to the latest epoch-join at or
-    // before this time on the same ring.
-    obs::FlightEvent ev;
-    ev.time = sim_->now();
-    ev.kind = obs::FlightEventKind::kRouteInstall;
-    // 0 = one-hop bootstrap, 1 = full
-    ev.a = (table == ForwardingTable::OneHopOnly()) ? 0 : 1;
-    ev.b = config_.reset_on_table_load ? 1 : 0;
-    flight_->Record(ev);
-  }
+  // The switch does not know the reconfiguration epoch; the post-mortem
+  // reconstructor attributes the install to the latest epoch-join at or
+  // before this time on the same ring.  a: 0 = one-hop bootstrap, 1 = full
+  // (a table compare, so only while recording).
+  emitter_.Emit({.time = sim_->now(),
+                 .a = emitter_.armed() &&
+                      !(table == ForwardingTable::OneHopOnly()),
+                 .b = config_.reset_on_table_load,
+                 .kind = obs::FlightEventKind::kRouteInstall});
   if (!config_.reset_on_table_load) {
     return;
   }

@@ -103,6 +103,9 @@ class Switch {
 
   Stats stats() const;
   EventLog& log() { return log_; }
+  // The one instrumentation point for this switch's control-plane events,
+  // shared with its Autopilot and ReconfigEngine.
+  obs::Emitter& emitter() { return emitter_; }
   SchedulerEngine& scheduler() { return sched_; }
 
   // --- internal plumbing, called by ports and forwarders ---
@@ -167,6 +170,7 @@ class Switch {
   std::string name_;
   Config config_;
   EventLog log_;
+  obs::Emitter emitter_;
 
   std::array<std::unique_ptr<Port>, kPortsPerSwitch> ports_;
   CpPort* cp_port_ = nullptr;  // alias of ports_[0]
@@ -177,13 +181,11 @@ class Switch {
   std::array<Simulator::EventId, kPortsPerSwitch> capture_event_{};
   std::array<std::unique_ptr<Forwarder>, kPortsPerSwitch> forwarders_;
 
-  obs::FlightRing* flight_;  // owned by the simulator's flight recorder
-
   // Registry instruments (owned by the simulator's registry).
   obs::Counter* m_packets_forwarded_;
   obs::Counter* m_packets_discarded_;
   obs::Counter* m_bytes_forwarded_;
-  obs::Counter* m_table_loads_;
+  obs::Counter* m_table_loads_;  // the emitter's route-install counter
   obs::Counter* m_resets_;
   std::array<obs::Gauge*, kPortsPerSwitch> m_fifo_hwm_{};
   std::array<std::size_t, kPortsPerSwitch> fifo_hwm_shadow_{};

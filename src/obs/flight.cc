@@ -1,44 +1,136 @@
 #include "src/obs/flight.h"
 
+#include <cstdio>
+#include <iterator>
+
 namespace autonet {
 namespace obs {
 
+namespace {
+
+using Ull = unsigned long long;
+
+// What each kind renders and counts, in FlightEventKind order.
+struct KindRow {
+  const char* name;
+  // The section 6.7 EventLog line, or nullptr for kinds only the ring holds.
+  int (*render)(const FlightEvent& e, char* buf, std::size_t size);
+  // Registry counter under "switch.<node>.", or nullptr.
+  const char* counter;
+};
+
+constexpr KindRow kKinds[] = {
+    {"skeptic-trip", nullptr, nullptr},
+    {"port-transition",
+     [](const FlightEvent& e, char* buf, std::size_t size) {
+       return std::snprintf(buf, size, "port %d: %s -> %s (%s)", e.port,
+                            e.from, e.to, e.detail);
+     },
+     nullptr},
+    {"link-change", nullptr, nullptr},
+    {"trigger", nullptr, "reconfig.triggers"},
+    {"epoch-join",
+     [](const FlightEvent& e, char* buf, std::size_t size) {
+       return std::snprintf(buf, size, "reconfig: join epoch %llu (%s)",
+                            Ull{e.epoch}, e.detail);
+     },
+     "reconfig.epochs_joined"},
+    {"epoch-held",
+     [](const FlightEvent& e, char* buf, std::size_t size) {
+       return std::snprintf(buf, size,
+                            "reconfig: holding suspect epoch %llu (current "
+                            "%llu) for confirmation",
+                            Ull{e.epoch}, Ull{e.b});
+     },
+     "reconfig.suspect_epochs_held"},
+    {"epoch-rejected",
+     [](const FlightEvent& e, char* buf, std::size_t size) {
+       return std::snprintf(buf, size,
+                            "reconfig: ignored implausible epoch %llu "
+                            "(current %llu)",
+                            Ull{e.epoch}, Ull{e.b});
+     },
+     nullptr},
+    {"position-change",
+     [](const FlightEvent& e, char* buf, std::size_t size) {
+       return std::snprintf(buf, size,
+                            "reconfig: position root=%llx level=%d "
+                            "parent-port=%d",
+                            Ull{e.origin.value()}, static_cast<int>(e.a),
+                            e.port);
+     },
+     nullptr},
+    {"report-send",
+     [](const FlightEvent& e, char* buf, std::size_t size) {
+       return std::snprintf(buf, size,
+                            "reconfig: stable, reporting %llu switches to "
+                            "port %d",
+                            Ull{e.a}, e.port);
+     },
+     nullptr},
+    {"report-recv", nullptr, nullptr},
+    {"termination",
+     [](const FlightEvent& e, char* buf, std::size_t size) {
+       return std::snprintf(buf, size,
+                            "reconfig: root terminated epoch %llu with %d "
+                            "switches",
+                            Ull{e.epoch}, static_cast<int>(e.a));
+     },
+     "reconfig.roots_terminated"},
+    {"config-recv", nullptr, nullptr},
+    {"config-compute", nullptr, nullptr},
+    {"route-install", nullptr, "fabric.table_loads"},
+    {"epoch-resync",
+     [](const FlightEvent& e, char* buf, std::size_t size) {
+       return std::snprintf(buf, size,
+                            "reconfig: epoch register %llu implausibly ahead "
+                            "of neighbors (%llu); resyncing",
+                            Ull{e.epoch}, Ull{e.a});
+     },
+     "reconfig.epoch_resyncs"},
+    {"adversary", nullptr, nullptr},
+};
+static_assert(std::size(kKinds) == kFlightEventKinds);
+
+const KindRow& RowOf(FlightEventKind kind) {
+  return kKinds[static_cast<std::size_t>(kind)];
+}
+
+}  // namespace
+
 const char* FlightEventKindName(FlightEventKind kind) {
-  switch (kind) {
-    case FlightEventKind::kSkepticTrip:
-      return "skeptic-trip";
-    case FlightEventKind::kPortTransition:
-      return "port-transition";
-    case FlightEventKind::kLinkChange:
-      return "link-change";
-    case FlightEventKind::kTrigger:
-      return "trigger";
-    case FlightEventKind::kEpochJoin:
-      return "epoch-join";
-    case FlightEventKind::kEpochHeld:
-      return "epoch-held";
-    case FlightEventKind::kEpochRejected:
-      return "epoch-rejected";
-    case FlightEventKind::kPositionChange:
-      return "position-change";
-    case FlightEventKind::kReportSend:
-      return "report-send";
-    case FlightEventKind::kReportRecv:
-      return "report-recv";
-    case FlightEventKind::kTermination:
-      return "termination";
-    case FlightEventKind::kConfigRecv:
-      return "config-recv";
-    case FlightEventKind::kConfigCompute:
-      return "config-compute";
-    case FlightEventKind::kRouteInstall:
-      return "route-install";
-    case FlightEventKind::kEpochResync:
-      return "epoch-resync";
-    case FlightEventKind::kAdversary:
-      return "adversary";
+  return static_cast<std::size_t>(kind) < kFlightEventKinds
+             ? RowOf(kind).name
+             : "unknown";
+}
+
+bool RenderFlightEvent(const FlightEvent& e, char* buf, std::size_t size) {
+  const KindRow& row = RowOf(e.kind);
+  if (row.render == nullptr) {
+    return false;
   }
-  return "unknown";
+  row.render(e, buf, size);
+  return true;
+}
+
+void Emitter::Emit(const FlightEvent& e) {
+  ring_->Record(e);
+  char line[256];
+  if (log_->enabled() && RenderFlightEvent(e, line, sizeof(line))) {
+    log_->Log(e.time, line);
+  }
+  if (Counter* c = counter(e.kind)) {
+    c->Increment();
+  }
+}
+
+Counter* Emitter::counter(FlightEventKind kind) {
+  Counter*& c = counters_[static_cast<std::size_t>(kind)];
+  const char* name = RowOf(kind).counter;
+  if (c == nullptr && name != nullptr) {
+    c = metrics_->GetCounter("switch." + log_->node_name() + "." + name);
+  }
+  return c;
 }
 
 std::vector<FlightEvent> FlightRing::Chronological() const {

@@ -10,6 +10,11 @@
 // whether a recorder is armed or not, because recording only writes to the
 // recorder's own storage.
 //
+// Switch, Autopilot and ReconfigEngine never touch a ring directly: each
+// control-plane event goes through the switch's one Emitter, which records
+// it, writes its section 6.7 text line and bumps its registry counter, as
+// the kind table in flight.cc says.
+//
 // Each switch owns one ring (keyed by node name, shared by the Autopilot,
 // its ReconfigEngine, and the fabric Switch).  Rings are fixed-capacity and
 // wrap: `total` counts every event offered, `depth` what is retained, and
@@ -21,14 +26,18 @@
 #ifndef SRC_OBS_FLIGHT_H_
 #define SRC_OBS_FLIGHT_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/event_log.h"
 #include "src/common/ids.h"
 #include "src/common/time.h"
+#include "src/obs/metrics.h"
 
 namespace autonet {
 namespace obs {
@@ -41,8 +50,10 @@ enum class FlightEventKind : std::uint8_t {
   kTrigger,             // local reconfiguration trigger; epoch=new epoch
   kEpochJoin,           // epoch adopted; origin=sender uid (nil: local),
                         // port=inport (-1: local trigger)
-  kEpochHeld,           // implausible forward jump held for confirmation
-  kEpochRejected,       // forward jump beyond kMaxEpochJump dropped
+  kEpochHeld,           // implausible forward jump held for confirmation;
+                        // epoch=the held value, b=current epoch
+  kEpochRejected,       // forward jump beyond kMaxEpochJump dropped;
+                        // epoch=the dropped value, b=current epoch
   kPositionChange,      // tree position improved; a=level, origin=root uid
   kReportSend,          // stable: subtree report sent to parent; a=#records
   kReportRecv,          // topology report received; a=#records
@@ -51,10 +62,12 @@ enum class FlightEventKind : std::uint8_t {
   kConfigCompute,       // route computation queued on the CP
   kRouteInstall,        // forwarding table loaded; a=1 full config, 0 one-hop
   kEpochResync,         // epoch register concluded corrupt; rejoined just
-                        // above the neighbors' epoch
+                        // above the neighbors' epoch (a=theirs)
   kAdversary,           // an adversary move against this switch; detail
                         // names the strategy (src/adversary/)
 };
+inline constexpr std::size_t kFlightEventKinds =
+    static_cast<std::size_t>(FlightEventKind::kAdversary) + 1;
 
 // Short stable name ("epoch-join", "route-install", ...) for rendering.
 const char* FlightEventKindName(FlightEventKind kind);
@@ -62,7 +75,7 @@ const char* FlightEventKindName(FlightEventKind kind);
 struct FlightEvent {
   Tick time = 0;
   std::uint64_t epoch = 0;
-  Uid origin;           // causal tag: message sender / neighbor uid
+  Uid origin{};         // causal tag: message sender / neighbor uid
   std::uint64_t a = 0;  // kind-specific, see FlightEventKind
   std::uint64_t b = 0;
   std::int16_t port = -1;
@@ -142,6 +155,42 @@ class FlightRing {
   std::size_t head_ = 0;       // oldest retained event once wrapped
   std::uint64_t total_ = 0;
   std::vector<FlightEvent> events_;
+};
+
+// The section 6.7 EventLog line of `e` into `buf` (truncated to `size`),
+// or false, leaving `buf` alone, when its kind has no text line.
+bool RenderFlightEvent(const FlightEvent& e, char* buf, std::size_t size);
+
+// One switch's instrumentation point.  Emit records the event in the
+// switch's ring when the recorder is armed, writes the kind's text line (if
+// any) to the node's EventLog whether or not it is armed, and increments
+// the kind's counter (if any) in the metric registry.
+class Emitter {
+ public:
+  Emitter(FlightRing* ring, EventLog* log, MetricRegistry* metrics)
+      : ring_(ring), log_(log), metrics_(metrics) {}
+
+  void Emit(const FlightEvent& e);
+
+  // True while the recorder is armed: a field that costs work to compute
+  // is filled only then.
+  bool armed() const { return ring_->armed(); }
+
+  // The counter of `kind` (nullptr for kinds that count nothing),
+  // registered as `switch.<node>.<table name>` on the first call.  A
+  // component that wants its counter in snapshots before the first event
+  // asks for it at construction; the rest appear on first use, so clean
+  // runs register no new instrument.
+  Counter* counter(FlightEventKind kind);
+
+  const FlightRing& ring() const { return *ring_; }
+  EventLog& log() { return *log_; }
+
+ private:
+  FlightRing* ring_;  // owned by the simulator's flight recorder
+  EventLog* log_;
+  MetricRegistry* metrics_;
+  std::array<Counter*, kFlightEventKinds> counters_{};
 };
 
 class FlightRecorder {

@@ -1,9 +1,7 @@
 #include "src/obs/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace autonet {
 
@@ -139,256 +137,6 @@ JsonWriter& JsonWriter::Raw(std::string_view json) {
   BeforeValue();
   out_ += json;
   return *this;
-}
-
-// --- parser ---
-
-const JsonValue* JsonValue::Find(const std::string& key) const {
-  if (kind != Kind::kObject) {
-    return nullptr;
-  }
-  auto it = object.find(key);
-  return it == object.end() ? nullptr : &it->second;
-}
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::optional<JsonValue> Parse() {
-    JsonValue v;
-    if (!ParseValue(&v)) {
-      return std::nullopt;
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return std::nullopt;  // trailing garbage
-    }
-    return v;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return false;
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->str);
-      case 't':
-        out->kind = JsonValue::Kind::kBool;
-        out->b = true;
-        return Literal("true");
-      case 'f':
-        out->kind = JsonValue::Kind::kBool;
-        out->b = false;
-        return Literal("false");
-      case 'n':
-        out->kind = JsonValue::Kind::kNull;
-        return Literal("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    if (text_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-            *out += '"';
-            break;
-          case '\\':
-            *out += '\\';
-            break;
-          case '/':
-            *out += '/';
-            break;
-          case 'n':
-            *out += '\n';
-            break;
-          case 't':
-            *out += '\t';
-            break;
-          case 'r':
-            *out += '\r';
-            break;
-          case 'b':
-            *out += '\b';
-            break;
-          case 'f':
-            *out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return false;
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            // Only the ASCII range is produced by our writer.
-            *out += static_cast<char>(code < 0x80 ? code : '?');
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        *out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return false;
-    }
-    std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out->number = std::strtod(num.c_str(), &end);
-    if (end != num.c_str() + num.size()) {
-      return false;
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    return true;
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // consume '['
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      if (!ParseValue(&element)) {
-        return false;
-      }
-      out->array.push_back(std::move(element));
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // consume '{'
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (pos_ >= text_.size() || !ParseString(&key)) {
-        return false;
-      }
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return false;
-      }
-      ++pos_;
-      JsonValue value;
-      if (!ParseValue(&value)) {
-        return false;
-      }
-      out->object.emplace(std::move(key), std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<JsonValue> ParseJson(std::string_view text) {
-  return Parser(text).Parse();
 }
 
 bool WriteFile(const std::string& path, std::string_view text) {

@@ -1,16 +1,11 @@
-// Minimal JSON support for the telemetry subsystem: a streaming writer with
+// Minimal JSON output for the telemetry subsystem: a streaming writer with
 // automatic comma/escape handling (metric snapshots, Chrome trace events,
-// bench result files) and a small recursive-descent parser used by tests and
-// tools to validate those artifacts.  Not a general-purpose JSON library —
-// numbers are doubles, no \u escapes are produced, and inputs larger than a
-// few megabytes are not the target.
+// bench result files).  Not a general-purpose JSON library.  The tests read
+// these artifacts back with tests/json_parse.h.
 #ifndef SRC_OBS_JSON_H_
 #define SRC_OBS_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,28 +54,6 @@ class JsonWriter {
 // writer behind every report, metrics and trace export.  False on any I/O
 // failure.
 bool WriteFile(const std::string& path, std::string_view text);
-
-// Parsed JSON value (numbers are doubles).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-
-  // Object member access; returns nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-};
-
-// Returns nullopt on malformed input (including trailing garbage).
-std::optional<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace autonet
 

@@ -55,9 +55,6 @@ void Simulator::FreeEventSlot(std::uint32_t slot) {
 
 void Simulator::FreeTrainSlot(std::uint32_t slot) {
   TrainSlot& t = trains_[slot];
-  if (t.handler) {
-    t.handler = nullptr;  // raw trains never touch the std::function
-  }
   t.fn = nullptr;
   t.id_seq = 0;
   t.cancelled = false;
@@ -96,37 +93,6 @@ Simulator::EventId Simulator::ScheduleAtReserved(Tick when, std::uint64_t seq,
   queue_.push(QEntry::Make(when, seq, slot, false), now_);
   ++live_count_;
   return EventId{seq, slot, false};
-}
-
-Simulator::EventId Simulator::ScheduleTrain(Tick start, Tick stride,
-                                            std::uint32_t count,
-                                            TrainHandler handler) {
-  return ScheduleTrainAt(start, 0, std::move(handler), stride, count);
-}
-
-Simulator::EventId Simulator::ScheduleTrainAt(Tick start, std::uint64_t seq,
-                                              TrainHandler handler, Tick stride,
-                                              std::uint32_t count) {
-  if (start < now_) {
-    start = now_;
-    NotePastClamp();
-  }
-  if (seq == 0) {
-    seq = NextSeq();
-  }
-  std::uint32_t slot = AllocTrainSlot();
-  TrainSlot& t = trains_[slot];
-  t.handler = std::move(handler);
-  t.fn = nullptr;
-  t.id_seq = seq;
-  t.stride = stride;
-  t.next_k = 0;
-  t.count = count;
-  t.cancelled = false;
-  t.parked = false;
-  queue_.push(QEntry::Make(start, seq, slot, true), now_);
-  ++live_count_;
-  return EventId{seq, slot, true};
 }
 
 Simulator::EventId Simulator::ScheduleTrainRawAt(Tick start, std::uint64_t seq,
@@ -175,8 +141,8 @@ bool Simulator::Cancel(EventId id) {
       return true;
     }
     // Inverted cancellation: flag the slot; the train's single queue entry
-    // is discarded when it surfaces.  The handler is freed then, not here —
-    // it may be the function currently executing.
+    // is discarded when it surfaces.  The slot is freed then, not here —
+    // its handler may be the one currently executing.
     t.cancelled = true;
     --live_count_;
     return true;
@@ -244,10 +210,8 @@ void Simulator::DispatchEntry(QEntry entry) {
   // Cancel leaves slot disposal to us.
   std::uint32_t slot = entry.slot();
   std::uint32_t k = trains_[slot].next_k++;
-  TrainFn fn = trains_[slot].fn;
-  TrainStep step = fn != nullptr
-                       ? fn(trains_[slot].ctx, trains_[slot].arg, k)
-                       : trains_[slot].handler(k);
+  const TrainSlot& firing = trains_[slot];
+  TrainStep step = firing.fn(firing.ctx, firing.arg, k);
   TrainSlot& t = trains_[slot];
   if (t.cancelled) {
     FreeTrainSlot(slot);  // Cancel already adjusted live_count_

@@ -73,12 +73,10 @@ class Simulator {
       return TrainStep{0, std::uint64_t{static_cast<std::uint8_t>(Kind::kPark)}};
     }
   };
-  // Called with the 0-based firing index k.
-  using TrainHandler = std::function<TrainStep(std::uint32_t k)>;
-  // Raw-handler variant: a free function plus two context words.  Trains on
-  // the per-byte hot path (link delivery on short links starts one train
-  // per symbol) use this to skip std::function construction, indirection,
-  // and teardown entirely.
+  // A train's handler: a free function plus two context words, called with
+  // the 0-based firing index k.  Trains run on the per-byte hot path (link
+  // delivery on short links starts one train per symbol), so there is no
+  // std::function to construct, call through, or tear down.
   using TrainFn = TrainStep (*)(void* ctx, std::uint64_t arg, std::uint32_t k);
 
   Simulator() = default;
@@ -98,9 +96,8 @@ class Simulator {
   // A train is an arithmetic (or handler-steered) sequence of firings that
   // keeps exactly ONE queue entry alive: after each firing the entry
   // re-sifts itself to the next firing time instead of being freed.  A
-  // packet's worth of byte deliveries costs one pool slot, one handler
-  // allocation, and one live queue entry — versus one of each per byte with
-  // plain events.
+  // packet's worth of byte deliveries costs one pool slot and one live
+  // queue entry — versus one of each per byte with plain events.
   //
   // Determinism contract: simultaneous events fire in sequence order, and a
   // re-sift takes a fresh sequence number exactly where a plain event would
@@ -108,18 +105,13 @@ class Simulator {
   // event-per-firing chain to a train is timing-invisible.  When the
   // tie-break position must be claimed *earlier* than the re-sift (the link
   // reserves a byte's delivery order at transmit time), reserve a sequence
-  // with ReserveSeq() and pass it via TrainStep::At / ScheduleTrainAt.
+  // with ReserveSeq() and pass it via TrainStep::At / ScheduleTrainRawAt.
 
-  // Fires handler(0..count-1) at start, start+stride, ...; `count` 0 means
-  // unbounded (the handler ends the train with TrainStep::Done()).  The
-  // handler's TrainStep can override the arithmetic advance per firing.
-  EventId ScheduleTrain(Tick start, Tick stride, std::uint32_t count,
-                        TrainHandler handler);
-  // Train with an explicit first firing time and (optionally) a reserved
-  // sequence for it; stride defaults to 0 so the handler steers every step.
-  EventId ScheduleTrainAt(Tick start, std::uint64_t seq, TrainHandler handler,
-                          Tick stride = 0, std::uint32_t count = 0);
-  // Raw-handler equivalent of ScheduleTrainAt (see TrainFn).
+  // Fires fn(ctx, arg, 0..count-1) at start, start+stride, ...; `count` 0
+  // means unbounded (the handler ends the train with TrainStep::Done()), and
+  // the handler's TrainStep can override the arithmetic advance per firing.
+  // `seq` (0: take the next) is the first firing's tie-break sequence;
+  // stride defaults to 0 so the handler steers every step.
   EventId ScheduleTrainRawAt(Tick start, std::uint64_t seq, TrainFn fn,
                              void* ctx, std::uint64_t arg, Tick stride = 0,
                              std::uint32_t count = 0);
@@ -450,11 +442,8 @@ class Simulator {
     Callback callback;
     std::uint64_t seq = 0;  // 0 = free; else generation tag of the entry
   };
-  // Field order: the raw-dispatch fields a firing touches come first so
-  // they share a cache line; the 32-byte std::function (cold for raw
-  // trains) sits last.
   struct TrainSlot {
-    TrainFn fn = nullptr;      // raw fast path; ctx/arg are its context
+    TrainFn fn = nullptr;      // ctx/arg are its context
     void* ctx = nullptr;
     std::uint64_t arg = 0;
     std::uint32_t next_k = 0;
@@ -463,7 +452,6 @@ class Simulator {
     bool parked = false;  // no queue entry; waiting for ResumeTrain
     std::uint64_t id_seq = 0;  // creation seq (EventId tag); 0 = free
     Tick stride = 0;
-    TrainHandler handler;      // used when fn == nullptr
   };
 
   // Allocates the next sequence number, halting (deterministically, with a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
-#include <sstream>
 
 #include "src/sim/random.h"
 
@@ -171,62 +170,6 @@ NetTopology TopoSpec::ExpectedTopology() const {
     }
   }
   return topo;
-}
-
-std::string TopoSpec::ToText() const {
-  std::ostringstream out;
-  out << "switches " << switches.size() << "\n";
-  for (const CableSpec& c : cables) {
-    out << "cable " << c.sw_a << " " << c.port_a << " " << c.sw_b << " "
-        << c.port_b << " " << c.length_km << "\n";
-  }
-  for (const HostSpec& h : hosts) {
-    out << "host " << h.primary_switch << " " << h.primary_port << " "
-        << h.alt_switch << " " << h.alt_port << " " << h.length_km << "\n";
-  }
-  return out.str();
-}
-
-TopoSpec TopoSpec::FromText(const std::string& text, std::string* error) {
-  TopoSpec spec;
-  std::istringstream in(text);
-  std::string word;
-  error->clear();
-  while (in >> word) {
-    if (word == "switches") {
-      int n = 0;
-      in >> n;
-      for (int i = 0; i < n; ++i) {
-        spec.AddSwitch();
-      }
-    } else if (word == "cable") {
-      CableSpec c;
-      in >> c.sw_a >> c.port_a >> c.sw_b >> c.port_b >> c.length_km;
-      spec.cables.push_back(c);
-    } else if (word == "host") {
-      HostSpec h;
-      in >> h.primary_switch >> h.primary_port >> h.alt_switch >> h.alt_port >>
-          h.length_km;
-      h.uid = HostUid(static_cast<int>(spec.hosts.size()));
-      h.name = "host" + std::to_string(spec.hosts.size());
-      spec.hosts.push_back(h);
-    } else if (word[0] == '#') {
-      std::string rest;
-      std::getline(in, rest);
-    } else {
-      *error = "unknown directive: " + word;
-      return spec;
-    }
-    if (in.fail()) {
-      *error = "malformed directive: " + word;
-      return spec;
-    }
-  }
-  std::string v = spec.Validate();
-  if (!v.empty()) {
-    *error = v;
-  }
-  return spec;
 }
 
 // --- generators ---

@@ -64,9 +64,6 @@ struct TopoSpec {
   // The NetTopology the reconfiguration should converge to, assuming every
   // link and switch is healthy.  Used by tests to check convergence.
   NetTopology ExpectedTopology() const;
-
-  std::string ToText() const;
-  static TopoSpec FromText(const std::string& text, std::string* error);
 };
 
 // --- generators ---

@@ -12,9 +12,9 @@
 #include "src/chaos/scenario.h"
 #include "src/common/event_log.h"
 #include "src/core/network.h"
-#include "src/obs/json.h"
 #include "src/obs/postmortem.h"
 #include "src/topo/spec.h"
+#include "tests/json_parse.h"
 
 namespace autonet {
 namespace chaos {

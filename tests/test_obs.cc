@@ -12,13 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/event_log.h"
 #include "src/core/network.h"
 #include "src/host/srp_client.h"
 #include "src/obs/flight.h"
-#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/postmortem.h"
 #include "src/topo/spec.h"
+#include "tests/json_parse.h"
 
 namespace autonet {
 namespace {
@@ -267,6 +268,120 @@ TEST(FlightRecorder, RingWrapKeepsNewestAndCountsTruncation) {
     EXPECT_EQ(events[i].a, 6 + i);
     EXPECT_EQ(events[i].time, static_cast<Tick>(106 + i));
   }
+}
+
+// Each kind with a section 6.7 text line renders the exact wording the
+// EventLog has always carried (the chaos log hashes are taken over it).
+TEST(FlightEvent, RendersTheEventLogLineOfEachTextKind) {
+  auto render = [](const obs::FlightEvent& e) {
+    char buf[256];
+    return obs::RenderFlightEvent(e, buf, sizeof(buf)) ? std::string(buf)
+                                                       : "<none>";
+  };
+  obs::FlightEvent e;
+  e.kind = obs::FlightEventKind::kEpochJoin;
+  e.epoch = 7;
+  e.detail = "higher epoch seen";
+  EXPECT_EQ(render(e), "reconfig: join epoch 7 (higher epoch seen)");
+
+  e = {};
+  e.kind = obs::FlightEventKind::kPositionChange;
+  e.origin = Uid(0xABC);
+  e.a = 2;
+  e.port = 5;
+  EXPECT_EQ(render(e), "reconfig: position root=abc level=2 parent-port=5");
+  e.a = 0;
+  e.port = -1;
+  EXPECT_EQ(render(e), "reconfig: position root=abc level=0 parent-port=-1");
+
+  e = {};
+  e.kind = obs::FlightEventKind::kEpochResync;
+  e.epoch = 0xFFFFFFFFFFFFFFF0ull;
+  e.a = 12;
+  EXPECT_EQ(render(e),
+            "reconfig: epoch register 18446744073709551600 implausibly "
+            "ahead of neighbors (12); resyncing");
+
+  e = {};
+  e.kind = obs::FlightEventKind::kEpochRejected;
+  e.epoch = 0x100000009ull;
+  e.b = 4;
+  EXPECT_EQ(render(e),
+            "reconfig: ignored implausible epoch 4294967305 (current 4)");
+
+  e = {};
+  e.kind = obs::FlightEventKind::kEpochHeld;
+  e.epoch = 9;
+  e.b = 4;
+  EXPECT_EQ(render(e),
+            "reconfig: holding suspect epoch 9 (current 4) for confirmation");
+
+  e = {};
+  e.kind = obs::FlightEventKind::kReportSend;
+  e.a = 3;
+  e.port = 11;
+  EXPECT_EQ(render(e), "reconfig: stable, reporting 3 switches to port 11");
+
+  e = {};
+  e.kind = obs::FlightEventKind::kTermination;
+  e.epoch = 5;
+  e.a = 9;
+  EXPECT_EQ(render(e), "reconfig: root terminated epoch 5 with 9 switches");
+
+  e = {};
+  e.kind = obs::FlightEventKind::kPortTransition;
+  e.port = 3;
+  e.from = "s.dead";
+  e.to = "s.checking";
+  e.detail = "clean holddown served";
+  EXPECT_EQ(render(e), "port 3: s.dead -> s.checking (clean holddown served)");
+
+  // The rest live in the ring only.
+  for (obs::FlightEventKind kind :
+       {obs::FlightEventKind::kSkepticTrip, obs::FlightEventKind::kTrigger,
+        obs::FlightEventKind::kLinkChange, obs::FlightEventKind::kReportRecv,
+        obs::FlightEventKind::kConfigRecv,
+        obs::FlightEventKind::kConfigCompute,
+        obs::FlightEventKind::kRouteInstall,
+        obs::FlightEventKind::kAdversary}) {
+    e = {};
+    e.kind = kind;
+    EXPECT_EQ(render(e), "<none>") << obs::FlightEventKindName(kind);
+  }
+}
+
+// Emit writes the text line and bumps the counter whether or not the
+// recorder is armed; only the ring depends on arming.
+TEST(Emitter, LogsAndCountsWhileDisarmedAndRecordsOnlyWhenArmed) {
+  obs::FlightRecorder rec;
+  MetricRegistry reg;
+  EventLog log("sw0");
+  obs::Emitter emitter(rec.Ring("sw0", Uid(0x10)), &log, &reg);
+  EXPECT_EQ(reg.size(), 0u);  // counters register on first use
+
+  obs::FlightEvent e;
+  e.time = 40;
+  e.kind = obs::FlightEventKind::kTermination;
+  e.epoch = 2;
+  e.a = 3;
+  emitter.Emit(e);
+  ASSERT_EQ(log.entries().size(), 1u);
+  EXPECT_EQ(log.entries()[0].time, 40);
+  EXPECT_EQ(log.entries()[0].message,
+            "reconfig: root terminated epoch 2 with 3 switches");
+  obs::Counter* roots = reg.GetCounter("switch.sw0.reconfig.roots_terminated");
+  EXPECT_EQ(emitter.counter(obs::FlightEventKind::kTermination), roots);
+  EXPECT_EQ(roots->value(), 1u);
+  EXPECT_EQ(emitter.ring().total(), 0u);
+  EXPECT_EQ(emitter.counter(obs::FlightEventKind::kLinkChange), nullptr);
+
+  rec.Arm();
+  e.kind = obs::FlightEventKind::kRouteInstall;
+  emitter.Emit(e);
+  EXPECT_EQ(log.entries().size(), 1u);  // route installs have no line
+  EXPECT_EQ(reg.GetCounter("switch.sw0.fabric.table_loads")->value(), 1u);
+  ASSERT_EQ(emitter.ring().depth(), 1u);
+  EXPECT_EQ(emitter.ring().Last()->kind, obs::FlightEventKind::kRouteInstall);
 }
 
 // A hand-built two-switch recording: sw0 sees a link die, trips a skeptic,

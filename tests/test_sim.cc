@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,35 @@
 
 namespace autonet {
 namespace {
+
+// std::function train handlers, fired through the simulator's raw train
+// API by one trampoline.  The handlers live as long as this object, which
+// each test declares right after its simulator.
+class Trains {
+ public:
+  using Handler = std::function<Simulator::TrainStep(std::uint32_t k)>;
+
+  explicit Trains(Simulator* sim) : sim_(sim) {}
+
+  Simulator::EventId Schedule(Tick start, Tick stride, std::uint32_t count,
+                              Handler handler) {
+    return At(start, 0, std::move(handler), stride, count);
+  }
+  Simulator::EventId At(Tick start, std::uint64_t seq, Handler handler,
+                        Tick stride = 0, std::uint32_t count = 0) {
+    handlers_.push_back(std::make_unique<Handler>(std::move(handler)));
+    return sim_->ScheduleTrainRawAt(
+        start, seq,
+        [](void* ctx, std::uint64_t, std::uint32_t k) {
+          return (*static_cast<Handler*>(ctx))(k);
+        },
+        handlers_.back().get(), 0, stride, count);
+  }
+
+ private:
+  Simulator* sim_;
+  std::vector<std::unique_ptr<Handler>> handlers_;
+};
 
 TEST(Simulator, EventsFireInTimeOrder) {
   Simulator sim;
@@ -117,8 +148,9 @@ TEST(Simulator, RunUntilEmptyQueueAdvancesClock) {
 
 TEST(SimulatorTrain, ArithmeticFiringSequence) {
   Simulator sim;
+  Trains trains(&sim);
   std::vector<std::pair<std::uint32_t, Tick>> fires;
-  sim.ScheduleTrain(100, 10, 5, [&](std::uint32_t k) {
+  trains.Schedule(100, 10, 5, [&](std::uint32_t k) {
     fires.push_back({k, sim.now()});
     return Simulator::TrainStep::Auto();
   });
@@ -134,8 +166,9 @@ TEST(SimulatorTrain, ArithmeticFiringSequence) {
 
 TEST(SimulatorTrain, UnboundedTrainEndsOnDone) {
   Simulator sim;
+  Trains trains(&sim);
   int fires = 0;
-  sim.ScheduleTrain(50, 25, 0, [&](std::uint32_t k) {
+  trains.Schedule(50, 25, 0, [&](std::uint32_t k) {
     ++fires;
     return k == 3 ? Simulator::TrainStep::Done()
                   : Simulator::TrainStep::Auto();
@@ -148,8 +181,9 @@ TEST(SimulatorTrain, UnboundedTrainEndsOnDone) {
 
 TEST(SimulatorTrain, AtOverridesArithmeticAdvance) {
   Simulator sim;
+  Trains trains(&sim);
   std::vector<Tick> times;
-  sim.ScheduleTrain(100, 10, 4, [&](std::uint32_t k) {
+  trains.Schedule(100, 10, 4, [&](std::uint32_t k) {
     times.push_back(sim.now());
     // Re-anchor the second firing far away; later firings resume the stride
     // from the re-anchored position.
@@ -181,7 +215,8 @@ TEST(SimulatorTrain, ConversionIsTimingInvisible) {
   };
   auto run_train = [](std::vector<int>* order) {
     Simulator sim;
-    sim.ScheduleTrain(10, 10, 3, [&](std::uint32_t k) {
+    Trains trains(&sim);
+    trains.Schedule(10, 10, 3, [&](std::uint32_t k) {
       order->push_back(100 + static_cast<int>(k));
       return Simulator::TrainStep::Auto();
     });
@@ -200,6 +235,7 @@ TEST(SimulatorTrain, ReservedSeqFixesTieBreakPosition) {
   // A sequence reserved before a later schedule claims the earlier tie-break
   // slot even though the event is pushed afterwards.
   Simulator sim;
+  Trains trains(&sim);
   std::vector<int> order;
   std::uint64_t reserved = sim.ReserveSeq();
   sim.ScheduleAt(100, [&] { order.push_back(2); });
@@ -211,7 +247,7 @@ TEST(SimulatorTrain, ReservedSeqFixesTieBreakPosition) {
   order.clear();
   std::uint64_t train_seq = sim.ReserveSeq();
   Tick t = sim.now() + 100;
-  sim.ScheduleTrainAt(t, train_seq, [&](std::uint32_t) {
+  trains.At(t, train_seq, [&](std::uint32_t) {
     order.push_back(1);
     return Simulator::TrainStep::Done();
   });
@@ -222,8 +258,9 @@ TEST(SimulatorTrain, ReservedSeqFixesTieBreakPosition) {
 
 TEST(SimulatorTrain, CancelStopsRemainingFirings) {
   Simulator sim;
+  Trains trains(&sim);
   int fires = 0;
-  auto id = sim.ScheduleTrain(100, 10, 0, [&](std::uint32_t) {
+  auto id = trains.Schedule(100, 10, 0, [&](std::uint32_t) {
     ++fires;
     return Simulator::TrainStep::Auto();
   });
@@ -237,9 +274,10 @@ TEST(SimulatorTrain, CancelStopsRemainingFirings) {
 
 TEST(SimulatorTrain, HandlerMayCancelOwnTrain) {
   Simulator sim;
+  Trains trains(&sim);
   Simulator::EventId id{};
   int fires = 0;
-  id = sim.ScheduleTrain(100, 10, 0, [&](std::uint32_t k) {
+  id = trains.Schedule(100, 10, 0, [&](std::uint32_t k) {
     ++fires;
     if (k == 2) {
       EXPECT_TRUE(sim.Cancel(id));
@@ -274,8 +312,9 @@ TEST(SimulatorTrain, RawTrainFires) {
 
 TEST(SimulatorTrain, ParkAndResume) {
   Simulator sim;
+  Trains trains(&sim);
   std::vector<Tick> fires;
-  auto id = sim.ScheduleTrain(100, 0, 0, [&](std::uint32_t k) {
+  auto id = trains.Schedule(100, 0, 0, [&](std::uint32_t k) {
     fires.push_back(sim.now());
     return k == 0 ? Simulator::TrainStep::Park()
                   : Simulator::TrainStep::Done();
@@ -292,7 +331,8 @@ TEST(SimulatorTrain, ParkAndResume) {
 
 TEST(SimulatorTrain, CancelOfParkedTrainFreesSlot) {
   Simulator sim;
-  auto id = sim.ScheduleTrain(10, 0, 0, [&](std::uint32_t) {
+  Trains trains(&sim);
+  auto id = trains.Schedule(10, 0, 0, [&](std::uint32_t) {
     return Simulator::TrainStep::Park();
   });
   sim.Run();
@@ -305,8 +345,9 @@ TEST(SimulatorTrain, CancelOfParkedTrainFreesSlot) {
 
 TEST(SimulatorTrain, ResumeInPastClampsToNow) {
   Simulator sim;
+  Trains trains(&sim);
   std::vector<Tick> fires;
-  auto id = sim.ScheduleTrain(100, 0, 0, [&](std::uint32_t k) {
+  auto id = trains.Schedule(100, 0, 0, [&](std::uint32_t k) {
     fires.push_back(sim.now());
     return k == 0 ? Simulator::TrainStep::Park()
                   : Simulator::TrainStep::Done();
@@ -326,6 +367,7 @@ TEST(Simulator, InterleavedCancelAndDispatchAtSameTick) {
   // drain in Step/RunUntil against live dispatches; run under ASan/UBSan in
   // CI this also checks the freed-slot recycling.
   Simulator sim;
+  Trains trains(&sim);
   std::vector<int> order;
   std::vector<Simulator::EventId> ids;
   Simulator::EventId train_id{};
@@ -336,7 +378,7 @@ TEST(Simulator, InterleavedCancelAndDispatchAtSameTick) {
   }));
   ids.push_back(sim.ScheduleAt(100, [&] { order.push_back(1); }));
   ids.push_back(sim.ScheduleAt(100, [&] { order.push_back(2); }));
-  train_id = sim.ScheduleTrain(100, 10, 0, [&](std::uint32_t) {
+  train_id = trains.Schedule(100, 10, 0, [&](std::uint32_t) {
     order.push_back(3);
     return Simulator::TrainStep::Auto();
   });
@@ -472,10 +514,11 @@ TEST(SimulatorTieChooser, UninstallMidTickFallsBackToSeqOrder) {
 
 TEST(SimulatorTieChooser, TrainFiringsJoinTheTiePool) {
   Simulator sim;
+  Trains trains(&sim);
   std::vector<int> order;
   sim.ScheduleAt(100, [&] { order.push_back(0); });
   sim.ScheduleAt(100, [&] { order.push_back(1); });
-  sim.ScheduleTrain(100, 10, 2, [&](std::uint32_t k) {
+  trains.Schedule(100, 10, 2, [&](std::uint32_t k) {
     order.push_back(100 + static_cast<int>(k));
     return Simulator::TrainStep::Auto();
   });

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/routing/spanning_tree.h"
 #include "src/topo/spec.h"
@@ -60,38 +62,47 @@ TEST(TopoSpec, ExpectedTopologyMatchesCables) {
   }
 }
 
-TEST(TopoSpec, TextRoundTrip) {
-  TopoSpec spec = MakeTorus(2, 3, 1);
-  std::string text = spec.ToText();
-  std::string error;
-  TopoSpec parsed = TopoSpec::FromText(text, &error);
-  EXPECT_EQ(error, "");
-  ASSERT_EQ(parsed.switches.size(), spec.switches.size());
-  ASSERT_EQ(parsed.cables.size(), spec.cables.size());
-  ASSERT_EQ(parsed.hosts.size(), spec.hosts.size());
-  EXPECT_EQ(parsed.ExpectedTopology(), spec.ExpectedTopology());
-}
-
-TEST(TopoSpec, ParserRejectsGarbage) {
-  std::string error;
-  TopoSpec::FromText("switches 2\nfrobnicate 1 2\n", &error);
-  EXPECT_NE(error, "");
-
-  // Switch indices must name a declared switch; alt switch -1 means none.
-  for (const char* text : {"switches 2\ncable 0 1 5 1 0.01\n",
-                           "switches 2\ncable -1 1 0 1 0.01\n",
-                           "switches 2\nhost 7 11 -1 -1 0.01\n",
-                           "switches 2\nhost 0 11 2 11 0.01\n",
-                           "switches 2\nhost 0 11 -2 11 0.01\n",
-                           "switches 2\ncable 0 1 5 1 0.01\n"
-                           "host 7 11 -1 -1 0.01\n"}) {
-    TopoSpec::FromText(text, &error);
-    EXPECT_NE(error.find("switch index out of range"), std::string::npos)
-        << text;
+// Switch indices must name a declared switch; alt switch -1 means none.
+TEST(TopoSpec, ValidateRejectsOutOfRangeSwitchIndices) {
+  auto two_switches = [] {
+    TopoSpec spec;
+    spec.AddSwitch();
+    spec.AddSwitch();
+    return spec;
+  };
+  auto cable = [](int sw_a, int sw_b) {
+    TopoSpec::CableSpec c;
+    c.sw_a = sw_a;
+    c.port_a = 1;
+    c.sw_b = sw_b;
+    c.port_b = 1;
+    return c;
+  };
+  auto host = [](int primary, int alt) {
+    TopoSpec::HostSpec h;
+    h.primary_switch = primary;
+    h.primary_port = 11;
+    h.alt_switch = alt;
+    h.alt_port = 11;
+    return h;
+  };
+  std::vector<TopoSpec> bad(6, two_switches());
+  bad[0].cables.push_back(cable(0, 5));
+  bad[1].cables.push_back(cable(-1, 0));
+  bad[2].hosts.push_back(host(7, -1));
+  bad[3].hosts.push_back(host(0, 2));
+  bad[4].hosts.push_back(host(0, -2));
+  bad[5].cables.push_back(cable(0, 5));
+  bad[5].hosts.push_back(host(7, -1));
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_NE(bad[i].Validate().find("switch index out of range"),
+              std::string::npos)
+        << "case " << i;
   }
-  TopoSpec::FromText("switches 2\ncable 0 1 1 1 0.01\nhost 1 11 -1 -1 0.01\n",
-                     &error);
-  EXPECT_EQ(error, "");
+  TopoSpec good = two_switches();
+  good.cables.push_back(cable(0, 1));
+  good.hosts.push_back(host(1, -1));
+  EXPECT_EQ(good.Validate(), "");
 }
 
 TEST(Generators, LineHasNMinusOneCables) {

@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Report assertions that go beyond chaosrun's and postmortem's own oracles.
+
+One subcommand per check; each prints a line per item it checked and exits
+nonzero if any check fails.
+
+  slo-steady REPORT...   every slo-steady run reports zero outage windows
+                         and zero max outage (a nonzero count means the
+                         accounting charges outage to a fault-free network)
+  adversary REPORT       every run passed its oracles, and every
+                         corrupted-state or regression run actually attacked
+                         (a polling adversary that never fired would pass
+                         vacuously)
+  perfetto TRACE         the post-mortem Chrome trace parses and carries an
+                         epoch span on a named reconfig track
+
+Example:
+  tools/check_ci_reports.py slo-steady slo-small3.json slo-srclan16.json
+"""
+import argparse
+import json
+import sys
+
+
+def load(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def check_slo_steady(paths):
+    ok = True
+    for path in paths:
+        for run in load(path)["runs"]:
+            if run["scenario"] != "slo-steady":
+                continue
+            slo = run.get("slo", {})
+            windows = slo.get("outage_windows", -1)
+            outage = slo.get("max_outage_ms", -1)
+            if windows != 0 or outage != 0:
+                print(f"FAIL {path} seed {run['seed']}: steady-state run has "
+                      f"{windows} outage window(s), max {outage} ms")
+                ok = False
+            else:
+                print(f"ok   {path} seed {run['seed']}: "
+                      f"{slo['completed']} ops, zero outage windows")
+    return ok
+
+
+def check_adversary(path):
+    ok = True
+    runs = load(path)["runs"]
+    for run in runs:
+        name, seed = run["scenario"], run["seed"]
+        if not run["ok"]:
+            print(f"FAIL {name} seed {seed}: oracle violation")
+            ok = False
+        if (name.startswith(("adv-corrupt", "adv-regress"))
+                and run.get("adversary_moves", 0) < 1):
+            print(f"FAIL {name} seed {seed}: adversary never fired")
+            ok = False
+    print(f"checked {len(runs)} adversarial runs")
+    return ok
+
+
+def check_perfetto(path):
+    events = load(path)["traceEvents"]
+    tracks = {e["args"]["name"]: e["tid"] for e in events
+              if e["ph"] == "M" and e["name"] == "thread_name"}
+    if "reconfig" not in tracks:
+        print(f"FAIL {path}: no thread_name for the reconfig track")
+        return False
+    if not any(e["ph"] == "X" and e["tid"] == tracks["reconfig"] and
+               e["name"].startswith("epoch ") for e in events):
+        print(f"FAIL {path}: no epoch span on the reconfig track")
+        return False
+    print(f"ok   {path}: epoch spans on the reconfig track")
+    return True
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    sub = parser.add_subparsers(dest="check", required=True)
+    sub.add_parser("slo-steady").add_argument("reports", nargs="+")
+    sub.add_parser("adversary").add_argument("report")
+    sub.add_parser("perfetto").add_argument("trace")
+    args = parser.parse_args()
+    if args.check == "slo-steady":
+        ok = check_slo_steady(args.reports)
+    elif args.check == "adversary":
+        ok = check_adversary(args.report)
+    else:
+        ok = check_perfetto(args.trace)
+    sys.exit(0 if ok else 1)
+
+
+if __name__ == "__main__":
+    main()
