@@ -29,8 +29,8 @@ FlapResult RunFlap(Tick flap_period, bool with_skeptics) {
   config.start_drivers = false;
   if (!with_skeptics) {
     // Baseline: constant, minimal holddowns — every flap is believed.
-    config.autopilot.status_holddown_max = config.autopilot.status_holddown_base;
-    config.autopilot.conn_holddown_max = config.autopilot.conn_holddown_base;
+    config.autopilot.status_holddown_max = kStatusHolddownBase;
+    config.autopilot.conn_holddown_max = kConnHolddownBase;
   }
   Network net(MakeTorus(2, 3, 0), config);
   net.Boot();

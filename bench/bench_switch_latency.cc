@@ -79,7 +79,7 @@ void TransitLatency() {
 
 void SchedulerRate() {
   Simulator sim;
-  SchedulerEngine engine(&sim, SchedulerEngine::Config{});
+  SchedulerEngine engine(&sim, /*fcfs=*/false);
   PortVector busy;  // all ports free
   std::uint64_t grants = 0;
   engine.SetHooks([&] { return ~busy; },

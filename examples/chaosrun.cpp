@@ -22,8 +22,8 @@
 //   chaosrun --compare-jobs1          rerun single-threaded, record speedup
 //   chaosrun --list / --dump-corpus   inspect what would run
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,12 +31,16 @@
 #include "src/adversary/spec.h"
 #include "src/chaos/corpus.h"
 #include "src/chaos/runner.h"
+#include "src/common/tokens.h"
 #include "src/workload/spec.h"
 
 using namespace autonet;
 using namespace autonet::chaos;
 
 namespace {
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -83,6 +87,11 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The next argument as a whole number in [lo, hi].
+    auto number = [&]<typename T>(T lo, T hi, T* out) {
+      const char* v = next();
+      return v != nullptr && ParseNumber(std::string(v), lo, hi, out);
+    };
     if (arg == "--corpus") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -117,17 +126,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--seeds") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      seed_count = std::atoi(v);
+      if (!number(1, kMaxInt, &seed_count)) return Usage(argv[0]);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      seeds.push_back(std::strtoull(v, nullptr, 10));
+      std::uint64_t seed = 0;
+      if (!number(std::uint64_t{0}, kMaxSeed, &seed)) return Usage(argv[0]);
+      seeds.push_back(seed);
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      jobs = std::atoi(v);
+      if (!number(0, kMaxInt, &jobs)) return Usage(argv[0]);
     } else if (arg == "--report") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "src/core/network.h"
-#include "src/core/traffic.h"
 #include "src/topo/planner.h"
+#include "src/workload/engine.h"
 
 using namespace autonet;
 
@@ -33,20 +33,34 @@ int main() {
   }
   std::printf("  up in %.2f simulated seconds\n\n", net.sim().now() / 1e9);
 
-  // Acceptance test 1: aggregate throughput under permutation load.
-  TrafficGenerator::Config tc;
-  tc.data_bytes = 4000;
-  TrafficGenerator gen(&net, tc);
-  auto report = gen.Run(
-      TrafficGenerator::Permutation(net.num_hosts(), net.num_hosts() / 2),
-      20 * kMillisecond);
+  // Acceptance test 1: aggregate throughput under permutation load.  The
+  // rpc fleet's flows are the stride-N/2 permutation, each keeping its
+  // request window full.
+  workload::Spec spec;
+  spec.kind = workload::Kind::kRpc;
+  spec.data_bytes = 4000;
+  workload::WorkloadEngine engine(&net, spec, workload::SloBudgetConfig{},
+                                  plan.diameter);
+  const Tick duration = 20 * kMillisecond;
+  engine.Start();
+  net.Run(duration);
+  const std::uint64_t completed = engine.ops_completed();
+  engine.Stop();
+  net.Run(50 * kMillisecond);
+  workload::SloReport report = engine.Finalize();
+  const double mbps = static_cast<double>(completed * spec.data_bytes) * 8 /
+                      (static_cast<double>(duration) / kSecond) / 1e6;
   std::printf("acceptance: permutation traffic\n");
-  std::printf("  aggregate %.0f Mbit/s, %llu/%llu delivered, "
-              "p99 latency %.0f us\n\n",
-              report.delivered_mbps,
-              static_cast<unsigned long long>(report.delivered),
-              static_cast<unsigned long long>(report.sent),
-              report.latency_us.Percentile(99));
+  std::printf("  goodput %.0f Mbit/s, %llu/%llu ops completed, "
+              "p99 latency %.3f ms\n\n",
+              mbps, static_cast<unsigned long long>(report.completed),
+              static_cast<unsigned long long>(report.offered),
+              report.steady_latency_ms.Percentile(99));
+  if (completed == 0 || report.damaged != 0) {
+    std::printf("permutation traffic failed: %llu damaged\n",
+                static_cast<unsigned long long>(report.damaged));
+    return 1;
+  }
 
   // Acceptance test 2: the availability promise.  Kill a switch; every
   // host must still be reachable after failover.

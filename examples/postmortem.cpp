@@ -24,7 +24,7 @@
 // adversary included, so the timeline is the one a failed campaign
 // attached to its violations.
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,6 +32,7 @@
 #include "src/chaos/corpus.h"
 #include "src/chaos/runner.h"
 #include "src/check/explore.h"
+#include "src/common/tokens.h"
 #include "src/obs/json.h"
 #include "src/obs/postmortem.h"
 #include "src/workload/spec.h"
@@ -88,8 +89,11 @@ int main(int argc, char** argv) {
       topo_name = v;
     } else if (arg == "--seed") {
       const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
+      if (v == nullptr ||
+          !ParseNumber(std::string(v), std::uint64_t{0},
+                       std::numeric_limits<std::uint64_t>::max(), &seed)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--corpus") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

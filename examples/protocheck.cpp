@@ -15,17 +15,21 @@
 //                                           reproducer form)
 //   protocheck --report out.json            write the sweep report
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/check/explore.h"
 #include "src/check/fuzz.h"
+#include "src/common/tokens.h"
 
 using namespace autonet;
 using namespace autonet::check;
 
 namespace {
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -86,22 +90,23 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The next argument as a whole number in [lo, hi].
+    auto number = [&]<typename T>(T lo, T hi, T* out) {
+      const char* v = next();
+      return v != nullptr && ParseNumber(std::string(v), lo, hi, out);
+    };
     if (arg == "--fuzz") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      fuzz_cases = std::atoi(v);
+      if (!number(1, kMaxInt, &fuzz_cases)) return Usage(argv[0]);
     } else if (arg == "--fuzz-seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      fuzz_seed = std::strtoull(v, nullptr, 10);
+      if (!number(std::uint64_t{0}, kMaxSeed, &fuzz_seed)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--corpus") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       corpus_file = v;
     } else if (arg == "--inject") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      inject_count = std::atoi(v);
+      if (!number(1, kMaxInt, &inject_count)) return Usage(argv[0]);
     } else if (arg == "--inject-target") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -111,13 +116,9 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       sweep_topo = v;
     } else if (arg == "--budget") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      budget = std::atoi(v);
+      if (!number(1, kMaxInt, &budget)) return Usage(argv[0]);
     } else if (arg == "--max-points") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      max_points = std::atoi(v);
+      if (!number(1, kMaxInt, &max_points)) return Usage(argv[0]);
     } else if (arg == "--replay") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -127,13 +128,9 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       topo = v;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
+      if (!number(std::uint64_t{0}, kMaxSeed, &seed)) return Usage(argv[0]);
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      jobs = std::atoi(v);
+      if (!number(0, kMaxInt, &jobs)) return Usage(argv[0]);
     } else if (arg == "--report") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

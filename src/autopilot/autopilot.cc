@@ -9,6 +9,15 @@
 #include "src/routing/updown.h"
 
 namespace autonet {
+namespace {
+
+// Consecutive probe timeouts before a port's neighbor is declared gone.
+constexpr int kProbeMissesToFail = 3;
+// Consecutive stop-only or no-progress sampling intervals before a port
+// is declared dead (removal of long-term blockages, section 6.5.3).
+constexpr int kBlockedIntervalsToDead = 40;
+
+}  // namespace
 
 Autopilot::Autopilot(Switch* node, AutopilotConfig config)
     : node_(node),
@@ -16,7 +25,8 @@ Autopilot::Autopilot(Switch* node, AutopilotConfig config)
       engine_(node->sim(), node->uid(), &config_, &node->emitter(),
               ReconfigEngine::Callbacks{
                   [this](PortNum p, const ReconfigMsg& m) {
-                    SendReconfigMsg(p, m);
+                    SendCpPacket(OneHopAddress(p), kAddrLocalCp,
+                                 PacketType::kReconfig, m.Serialize());
                   },
                   [this] { return GoodPorts(); },
                   [this](PortNum p) { return monitors_[p].neighbor_uid; },
@@ -101,6 +111,25 @@ void Autopilot::Shutdown() {
   node_->log().Logf(node_->now(), "autopilot: power off");
 }
 
+void Autopilot::SendCpPacket(ShortAddress dest, ShortAddress src,
+                             PacketType type,
+                             std::vector<std::uint8_t> payload,
+                             Tick* sent_at) {
+  RunOnCpu(config_.cost_packet_send, [this, dest, src, type,
+                                      payload = std::move(payload),
+                                      sent_at]() mutable {
+    if (sent_at != nullptr) {
+      *sent_at = node_->now();
+    }
+    Packet p;
+    p.dest = dest;
+    p.src = src;
+    p.type = type;
+    p.payload = std::move(payload);
+    node_->CpSend(MakePacket(std::move(p)));
+  });
+}
+
 // --- packet dispatch ---
 
 void Autopilot::OnCpPacket(Delivery delivery) {
@@ -143,17 +172,6 @@ void Autopilot::HandleReconfig(const Delivery& d) {
   engine_.OnMessage(d.arrival_port, *msg);
 }
 
-void Autopilot::SendReconfigMsg(PortNum port, const ReconfigMsg& msg) {
-  RunOnCpu(config_.cost_packet_send, [this, port, msg] {
-    Packet p;
-    p.dest = OneHopAddress(port);
-    p.src = kAddrLocalCp;
-    p.type = PacketType::kReconfig;
-    p.payload = msg.Serialize();
-    node_->CpSend(MakePacket(std::move(p)));
-  });
-}
-
 void Autopilot::HandleConnectivity(const Delivery& d) {
   auto msg = ConnectivityMsg::Parse(d.packet->payload);
   if (!msg.has_value() || d.arrival_port < kFirstExternalPort ||
@@ -170,15 +188,8 @@ void Autopilot::HandleConnectivity(const Delivery& d) {
     reply.echo_uid = msg->sender_uid;
     reply.echo_port = msg->sender_port;
     reply.echo_seq = msg->seq;
-    PortNum port = d.arrival_port;
-    RunOnCpu(config_.cost_packet_send, [this, port, reply] {
-      Packet p;
-      p.dest = OneHopAddress(port);
-      p.src = kAddrLocalCp;
-      p.type = PacketType::kConnectivity;
-      p.payload = reply.Serialize();
-      node_->CpSend(MakePacket(std::move(p)));
-    });
+    SendCpPacket(OneHopAddress(d.arrival_port), kAddrLocalCp,
+                 PacketType::kConnectivity, reply.Serialize());
   } else {
     OnProbeReply(d.arrival_port, *msg);
   }
@@ -199,28 +210,10 @@ void Autopilot::HandleHostAddress(const Delivery& d) {
   reply.short_address =
       ShortAddress::FromSwitchPort(switch_num_, d.arrival_port).value();
   reply.epoch = engine_.epoch();
-  PortNum port = d.arrival_port;
   ++stats_.host_addr_replies;
-  RunOnCpu(config_.cost_packet_send, [this, port, reply] {
-    Packet p;
-    p.dest = ShortAddress(reply.short_address);
-    p.src = ShortAddress::FromSwitchPort(switch_num_, kCpPort);
-    p.type = PacketType::kHostAddress;
-    p.payload = reply.Serialize();
-    node_->CpSend(MakePacket(std::move(p)));
-    (void)port;
-  });
-}
-
-void Autopilot::SendSrp(const SrpMsg& msg, PortNum out) {
-  RunOnCpu(config_.cost_packet_send, [this, msg, out] {
-    Packet p;
-    p.dest = OneHopAddress(out);
-    p.src = kAddrLocalCp;
-    p.type = PacketType::kSrp;
-    p.payload = msg.Serialize();
-    node_->CpSend(MakePacket(std::move(p)));
-  });
+  SendCpPacket(ShortAddress(reply.short_address),
+               ShortAddress::FromSwitchPort(switch_num_, kCpPort),
+               PacketType::kHostAddress, reply.Serialize());
 }
 
 void Autopilot::HandleSrp(const Delivery& d) {
@@ -237,7 +230,8 @@ void Autopilot::HandleSrp(const Delivery& d) {
     }
     ++msg->position;
     ++stats_.srp_forwarded;
-    SendSrp(*msg, out);
+    SendCpPacket(OneHopAddress(out), kAddrLocalCp, PacketType::kSrp,
+                 msg->Serialize());
     return;
   }
   if (msg->op == SrpMsg::Op::kReply) {
@@ -365,7 +359,8 @@ void Autopilot::HandleSrp(const Delivery& d) {
   reply.body = body.Take();
   reply.route.assign(msg->reverse_route.rbegin(), msg->reverse_route.rend());
   reply.position = 1;  // the first reverse hop is taken by this send
-  SendSrp(reply, reply.route[0]);
+  SendCpPacket(OneHopAddress(reply.route[0]), kAddrLocalCp, PacketType::kSrp,
+               reply.Serialize());
 }
 
 // --- status sampler (section 6.5.3) ---
@@ -424,11 +419,11 @@ void Autopilot::SamplePort(PortNum p, const PortStatus& snap) {
     m.blocked_intervals = blocked ? m.blocked_intervals + 1 : 0;
     bool stuck = snap.fifo_occupancy > 0 && snap.bytes_forwarded == 0;
     m.stuck_intervals = stuck ? m.stuck_intervals + 1 : 0;
-    if (m.blocked_intervals >= config_.blocked_intervals_to_dead) {
+    if (m.blocked_intervals >= kBlockedIntervalsToDead) {
       FailPort(p, "long-term stop blockage");
       return;
     }
-    if (m.stuck_intervals >= config_.blocked_intervals_to_dead) {
+    if (m.stuck_intervals >= kBlockedIntervalsToDead) {
       FailPort(p, "no forwarding progress");
       return;
     }
@@ -598,7 +593,7 @@ void Autopilot::ProbePorts() {
       ++m.probe_misses;
       ++stats_.probe_timeouts;
       m.good_streak_start = -1;
-      if (m.probe_misses >= config_.probe_misses_to_fail) {
+      if (m.probe_misses >= kProbeMissesToFail) {
         m.probe_misses = 0;
         m.conn_skeptic.Penalize(now);
         node_->emitter().Emit({.time = now,
@@ -635,17 +630,10 @@ void Autopilot::SendProbe(PortNum p) {
   m.probe_sent_at = node_->now();
   m.last_probe_at = node_->now();
   ++stats_.probes_sent;
-  RunOnCpu(config_.cost_packet_send, [this, p, probe] {
-    Packet pk;
-    pk.dest = OneHopAddress(p);
-    pk.src = kAddrLocalCp;
-    pk.type = PacketType::kConnectivity;
-    pk.payload = probe.Serialize();
-    // The timeout clock runs from the actual transmission, so a busy
-    // control processor does not fabricate probe misses.
-    monitors_[p].probe_sent_at = node_->now();
-    node_->CpSend(MakePacket(std::move(pk)));
-  });
+  // The timeout clock runs from the actual transmission, so a busy
+  // control processor does not fabricate probe misses.
+  SendCpPacket(OneHopAddress(p), kAddrLocalCp, PacketType::kConnectivity,
+               probe.Serialize(), &m.probe_sent_at);
 }
 
 void Autopilot::OnProbeReply(PortNum p, const ConnectivityMsg& msg) {

@@ -25,6 +25,16 @@
 
 namespace autonet {
 
+// --- skeptics (section 6.5.5) ---
+// Status skeptic: error-free period required before s.dead -> s.checking;
+// doubles on each relapse up to the max, shrinks after good service.
+inline constexpr Tick kStatusHolddownBase = 20 * kMillisecond;
+// Connectivity skeptic: period of good probe responses required before
+// s.switch.who -> s.switch.good.
+inline constexpr Tick kConnHolddownBase = 25 * kMillisecond;
+// Clean service for this long earns one holddown level back.
+inline constexpr Tick kSkepticForgiveness = 10 * kSecond;
+
 class Autopilot {
  public:
   struct Stats {
@@ -115,22 +125,27 @@ class Autopilot {
     Tick good_streak_start = -1;
 
     PortMonitor(const AutopilotConfig& cfg)
-        : status_skeptic(cfg.status_holddown_base, cfg.status_holddown_max,
-                         cfg.skeptic_forgiveness),
-          conn_skeptic(cfg.conn_holddown_base, cfg.conn_holddown_max,
-                       cfg.skeptic_forgiveness) {}
+        : status_skeptic(kStatusHolddownBase, cfg.status_holddown_max,
+                         kSkepticForgiveness),
+          conn_skeptic(kConnHolddownBase, cfg.conn_holddown_max,
+                       kSkepticForgiveness) {}
   };
 
   // Single-CPU cost model: work items occupy the control processor for
   // `cost` and run when the CPU gets to them.
   void RunOnCpu(Tick cost, std::function<void()> fn);
+  // Builds and transmits one control-processor packet once the CPU has
+  // spent cost_packet_send on it.  `sent_at`, when non-null, is set to the
+  // transmission time.
+  void SendCpPacket(ShortAddress dest, ShortAddress src, PacketType type,
+                    std::vector<std::uint8_t> payload,
+                    Tick* sent_at = nullptr);
 
   void OnCpPacket(Delivery delivery);
   void HandleReconfig(const Delivery& d);
   void HandleConnectivity(const Delivery& d);
   void HandleHostAddress(const Delivery& d);
   void HandleSrp(const Delivery& d);
-  void SendSrp(const SrpMsg& msg, PortNum out);
 
   void SampleStatus();
   void SamplePort(PortNum p, const PortStatus& snap);
@@ -144,7 +159,6 @@ class Autopilot {
   PortVector HostPorts() const;
   std::vector<PortNum> GoodPorts() const;
 
-  void SendReconfigMsg(PortNum port, const ReconfigMsg& msg);
   void LoadOneHopTable();
   void ApplyConfig(const NetTopology& topo, int self_index,
                    std::uint64_t epoch);

@@ -20,23 +20,12 @@ struct AutopilotConfig {
   Tick probe_period_unknown = 25 * kMillisecond;
   Tick probe_period_good = 200 * kMillisecond;
   Tick probe_timeout = 60 * kMillisecond;
-  int probe_misses_to_fail = 3;
 
   // --- skeptics (section 6.5.5) ---
-  // Status skeptic: error-free period required before s.dead -> s.checking;
-  // doubles on each relapse up to the max, shrinks after good service.
-  Tick status_holddown_base = 20 * kMillisecond;
+  // Ceilings of the status and connectivity holddowns (their bases are
+  // kStatusHolddownBase and kConnHolddownBase in autopilot.h).
   Tick status_holddown_max = 60 * kSecond;
-  // Connectivity skeptic: period of good probe responses required before
-  // s.switch.who -> s.switch.good.
-  Tick conn_holddown_base = 25 * kMillisecond;
   Tick conn_holddown_max = 60 * kSecond;
-  // Clean service for this long earns one holddown level back.
-  Tick skeptic_forgiveness = 10 * kSecond;
-
-  // Consecutive stop-only or no-progress sampling intervals before a port
-  // is declared dead (removal of long-term blockages, section 6.5.3).
-  int blocked_intervals_to_dead = 40;
 
   // --- reconfiguration protocol ---
   Tick retransmit_period = 100 * kMillisecond;

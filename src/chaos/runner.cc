@@ -213,7 +213,7 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
     reproducer += " --adversary '" + config.adversary.ToText() + "'";
   }
 
-  Network net(topo.spec, config.network);
+  Network net(topo.spec);
   std::string boot = BootToBaseline(net);
   if (!boot.empty()) {
     result.violations.push_back({"bootstrap", boot, reproducer, "", ""});

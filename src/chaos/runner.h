@@ -65,8 +65,6 @@ struct CampaignConfig {
   std::vector<std::uint64_t> seeds;
   int jobs = 0;  // worker threads; 0 = hardware concurrency
 
-  NetworkConfig network;  // applied to every run's Network
-
   // Campaign-level application workload (src/workload/): when enabled, every
   // run drives it across the fault script and is additionally judged by the
   // SLO oracles.  A scenario-level `workload` line overrides this.  Disabled

@@ -9,95 +9,6 @@
 namespace autonet {
 namespace chaos {
 
-namespace {
-
-Action MakeAction(Action::Kind kind, Tick at, int target,
-                  const std::string& pick) {
-  Action a;
-  a.kind = kind;
-  a.at = at;
-  a.target = target;
-  a.pick = pick;
-  return a;
-}
-
-}  // namespace
-
-Scenario& Scenario::CutCable(Tick at, int cable, const std::string& pick) {
-  actions.push_back(MakeAction(Action::Kind::kCutCable, at, cable, pick));
-  return *this;
-}
-
-Scenario& Scenario::RestoreCable(Tick at, int cable, const std::string& pick) {
-  actions.push_back(MakeAction(Action::Kind::kRestoreCable, at, cable, pick));
-  return *this;
-}
-
-Scenario& Scenario::CrashSwitch(Tick at, int sw, const std::string& pick) {
-  actions.push_back(MakeAction(Action::Kind::kCrashSwitch, at, sw, pick));
-  return *this;
-}
-
-Scenario& Scenario::RestartSwitch(Tick at, int sw, const std::string& pick) {
-  actions.push_back(MakeAction(Action::Kind::kRestartSwitch, at, sw, pick));
-  return *this;
-}
-
-Scenario& Scenario::CutHostLink(Tick at, int host, int which) {
-  Action a = MakeAction(Action::Kind::kCutHostLink, at, host, "");
-  a.which = which;
-  actions.push_back(a);
-  return *this;
-}
-
-Scenario& Scenario::RestoreHostLink(Tick at, int host, int which) {
-  Action a = MakeAction(Action::Kind::kRestoreHostLink, at, host, "");
-  a.which = which;
-  actions.push_back(a);
-  return *this;
-}
-
-Scenario& Scenario::CorruptCable(Tick at, int cable, double rate,
-                                 const std::string& pick) {
-  Action a = MakeAction(Action::Kind::kCorruptCable, at, cable, pick);
-  a.rate = rate;
-  actions.push_back(a);
-  return *this;
-}
-
-Scenario& Scenario::ReflectCable(Tick at, int cable, int side,
-                                 const std::string& pick) {
-  Action a = MakeAction(Action::Kind::kReflectCable, at, cable, pick);
-  a.which = side;
-  actions.push_back(a);
-  return *this;
-}
-
-Scenario& Scenario::FlapCable(Tick from, Tick until, Tick period, int cable,
-                              const std::string& pick) {
-  Action a = MakeAction(Action::Kind::kFlapCable, from, cable, pick);
-  a.period = period;
-  a.until = until;
-  actions.push_back(a);
-  return *this;
-}
-
-Scenario& Scenario::BurstCables(Tick at, int count, Tick restore_at) {
-  Action a = MakeAction(Action::Kind::kBurstCables, at, kRandomTarget, "");
-  a.count = count;
-  a.until = restore_at;
-  actions.push_back(a);
-  return *this;
-}
-
-Scenario& Scenario::BurstSwitches(Tick at, int count, Tick restart_at) {
-  Action a = MakeAction(Action::Kind::kBurstSwitches, at, kRandomTarget, "");
-  a.count = count;
-  a.until = restart_at;
-  actions.push_back(a);
-  return *this;
-}
-
 Tick Scenario::ScriptEnd() const {
   Tick end = 0;
   for (const Action& a : actions) {

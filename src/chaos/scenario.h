@@ -4,9 +4,8 @@
 // restart switches, periodic link flapping, symbol corruption, reflecting
 // (unterminated-coax) mode, host-link failover events, and correlated
 // multi-fault bursts — executed against an autonet::Network through its
-// fault-injection API.  Scenarios are written either programmatically via
-// the builder methods or in a small text format (one corpus file can hold
-// many scenarios; see ParseScenarios).
+// fault-injection API.  Scenarios are written in a small text format (one
+// corpus file can hold many scenarios; see ParseScenarios).
 //
 // Targets are topology-generic: a numeric cable/switch/host index is taken
 // modulo the run topology's count, and a `?name` target is resolved to a
@@ -73,26 +72,6 @@ struct Scenario {
   // an adversary-free run; a scenario-level adversary overrides any
   // campaign-level one.
   adversary::Spec adversary;
-
-  // --- programmatic builders (all return *this for chaining) ---
-  Scenario& CutCable(Tick at, int cable = kRandomTarget,
-                     const std::string& pick = "");
-  Scenario& RestoreCable(Tick at, int cable = kRandomTarget,
-                         const std::string& pick = "");
-  Scenario& CrashSwitch(Tick at, int sw = kRandomTarget,
-                        const std::string& pick = "");
-  Scenario& RestartSwitch(Tick at, int sw = kRandomTarget,
-                          const std::string& pick = "");
-  Scenario& CutHostLink(Tick at, int host, int which);
-  Scenario& RestoreHostLink(Tick at, int host, int which);
-  Scenario& CorruptCable(Tick at, int cable, double rate,
-                         const std::string& pick = "");
-  Scenario& ReflectCable(Tick at, int cable, int side,
-                         const std::string& pick = "");
-  Scenario& FlapCable(Tick from, Tick until, Tick period,
-                      int cable = kRandomTarget, const std::string& pick = "");
-  Scenario& BurstCables(Tick at, int count, Tick restore_at);
-  Scenario& BurstSwitches(Tick at, int count, Tick restart_at);
 
   // The last instant at which this script can act (including flap ends and
   // burst restores).  The campaign runner simulates at least this far before

@@ -253,7 +253,7 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id,
     return finish();
   }
 
-  Network net(spec, config.network);
+  Network net(spec);
   std::string boot = chaos::BootToBaseline(net);
   if (!boot.empty()) {
     violate("bootstrap", boot);

@@ -63,7 +63,6 @@ struct ExploreConfig {
   int jobs = 0;                 // worker threads; 0 = hardware concurrency
   std::vector<Tick> offsets;    // empty = DefaultOffsets()
   Tick chooser_window = 2 * kSecond;  // how long ties stay under our control
-  NetworkConfig network;
 };
 
 struct ScheduleResult {

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <map>
 
-#include "src/obs/json.h"
 #include "src/routing/spanning_tree.h"
 #include "src/routing/updown.h"
 #include "src/routing/verify.h"
@@ -47,8 +46,7 @@ Network::Network(TopoSpec spec, NetworkConfig config)
     const TopoSpec::HostSpec& hs = spec_.hosts[h];
     hosts_.push_back(std::make_unique<HostController>(
         &sim_, hs.uid, hs.name, config_.host_config));
-    drivers_.push_back(std::make_unique<AutonetDriver>(hosts_.back().get(),
-                                                       config_.driver_config));
+    drivers_.push_back(std::make_unique<AutonetDriver>(hosts_.back().get()));
     host_links_.push_back({});
     auto& links = host_links_.back();
     links[0] = std::make_unique<Link>(&sim_, hs.length_km, 1000 + 2 * h);
@@ -65,8 +63,7 @@ Network::Network(TopoSpec spec, NetworkConfig config)
       if (delivery_hook_) {
         delivery_hook_(h, d);
       }
-      if (config_.collect_deliveries &&
-          d.packet->ether_type != kHookOnlyEtherType &&
+      if (d.packet->ether_type != kHookOnlyEtherType &&
           inboxes_[h].size() < config_.inbox_limit) {
         inboxes_[h].push_back(std::move(d));
       }
@@ -405,14 +402,6 @@ void Network::SetCableCorruptionRate(int cable, double per_byte_probability) {
   cables_[cable]->SetCorruptionRate(per_byte_probability);
 }
 
-void Network::SetHostLinkCorruptionRate(int host, int which,
-                                        double per_byte_probability) {
-  ++fault_generation_;
-  if (host_links_[host][which] != nullptr) {
-    host_links_[host][which]->SetCorruptionRate(per_byte_probability);
-  }
-}
-
 void Network::CutHostLink(int host, int which) {
   ++fault_generation_;
   host_link_cut_[host][which] = true;
@@ -571,10 +560,6 @@ std::vector<LogEntry> Network::MergedLog() const {
 
 std::string Network::DumpMetricsJson(const std::string& prefix) const {
   return sim_.metrics().SnapshotJson(prefix);
-}
-
-bool Network::WriteMetricsJson(const std::string& path) const {
-  return WriteFile(path, DumpMetricsJson());
 }
 
 }  // namespace autonet

@@ -36,9 +36,7 @@ struct NetworkConfig {
   AutopilotConfig autopilot;       // defaults to the tuned generation
   Switch::Config switch_config;
   HostController::Config host_config;
-  AutonetDriver::Config driver_config;
   bool start_drivers = true;       // hosts register automatically on Boot()
-  bool collect_deliveries = true;  // keep per-host inboxes for tests/benches
   std::size_t inbox_limit = 4096;
 };
 
@@ -104,9 +102,6 @@ class Network {
   }
   void CutHostLink(int host, int which);
   void RestoreHostLink(int host, int which);
-  // Marginal host link (which: 0 primary, 1 alternate).
-  void SetHostLinkCorruptionRate(int host, int which,
-                                 double per_byte_probability);
   void CrashSwitch(int i);
   void RestartSwitch(int i);
   bool switch_alive(int i) const { return alive_[i]; }
@@ -172,11 +167,10 @@ class Network {
 
   // --- telemetry export ---
   // Network-wide metric snapshot (optionally restricted by name prefix,
-  // e.g. "switch.s4."); WriteMetricsJson puts the full snapshot in a file.
+  // e.g. "switch.s4.").
   // The Perfetto trace of the reconfigurations comes from the armed flight
   // recorder: obs::PostMortem::Build(sim().flight()).ToChromeTraceJson().
   std::string DumpMetricsJson(const std::string& prefix = "") const;
-  bool WriteMetricsJson(const std::string& path) const;
 
  private:
   void RefreshLinkMode(int cable);

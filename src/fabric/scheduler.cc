@@ -41,7 +41,7 @@ void SchedulerEngine::EnsureCycleScheduled() {
     return;
   }
   cycle_scheduled_ = true;
-  sim_->ScheduleAfter(config_.cycle_ns, [this] { RunCycle(); });
+  sim_->ScheduleAfter(kRouterCycleNs, [this] { RunCycle(); });
 }
 
 void SchedulerEngine::RunCycle() {
@@ -80,7 +80,7 @@ void SchedulerEngine::RunCycle() {
         progress = true;
       }
     }
-    if (config_.fcfs) {
+    if (fcfs_) {
       break;  // strict in-order service: only the oldest request considered
     }
   }

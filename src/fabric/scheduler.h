@@ -33,11 +33,6 @@ namespace autonet {
 
 class SchedulerEngine {
  public:
-  struct Config {
-    Tick cycle_ns = kRouterCycleNs;
-    bool fcfs = false;  // baseline: only the oldest request is considered
-  };
-
   struct Request {
     PortNum inport = -1;
     PortVector want;
@@ -52,8 +47,8 @@ class SchedulerEngine {
   // an alternatives request or the full set for a broadcast request.
   using GrantFn = std::function<void(const Request&, PortVector ports)>;
 
-  SchedulerEngine(Simulator* sim, Config config)
-      : sim_(sim), config_(config) {}
+  // `fcfs` selects the baseline: only the oldest request is considered.
+  SchedulerEngine(Simulator* sim, bool fcfs) : sim_(sim), fcfs_(fcfs) {}
 
   void SetHooks(FreePortsFn free_ports, GrantFn grant) {
     free_ports_ = std::move(free_ports);
@@ -87,7 +82,7 @@ class SchedulerEngine {
   void RunCycle();
 
   Simulator* sim_;
-  Config config_;
+  bool fcfs_;
   FreePortsFn free_ports_;
   GrantFn grant_;
   std::vector<Request> queue_;  // index 0 = oldest

@@ -4,6 +4,15 @@
 #include <utility>
 
 namespace autonet {
+namespace {
+
+constexpr std::size_t kCpFifoCapacity = 1 << 20;  // control-processor memory
+// Receive pipeline + address capture time, from the second address byte
+// reaching the FIFO head to the routing request.  Calibrated so the
+// idle cut-through transit lands in the paper's 26..32 cycle window.
+constexpr Tick kCaptureDelayNs = 1360;
+
+}  // namespace
 
 Switch::Switch(Simulator* sim, Uid uid, std::string name, Config config)
     : sim_(sim),
@@ -12,8 +21,7 @@ Switch::Switch(Simulator* sim, Uid uid, std::string name, Config config)
       config_(config),
       log_(name_),
       emitter_(sim->flight().Ring(name_, uid), &log_, &sim->metrics()),
-      sched_(sim, SchedulerEngine::Config{config.router_cycle_ns,
-                                          config.fcfs_scheduler}) {
+      sched_(sim, config.fcfs_scheduler) {
   const std::string prefix = "switch." + name_ + ".fabric.";
   obs::MetricRegistry& reg = sim_->metrics();
   m_packets_forwarded_ = reg.GetCounter(prefix + "packets_forwarded");
@@ -27,7 +35,7 @@ Switch::Switch(Simulator* sim, Uid uid, std::string name, Config config)
     m_fifo_hwm_[p] = reg.GetGauge(prefix + "port" + std::to_string(p) +
                                   ".fifo_hwm_bytes");
   }
-  auto cp = std::make_unique<CpPort>(this, config_.cp_fifo_capacity);
+  auto cp = std::make_unique<CpPort>(this, kCpFifoCapacity);
   cp_port_ = cp.get();
   ports_[kCpPort] = std::move(cp);
   for (PortNum p = kFirstExternalPort; p < kPortsPerSwitch; ++p) {
@@ -163,7 +171,7 @@ void Switch::MaybeCapture(PortNum p) {
     return;
   }
   in_state_[p] = InState::kCapturePending;
-  capture_event_[p] = sim_->ScheduleAfter(config_.capture_delay_ns, [this, p] {
+  capture_event_[p] = sim_->ScheduleAfter(kCaptureDelayNs, [this, p] {
     capture_event_[p] = {};
     DoCapture(p);
   });

@@ -30,12 +30,6 @@ class Switch {
  public:
   struct Config {
     std::size_t fifo_capacity = 4096;       // bytes per receive FIFO
-    std::size_t cp_fifo_capacity = 1 << 20; // control-processor memory
-    // Receive pipeline + address capture time, from the second address byte
-    // reaching the FIFO head to the routing request.  Calibrated so the
-    // idle cut-through transit lands in the paper's 26..32 cycle window.
-    Tick capture_delay_ns = 1360;
-    Tick router_cycle_ns = kRouterCycleNs;
     bool fcfs_scheduler = false;            // E9 baseline
     bool broadcast_ignores_stop = true;     // section 6.6.6 deadlock fix
     // The prototype's hardware requires a reset (destroying all packets in

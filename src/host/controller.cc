@@ -241,9 +241,7 @@ void HostController::DrainRxQueue() {
   rx_queue_.pop_front();
   rx_queued_bytes_ -= delivery.packet->WireSize();
 
-  Tick cost = config_.rx_process_ns_per_packet +
-              config_.rx_process_ns_per_byte *
-                  static_cast<Tick>(delivery.packet->WireSize());
+  Tick cost = config_.rx_process_ns_per_packet;
   if (cost == 0) {
     ++stats_.packets_received;
     if (handler_) {

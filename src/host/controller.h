@@ -37,7 +37,6 @@ class HostController {
     // Host-side packet consumption cost; 0 = the host keeps up with the
     // link.  The bridge benches raise this to model a CPU-bound host.
     Tick rx_process_ns_per_packet = 0;
-    Tick rx_process_ns_per_byte = 0;
     // Section 7 proposes making the alternate port send `host` directives
     // too; the shipped hardware sends only sync.  Flag models the proposal.
     bool host_directive_on_alternate = false;

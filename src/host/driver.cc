@@ -3,24 +3,29 @@
 #include "src/autopilot/messages.h"
 
 namespace autonet {
+namespace {
 
-AutonetDriver::AutonetDriver(HostController* controller, Config config)
+constexpr Tick kPingPeriod = 2 * kSecond;  // routine address confirmation
+constexpr Tick kVigorousPingPeriod = 250 * kMillisecond;
+constexpr Tick kFailThreshold = 3 * kSecond;    // silence before failing over
+constexpr Tick kAlternateRetry = 10 * kSecond;  // per-link dwell when both dead
+constexpr Tick kCheckPeriod = 100 * kMillisecond;
+
+}  // namespace
+
+AutonetDriver::AutonetDriver(HostController* controller)
     : controller_(controller),
-      config_(config),
       check_task_(controller->sim(), [this] { Check(); }),
       loopback_timer_(controller->sim(), [this] { FinishLoopback(false); }) {
   controller_->SetReceiveHandler([this](Delivery d) { OnDelivery(std::move(d)); });
 }
-
-AutonetDriver::AutonetDriver(HostController* controller)
-    : AutonetDriver(controller, Config()) {}
 
 void AutonetDriver::Start() {
   started_ = true;
   active_since_ = controller_->sim()->now();
   last_response_ = controller_->sim()->now();
   SendPing();
-  check_task_.Start(config_.check_period);
+  check_task_.Start(kCheckPeriod);
 }
 
 void AutonetDriver::SendPing() {
@@ -199,8 +204,8 @@ void AutonetDriver::Check() {
   // unregistered (both links possibly dead) it alternates between its two
   // links every ~10 s until some switch answers.
   bool should_fail = has_address_
-                         ? silence >= config_.fail_threshold
-                         : now - active_since_ >= config_.alternate_retry;
+                         ? silence >= kFailThreshold
+                         : now - active_since_ >= kAlternateRetry;
   if (should_fail) {
     FailOver(has_address_ ? "switch unresponsive" : "alternate retry");
     return;
@@ -208,9 +213,8 @@ void AutonetDriver::Check() {
 
   // Ping cadence: routine while healthy, vigorous while suspicious.
   bool suspicious = controller_->link_error_on_active() || !has_address_ ||
-                    silence >= config_.ping_period;
-  Tick period =
-      suspicious ? config_.vigorous_ping_period : config_.ping_period;
+                    silence >= kPingPeriod;
+  Tick period = suspicious ? kVigorousPingPeriod : kPingPeriod;
   if (now - last_ping_ >= period) {
     SendPing();
   }

@@ -20,14 +20,6 @@ namespace autonet {
 
 class AutonetDriver {
  public:
-  struct Config {
-    Tick ping_period = 2 * kSecond;       // routine address confirmation
-    Tick vigorous_ping_period = 250 * kMillisecond;
-    Tick fail_threshold = 3 * kSecond;    // silence before failing over
-    Tick alternate_retry = 10 * kSecond;  // per-link dwell when both dead
-    Tick check_period = 100 * kMillisecond;
-  };
-
   struct Stats {
     std::uint64_t pings_sent = 0;
     std::uint64_t failovers = 0;
@@ -43,8 +35,7 @@ class AutonetDriver {
   // traffic) are passed through.
   using ReceiveHandler = std::function<void(Delivery)>;
 
-  AutonetDriver(HostController* controller, Config config);
-  AutonetDriver(HostController* controller);
+  explicit AutonetDriver(HostController* controller);
 
   void Start();
 
@@ -91,7 +82,6 @@ class AutonetDriver {
   void FailOver(const char* reason);
 
   HostController* controller_;
-  Config config_;
   PeriodicTask check_task_;
 
   bool started_ = false;

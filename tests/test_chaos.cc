@@ -101,14 +101,24 @@ TEST(Scenario, ParseErrorsNameTheLine) {
   }
 }
 
+// The one scenario in `text`, which must parse cleanly.
+Scenario ParseOne(const std::string& text) {
+  std::string error;
+  std::vector<Scenario> scenarios = ParseScenarios(text, &error);
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(scenarios.size(), 1u);
+  return scenarios.empty() ? Scenario() : scenarios[0];
+}
+
 // --- deterministic resolution ----------------------------------------------
 
 TEST(Executor, ResolutionIsAPureFunctionOfScenarioTopologySeed) {
-  Scenario s;
-  s.name = "pick-test";
-  s.CutCable(100 * kMillisecond, kRandomTarget, "a")
-      .CrashSwitch(200 * kMillisecond)
-      .RestoreCable(1 * kSecond, kRandomTarget, "a");
+  const Scenario s = ParseOne(R"(
+scenario pick-test
+  at 100ms cut cable ?a
+  at 200ms crash switch random
+  at 1s restore cable ?a
+)");
 
   auto resolve = [&](std::uint64_t seed) {
     Network net(MakeTorus(3, 3, 1));
@@ -146,10 +156,11 @@ CampaignConfig SmallConfig() {
 }
 
 TEST(Runner, SameSeedReplaysIdentically) {
-  Scenario s;
-  s.name = "cut-restore";
-  s.CutCable(100 * kMillisecond, kRandomTarget, "a")
-      .RestoreCable(600 * kMillisecond, kRandomTarget, "a");
+  const Scenario s = ParseOne(R"(
+scenario cut-restore
+  at 100ms cut cable ?a
+  at 600ms restore cable ?a
+)");
 
   CampaignConfig config = SmallConfig();
   RunResult first = RunOne(config, s, config.topologies[0], 3);
@@ -165,10 +176,11 @@ TEST(Runner, SameSeedReplaysIdentically) {
 TEST(Runner, ExecutionStreamIsDeterministic) {
   // Stronger than hash equality: the full merged logs and metric snapshots
   // of two independent replays are byte-identical.
-  Scenario s;
-  s.name = "crash";
-  s.CrashSwitch(100 * kMillisecond, kRandomTarget, "s")
-      .RestartSwitch(700 * kMillisecond, kRandomTarget, "s");
+  const Scenario s = ParseOne(R"(
+scenario crash
+  at 100ms crash switch ?s
+  at 700ms restart switch ?s
+)");
 
   auto run = [&](std::string* log, std::string* metrics) {
     Network net(MakeRing(4, 1));
@@ -189,9 +201,11 @@ TEST(Runner, ExecutionStreamIsDeterministic) {
 }
 
 TEST(Runner, DifferentSeedsAreDistinguishedInTheReport) {
-  Scenario s;
-  s.name = "cut";
-  s.CutCable(100 * kMillisecond).RestoreCable(600 * kMillisecond);
+  const Scenario s = ParseOne(R"(
+scenario cut
+  at 100ms cut cable random
+  at 600ms restore cable random
+)");
   // (anonymous random pick: cut and restore resolve independently, so use
   // the torus where every cable is redundant)
   CampaignConfig config;
@@ -218,15 +232,18 @@ TEST(Runner, DifferentSeedsAreDistinguishedInTheReport) {
 
 TEST(Runner, CampaignSweepsTheMatrixAndReportsJson) {
   CampaignConfig config = SmallConfig();
-  Scenario cut;
-  cut.name = "cut";
-  cut.CutCable(100 * kMillisecond, kRandomTarget, "a")
-      .RestoreCable(600 * kMillisecond, kRandomTarget, "a");
-  Scenario crash;
-  crash.name = "crash";
-  crash.CrashSwitch(100 * kMillisecond, kRandomTarget, "s")
-      .RestartSwitch(900 * kMillisecond, kRandomTarget, "s");
-  config.scenarios = {cut, crash};
+  std::string error;
+  config.scenarios = ParseScenarios(R"(
+scenario cut
+  at 100ms cut cable ?a
+  at 600ms restore cable ?a
+scenario crash
+  at 100ms crash switch ?s
+  at 900ms restart switch ?s
+)",
+                                    &error);
+  ASSERT_EQ(error, "");
+  ASSERT_EQ(config.scenarios.size(), 2u);
   config.seeds = {1, 2};
   config.jobs = 2;
 
@@ -275,10 +292,11 @@ std::vector<std::unique_ptr<Oracle>> BrokenBattery() {
 
 TEST(Runner, BrokenOracleProducesViolationWithWorkingReproducer) {
   CampaignConfig config = SmallConfig();
-  Scenario s;
-  s.name = "quiet";
-  s.CutCable(100 * kMillisecond, kRandomTarget, "a")
-      .RestoreCable(400 * kMillisecond, kRandomTarget, "a");
+  const Scenario s = ParseOne(R"(
+scenario quiet
+  at 100ms cut cable ?a
+  at 400ms restore cable ?a
+)");
   config.scenarios = {s};
   config.seeds = {5};
   config.jobs = 1;

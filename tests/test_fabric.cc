@@ -139,7 +139,7 @@ TEST(PortFifo, MaxOccupancyHighWaterMark) {
 class SchedulerTest : public ::testing::Test {
  protected:
   void Init(bool fcfs = false) {
-    engine_.emplace(&sim_, SchedulerEngine::Config{kRouterCycleNs, fcfs});
+    engine_.emplace(&sim_, fcfs);
     engine_->SetHooks([this] { return free_; },
                       [this](const SchedulerEngine::Request& r, PortVector v) {
                         grants_.push_back({r.inport, v});

@@ -1,24 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "src/core/traffic.h"
 #include "src/host/srp_client.h"
 #include "src/topo/spec.h"
+#include "src/workload/engine.h"
 
 namespace autonet {
 namespace {
-
-TEST(TrafficFlows, PermutationSkipsSelf) {
-  auto flows = TrafficGenerator::Permutation(4, 2);
-  ASSERT_EQ(flows.size(), 4u);
-  for (const auto& f : flows) {
-    EXPECT_EQ(f.dst_host, (f.src_host + 2) % 4);
-  }
-  EXPECT_TRUE(TrafficGenerator::Permutation(4, 0).empty());
-}
-
-TEST(TrafficFlows, AllToAllCount) {
-  EXPECT_EQ(TrafficGenerator::AllToAll(5).size(), 20u);
-}
 
 class TrafficNetTest : public ::testing::Test {
  protected:
@@ -33,93 +20,29 @@ class TrafficNetTest : public ::testing::Test {
 };
 
 TEST_F(TrafficNetTest, SaturatingPermutationDeliversAtLinkRate) {
-  TrafficGenerator::Config config;
-  config.data_bytes = 4000;
-  TrafficGenerator gen(net_.get(), config);
-  auto report =
-      gen.Run(TrafficGenerator::Permutation(net_->num_hosts(), 1),
-              20 * kMillisecond);
-  EXPECT_GT(report.delivered, 0u);
+  // The rpc kind's flow set is the stride-N/2 permutation; its closed loop
+  // keeps every flow's window full.
+  workload::Spec spec;
+  spec.kind = workload::Kind::kRpc;
+  spec.data_bytes = 4000;
+  workload::WorkloadEngine engine(net_.get(), spec,
+                                  workload::SloBudgetConfig{},
+                                  /*diameter=*/2);
+  const Tick duration = 20 * kMillisecond;
+  engine.Start();
+  net_->Run(duration);
+  const std::uint64_t completed = engine.ops_completed();
+  engine.Stop();
+  net_->Run(50 * kMillisecond);
+  workload::SloReport report = engine.Finalize();
+  EXPECT_GT(completed, 0u);
   EXPECT_EQ(report.damaged, 0u);
   // Four simultaneous streams on a 2x2 torus: aggregate well above one
   // link's bandwidth.
-  EXPECT_GT(report.delivered_mbps, 150.0);
-  EXPECT_GT(report.latency_us.count(), 0u);
-}
-
-TEST_F(TrafficNetTest, PoissonModeRespectsArrivalRate) {
-  TrafficGenerator::Config config;
-  config.data_bytes = 100;
-  config.mean_interarrival = 2 * kMillisecond;
-  TrafficGenerator gen(net_.get(), config);
-  auto report = gen.Run(TrafficGenerator::Permutation(net_->num_hosts(), 1),
-                        200 * kMillisecond);
-  // 4 flows x (200ms / 2ms) = ~400 expected arrivals; allow wide slack.
-  EXPECT_GT(report.sent, 200u);
-  EXPECT_LT(report.sent, 800u);
-  EXPECT_EQ(report.DeliveryRate(), 1.0);
-}
-
-TEST_F(TrafficNetTest, ZeroMeanInterarrivalIsSaturatingMode) {
-  TrafficGenerator::Config config;
-  config.data_bytes = 1000;
-  config.mean_interarrival = 0;
-  TrafficGenerator gen(net_.get(), config);
-  auto report =
-      gen.Run(TrafficGenerator::Permutation(net_->num_hosts(), 1),
-              10 * kMillisecond);
-  EXPECT_TRUE(report.error.empty());
-  // Saturating mode keeps every source's queue topped up: far more traffic
-  // than one packet per flow.
-  EXPECT_GT(report.delivered, 4u);
-}
-
-TEST_F(TrafficNetTest, NegativeMeanInterarrivalFailsLoudly) {
-  TrafficGenerator::Config config;
-  config.mean_interarrival = -5 * kMillisecond;
-  TrafficGenerator gen(net_.get(), config);
-  auto report =
-      gen.Run(TrafficGenerator::Permutation(net_->num_hosts(), 1),
-              10 * kMillisecond);
-  // Refused outright, not silently treated as saturating.
-  EXPECT_FALSE(report.error.empty());
-  EXPECT_EQ(report.sent, 0u);
-  EXPECT_EQ(report.delivered, 0u);
-}
-
-TEST_F(TrafficNetTest, TinyPoissonMeanStillMakesProgress) {
-  // A 1-tick mean used to make the exponential draw round to a zero
-  // increment, wedging Run() in an infinite loop at one sim instant.
-  TrafficGenerator::Config config;
-  config.data_bytes = 64;
-  config.mean_interarrival = 1;  // 1 ns
-  TrafficGenerator gen(net_.get(), config);
-  auto report = gen.Run({{0, 1}}, 1 * kMillisecond);
-  EXPECT_TRUE(report.error.empty());
-  EXPECT_GT(report.sent, 0u);
-}
-
-TEST(TrafficFlows, RandomPairsNeedsTwoHosts) {
-  TrafficGenerator::Config config;
-  TrafficGenerator gen(nullptr, config);
-  // Fewer than two hosts cannot form a src != dst pair; the old code spun
-  // forever (one host) or hit modulo-by-zero UB (zero hosts).
-  EXPECT_TRUE(gen.RandomPairs(0, 8).empty());
-  EXPECT_TRUE(gen.RandomPairs(1, 8).empty());
-}
-
-TEST_F(TrafficNetTest, RandomPairsDeterministicPerSeed) {
-  TrafficGenerator::Config config;
-  config.seed = 7;
-  TrafficGenerator a(net_.get(), config);
-  TrafficGenerator b(net_.get(), config);
-  auto fa = a.RandomPairs(4, 16);
-  auto fb = b.RandomPairs(4, 16);
-  ASSERT_EQ(fa.size(), fb.size());
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fa[i].src_host, fb[i].src_host);
-    EXPECT_EQ(fa[i].dst_host, fb[i].dst_host);
-  }
+  const double mbps = static_cast<double>(completed * spec.data_bytes) * 8 /
+                      (static_cast<double>(duration) / kSecond) / 1e6;
+  EXPECT_GT(mbps, 150.0);
+  EXPECT_GT(report.steady_latency_ms.count(), 0u);
 }
 
 // --- SRP client library ---
