@@ -5,8 +5,6 @@
 //
 //   protocheck --fuzz 20000 --fuzz-seed 1   round-trip fuzz every parser
 //   protocheck --corpus FILE                check a committed corpus file
-//   protocheck --inject 200 --topo small3 --seed 7
-//                                           fuzz a live converged network
 //   protocheck --sweep small3 --budget 50000
 //                                           explore same-tick interleavings
 //                                           around epoch transitions
@@ -14,6 +12,9 @@
 //                                           replay one schedule (the
 //                                           reproducer form)
 //   protocheck --report out.json            write the sweep report
+//
+// Mutated bodies delivered into a live network are the adversary's `fuzz`
+// strategy: `chaosrun --scenario adv-fuzz --topo small3 --seed 0`.
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -38,15 +39,10 @@ int Usage(const char* argv0) {
       "  --fuzz N          round-trip fuzz cases per message type\n"
       "  --fuzz-seed S     fuzzer seed (default 1)\n"
       "  --corpus FILE     check a corpus of <type>:<accept|reject>:<hex>\n"
-      "  --inject N        inject N mutated bodies into a live network\n"
-      "  --inject-target T parsers to hit: switch, host, all (default\n"
-      "                    switch; host covers the driver + SRP client)\n"
       "  --sweep TOPO      explore interleavings on this topology\n"
       "  --budget N        schedule budget for the sweep (default 50000)\n"
       "  --max-points N    decision points recorded per schedule (default 64)\n"
       "  --replay ID       replay one schedule id\n"
-      "  --topo NAME       topology for --inject (default small3)\n"
-      "  --seed S          seed for --inject (default 1)\n"
       "  --jobs N          worker threads (default: hardware concurrency)\n"
       "  --report FILE     write the sweep's JSON report\n"
       "  --list            print known topologies, run nothing\n",
@@ -73,14 +69,10 @@ int main(int argc, char** argv) {
   int fuzz_cases = 0;
   std::uint64_t fuzz_seed = 1;
   std::string corpus_file;
-  int inject_count = 0;
-  std::string inject_target = "switch";
   std::string sweep_topo;
   int budget = 50000;
   int max_points = 64;
   std::string replay_id;
-  std::string topo = "small3";
-  std::uint64_t seed = 1;
   int jobs = 0;
   std::string report_file;
   bool list_only = false;
@@ -105,12 +97,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       corpus_file = v;
-    } else if (arg == "--inject") {
-      if (!number(1, kMaxInt, &inject_count)) return Usage(argv[0]);
-    } else if (arg == "--inject-target") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      inject_target = v;
     } else if (arg == "--sweep") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -123,12 +109,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       replay_id = v;
-    } else if (arg == "--topo") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      topo = v;
-    } else if (arg == "--seed") {
-      if (!number(std::uint64_t{0}, kMaxSeed, &seed)) return Usage(argv[0]);
     } else if (arg == "--jobs") {
       if (!number(0, kMaxInt, &jobs)) return Usage(argv[0]);
     } else if (arg == "--report") {
@@ -150,8 +130,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
     return 0;
   }
-  if (fuzz_cases <= 0 && corpus_file.empty() && inject_count <= 0 &&
-      sweep_topo.empty() && replay_id.empty()) {
+  if (fuzz_cases <= 0 && corpus_file.empty() && sweep_topo.empty() &&
+      replay_id.empty()) {
     return Usage(argv[0]);
   }
 
@@ -176,24 +156,6 @@ int main(int argc, char** argv) {
     }
     FuzzReport report = CheckCorpus(entries);
     std::printf("corpus: %d entries: %zu findings\n", report.cases,
-                report.findings.size());
-    PrintFindings(report.findings);
-    all_green = all_green && report.ok();
-  }
-
-  if (inject_count > 0) {
-    InjectConfig config;
-    config.topo = topo;
-    config.seed = seed;
-    config.count = inject_count;
-    config.target = inject_target;
-    InjectReport report = FuzzInject(config);
-    std::printf("inject: %d mutated bodies into %s [%s] (seed %llu): "
-                "epoch %llu -> %llu, %zu findings\n",
-                report.injected, config.topo.c_str(), config.target.c_str(),
-                static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(report.epoch_before),
-                static_cast<unsigned long long>(report.epoch_after),
                 report.findings.size());
     PrintFindings(report.findings);
     all_green = all_green && report.ok();

@@ -5,6 +5,7 @@
 
 #include "src/autopilot/port_state.h"
 #include "src/autopilot/reconfig.h"
+#include "src/check/fuzz.h"
 #include "src/common/hash.h"
 #include "src/common/packet.h"
 #include "src/obs/flight.h"
@@ -23,10 +24,35 @@ constexpr Tick kSnipeDwell = 250 * kMillisecond;
 // is the *re-cut*, which waits for the skeptic to re-admit the link.
 constexpr Tick kFlapDown = 50 * kMillisecond;
 
+// A fuzz body lands 0.2-2 ms after its move.
+constexpr Tick kFuzzJitterMin = 200 * kMicrosecond;
+constexpr Tick kFuzzJitterMax = 2 * kMillisecond;
+
+// A mutated address reply whose epoch landed plausibly newer can re-address
+// a host; the driver recovers from genuine pings via its hold-then-confirm
+// path within two ping rounds.  A fuzz run is driven this long past its last
+// host-targeted body before the oracles judge it.
+constexpr Tick kDriverRecovery = 8 * kSecond;
+
 const PortState kAllPortStates[] = {
     PortState::kDead,      PortState::kChecking,   PortState::kHost,
     PortState::kSwitchWho, PortState::kSwitchLoop, PortState::kSwitchGood,
 };
+
+// Delivers `pkt` straight into `sw`'s control-processor reassembly port as
+// an intact packet that arrived on `port`: corruption that escaped the CRC.
+// If this clobbers a real in-flight reception, that packet is lost — legal
+// link behavior the protocols already tolerate.
+void DeliverCrcEscaped(Network& net, int sw, PortNum port,
+                       const PacketRef& pkt) {
+  CpPort& cp = net.switch_at(sw).cp_port();
+  cp.NoteArrivalPort(port);
+  cp.SendBegin(pkt);
+  for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
+    cp.SendByte(pkt, i);
+  }
+  cp.SendEnd(EndFlags{});
+}
 
 }  // namespace
 
@@ -50,9 +76,21 @@ void Engine::Arm(Tick start) {
   // the final heal, and the runner drives the sim through end().
   end_ = armed_at_ + spec_.duration + 2 * spec_.effective_period() +
          kMillisecond;
+  if (spec_.strategy == Strategy::kFuzz) {
+    end_ += kFuzzJitterMax + kDriverRecovery;
+    for (int h = 0; h < net_->num_hosts(); ++h) {
+      srp_clients_.push_back(std::make_unique<SrpClient>(&net_->driver_at(h)));
+    }
+  }
   poll_.Start(spec_.effective_period(),
               armed_at_ - now + spec_.effective_period());
   Note("armed (%s)", spec_.ToText().c_str());
+}
+
+int Engine::faults() const {
+  bool floods =
+      spec_.strategy == Strategy::kStorm || spec_.strategy == Strategy::kFuzz;
+  return moves_ * (floods ? spec_.burst : 1);
 }
 
 std::uint64_t Engine::TranscriptHash() const {
@@ -97,6 +135,9 @@ void Engine::Poll() {
       break;
     case Strategy::kCorruptEpoch:
       StepCorruptEpoch();
+      break;
+    case Strategy::kFuzz:
+      StepFuzz();
       break;
   }
 }
@@ -204,17 +245,7 @@ void Engine::StepStorm() {
     p.src = OneHopAddress(port);
     p.type = PacketType::kReconfig;
     p.payload = msg.Serialize();
-    PacketRef pkt = MakePacket(std::move(p));
-
-    // Same CRC-escape delivery as check::FuzzInject: the body arrives as an
-    // intact packet straight in the control processor's reassembly port.
-    CpPort& cp = net_->switch_at(sw).cp_port();
-    cp.NoteArrivalPort(port);
-    cp.SendBegin(pkt);
-    for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-      cp.SendByte(pkt, i);
-    }
-    cp.SendEnd(EndFlags{});
+    DeliverCrcEscaped(*net_, sw, port, MakePacket(std::move(p)));
   }
   MarkFlight(sw, "storm");
   Note("flooded %s with %d Byzantine positions near epoch %llu",
@@ -414,6 +445,88 @@ void Engine::StepCorruptEpoch() {
        net_->switch_at(sw).name().c_str(),
        static_cast<unsigned long long>(cur),
        static_cast<unsigned long long>(target), how);
+  ++moves_;
+}
+
+void Engine::StepFuzz() {
+  if (moves_ >= spec_.moves) {
+    return;
+  }
+  std::vector<int> alive = AliveSwitches();
+  if (alive.empty()) {
+    return;
+  }
+  std::vector<int> registered;
+  for (int h = 0; h < net_->num_hosts(); ++h) {
+    if (net_->driver_at(h).HasAddress()) {
+      registered.push_back(h);
+    }
+  }
+  int to_hosts = 0;
+  for (int b = 0; b < spec_.burst; ++b) {
+    Tick jitter = rng_.UniformInt(kFuzzJitterMin / kMicrosecond,
+                                  kFuzzJitterMax / kMicrosecond) *
+                  kMicrosecond;
+    int sw = alive[rng_.UniformInt(0, static_cast<int>(alive.size()) - 1)];
+    bool to_host = !registered.empty() && rng_.Bernoulli(0.5);
+    check::MsgType type = check::MsgType::kConnectivity;
+    std::vector<std::uint8_t> body;
+    PortNum port = kCpPort;
+    Packet p;
+    if (to_host) {
+      // A host-parsed body, fabric-forwarded from the switch's control
+      // processor to the host: corruption that escaped the CRC on the last
+      // hop.  Address replies carry the real host UID, so the driver's
+      // accept path is exercised and not just its parser; SRP bodies land
+      // in the chained SRP client.
+      int h = registered[rng_.UniformInt(
+          0, static_cast<int>(registered.size()) - 1)];
+      type = rng_.Bernoulli(0.5) ? check::MsgType::kHostAddress
+                                 : check::MsgType::kSrp;
+      if (type == check::MsgType::kHostAddress) {
+        HostAddressMsg m;
+        m.kind = HostAddressMsg::Kind::kReply;
+        m.host_uid = net_->host_at(h).uid();
+        m.switch_uid = Uid(rng_.NextU64());
+        m.short_address =
+            static_cast<std::uint16_t>(rng_.UniformInt(0x010, 0x7EF));
+        m.epoch = net_->autopilot_at(sw).epoch() +
+                  static_cast<std::uint64_t>(rng_.UniformInt(0, 3));
+        body = m.Serialize();
+      } else {
+        body = check::GenerateValidBody(type, rng_);
+      }
+      p.dest = net_->driver_at(h).short_address();
+      p.src = ShortAddress::FromSwitchPort(
+          net_->autopilot_at(sw).switch_num(), kCpPort);
+      ++to_hosts;
+    } else {
+      type = static_cast<check::MsgType>(
+          rng_.UniformInt(0, check::kNumMsgTypes - 1));
+      port = static_cast<PortNum>(
+          rng_.UniformInt(kFirstExternalPort, kPortsPerSwitch - 1));
+      body = check::GenerateValidBody(type, rng_);
+      p.dest = kAddrLocalCp;
+      p.src = OneHopAddress(port);
+    }
+    std::string mutation;
+    p.type = check::PacketTypeOf(type);
+    p.payload = check::Mutate(std::move(body), rng_, &mutation);
+    PacketRef pkt = MakePacket(std::move(p));
+    net_->sim().ScheduleAfter(jitter, [net = net_, sw, port, to_host, pkt] {
+      if (!net->switch_alive(sw)) {
+        return;
+      }
+      if (to_host) {
+        net->switch_at(sw).CpSend(pkt);
+      } else {
+        DeliverCrcEscaped(*net, sw, port, pkt);
+      }
+    });
+    MarkFlight(sw, "fuzz");
+  }
+  Note("injected %d mutated bodies: %d into switch CPs, %d to hosts",
+       spec_.burst, spec_.burst - to_hosts, to_hosts);
   ++moves_;
 }
 

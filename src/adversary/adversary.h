@@ -13,6 +13,11 @@
 //   storm            floods a live control processor with Byzantine
 //                    tree-position packets crafted near the victim's real
 //                    epoch (the CRC-escape injection path)
+//   fuzz             the structure-aware message fuzzer (src/check/fuzz.h)
+//                    as an attacker: bodies from GenerateValidBody + Mutate
+//                    delivered CRC-escaped into switch control processors,
+//                    or fabric-forwarded to registered hosts' driver and
+//                    SRP-client parsers
 //   flap-resonance   watches one cable's endpoint classifications and
 //                    re-cuts the instant the skeptic re-admits the link —
 //                    a flap oscillating at the hold-down period, whatever
@@ -35,12 +40,14 @@
 #define SRC_ADVERSARY_ADVERSARY_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/adversary/spec.h"
 #include "src/core/network.h"
+#include "src/host/srp_client.h"
 #include "src/sim/random.h"
 #include "src/sim/timer.h"
 
@@ -64,6 +71,10 @@ class Engine {
 
   const Spec& spec() const { return spec_; }
   int moves_made() const { return moves_; }
+  // Faults applied so far: one per Byzantine body (storm, fuzz), one per
+  // register write or cable cut (the other strategies).  The epoch oracle's
+  // burn budget scales with it.
+  int faults() const;
 
   // One line per observation/move, e.g.
   //   "t=412ms root-chase: cut cable 2 at root s1 (epoch 9)".
@@ -84,6 +95,7 @@ class Engine {
   void StepCorruptSkeptic();
   void StepCorruptPort();
   void StepCorruptEpoch();
+  void StepFuzz();
 
   // --- state-read surface ---
   // All alive switches quiescent and agreeing on epoch and root.
@@ -120,6 +132,9 @@ class Engine {
   std::set<int> cuts_;      // cables this engine cut and has not healed
   Tick last_cut_at_ = -1;
   int flap_cable_ = -1;     // flap-resonance's chosen victim
+  // fuzz: one SRP client per host, chained onto its driver so kSrp bodies
+  // also reach the client parser.
+  std::vector<std::unique_ptr<SrpClient>> srp_clients_;
 
   std::vector<std::string> transcript_;
 };

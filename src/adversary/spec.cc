@@ -1,5 +1,7 @@
 #include "src/adversary/spec.h"
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -8,33 +10,20 @@
 namespace autonet {
 namespace adversary {
 
-const char* StrategyName(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kNone:
-      return "none";
-    case Strategy::kRootChase:
-      return "root-chase";
-    case Strategy::kPhaseSnipe:
-      return "phase-snipe";
-    case Strategy::kStorm:
-      return "storm";
-    case Strategy::kFlapResonance:
-      return "flap-resonance";
-    case Strategy::kCorruptTable:
-      return "corrupt-table";
-    case Strategy::kCorruptSkeptic:
-      return "corrupt-skeptic";
-    case Strategy::kCorruptPort:
-      return "corrupt-port";
-    case Strategy::kCorruptEpoch:
-      return "corrupt-epoch";
-  }
-  return "none";
-}
-
 namespace {
 
 constexpr long long kNoLimit = std::numeric_limits<long long>::max();
+
+// The one name table, in Strategy order: StrategyName, ParseSpec and its
+// error text all read it.
+constexpr const char* kStrategyNames[] = {
+    "none",
+    "root-chase", "phase-snipe", "storm", "flap-resonance",
+    "corrupt-table", "corrupt-skeptic", "corrupt-port", "corrupt-epoch",
+    "fuzz",
+};
+constexpr int kNumStrategies = static_cast<int>(std::size(kStrategyNames));
+static_assert(kNumStrategies == static_cast<int>(Strategy::kFuzz) + 1);
 
 bool ValidPhase(const std::string& phase) {
   return phase == "monitor" || phase == "tree" || phase == "fanin" ||
@@ -42,6 +31,10 @@ bool ValidPhase(const std::string& phase) {
 }
 
 }  // namespace
+
+const char* StrategyName(Strategy strategy) {
+  return kStrategyNames[static_cast<int>(strategy)];
+}
 
 Tick Spec::effective_period() const {
   if (period > 0) {
@@ -72,6 +65,7 @@ std::string Spec::ToText() const {
       out << " phase " << phase;
       break;
     case Strategy::kStorm:
+    case Strategy::kFuzz:
       out << " burst " << burst;
       break;
     case Strategy::kCorruptEpoch:
@@ -92,34 +86,21 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
     return false;
   };
   if (start >= tokens.size()) {
-    return fail(
-        "expected an adversary strategy (root-chase|phase-snipe|storm|"
-        "flap-resonance|corrupt-table|corrupt-skeptic|corrupt-port|"
-        "corrupt-epoch)");
+    std::string names = kStrategyNames[1];
+    for (int i = 2; i < kNumStrategies; ++i) {
+      names += std::string("|") + kStrategyNames[i];
+    }
+    return fail("expected an adversary strategy (" + names + ")");
   }
   Spec spec;
   const std::string& strategy = tokens[start];
-  if (strategy == "none") {
-    spec.strategy = Strategy::kNone;
-  } else if (strategy == "root-chase") {
-    spec.strategy = Strategy::kRootChase;
-  } else if (strategy == "phase-snipe") {
-    spec.strategy = Strategy::kPhaseSnipe;
-  } else if (strategy == "storm") {
-    spec.strategy = Strategy::kStorm;
-  } else if (strategy == "flap-resonance") {
-    spec.strategy = Strategy::kFlapResonance;
-  } else if (strategy == "corrupt-table") {
-    spec.strategy = Strategy::kCorruptTable;
-  } else if (strategy == "corrupt-skeptic") {
-    spec.strategy = Strategy::kCorruptSkeptic;
-  } else if (strategy == "corrupt-port") {
-    spec.strategy = Strategy::kCorruptPort;
-  } else if (strategy == "corrupt-epoch") {
-    spec.strategy = Strategy::kCorruptEpoch;
-  } else {
+  int index = static_cast<int>(
+      std::find(kStrategyNames, kStrategyNames + kNumStrategies, strategy) -
+      kStrategyNames);
+  if (index == kNumStrategies) {
     return fail("unknown adversary strategy '" + strategy + "'");
   }
+  spec.strategy = static_cast<Strategy>(index);
   for (std::size_t i = start + 1; i < tokens.size(); i += 2) {
     if (i + 1 >= tokens.size()) {
       return fail("adversary key '" + tokens[i] + "' is missing a value");

@@ -25,6 +25,7 @@ enum class Strategy : std::uint8_t {
   kCorruptSkeptic, // overwrite skeptic level/event registers out of range
   kCorruptPort,    // overwrite a port-state register with a wrong state
   kCorruptEpoch,   // overwrite the epoch register (forward, behind, runaway)
+  kFuzz,           // mutated control bodies into switch CPs and host parsers
 };
 
 const char* StrategyName(Strategy strategy);
@@ -36,7 +37,7 @@ struct Spec {
   Tick period = 0;               // state-poll cadence; 0 = strategy default
   std::string phase = "compute"; // phase-snipe target:
                                  //   monitor|tree|fanin|compute|install
-  int burst = 4;                 // storm: Byzantine packets per move
+  int burst = 4;                 // storm, fuzz: Byzantine packets per move
   std::uint64_t amount = 3;      // corrupt-epoch: forward distance;
                                  //   0 = runaway beyond kMaxEpochJump
 

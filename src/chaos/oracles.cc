@@ -1,5 +1,8 @@
 #include "src/chaos/oracles.h"
 
+#include <algorithm>
+
+#include "src/autopilot/reconfig.h"
 #include "src/common/time.h"
 #include "src/topo/planner.h"
 
@@ -165,10 +168,68 @@ class PortSanityOracle : public Oracle {
   }
 };
 
+class EpochOracle : public Oracle {
+ public:
+  std::string name() const override { return "epoch"; }
+  std::string Check(OracleContext& ctx) override {
+    // Each fault can advance the epoch only via a believed unit jump —
+    // anything larger is held for a confirming second sighting, which a
+    // one-shot corrupted field never produces — plus the handful of epochs
+    // the wave it triggers burns.  Growth beyond this small linear budget
+    // means a corrupted epoch value moved a register outright.
+    static_assert(ReconfigEngine::kEpochConfirmJump == 1,
+                  "budget below assumes held-until-confirmed multi-jumps");
+    std::uint64_t budget =
+        kEpochBurnBase +
+        kEpochBurnPerFault * static_cast<std::uint64_t>(ctx.faults);
+    std::uint64_t epoch = MaxLiveEpoch(*ctx.net);
+    if (epoch <= ctx.start_epoch || epoch - ctx.start_epoch <= budget) {
+      return "";
+    }
+    return "epoch rose from " + std::to_string(ctx.start_epoch) + " to " +
+           std::to_string(epoch) + " (budget " + std::to_string(budget) +
+           " for " + std::to_string(ctx.faults) +
+           " faults): a corrupted epoch was believed";
+  }
+};
+
+class HostAddressOracle : public Oracle {
+ public:
+  std::string name() const override { return "host-address"; }
+  std::string Check(OracleContext& ctx) override {
+    Network& net = *ctx.net;
+    for (int h = 0; h < net.num_hosts(); ++h) {
+      PortNum port = 0;
+      int sw = net.HostAttachment(h, &port);
+      if (!net.driver_at(h).HasAddress() || sw < 0 || !net.switch_alive(sw)) {
+        continue;
+      }
+      ShortAddress expect =
+          ShortAddress::FromSwitchPort(net.autopilot_at(sw).switch_num(), port);
+      if (net.driver_at(h).short_address() != expect) {
+        return "host " + net.host_at(h).name() + " holds address " +
+               net.driver_at(h).short_address().ToString() + ", expected " +
+               expect.ToString();
+      }
+    }
+    return "";
+  }
+};
+
 }  // namespace
 
 int HealthyDiameter(const Network& net) {
   return LongestShortestPath(net.HealthyTopology());
+}
+
+std::uint64_t MaxLiveEpoch(Network& net) {
+  std::uint64_t epoch = 0;
+  for (int i = 0; i < net.num_switches(); ++i) {
+    if (net.switch_alive(i)) {
+      epoch = std::max(epoch, net.autopilot_at(i).epoch());
+    }
+  }
+  return epoch;
 }
 
 std::unique_ptr<Oracle> MakeConvergenceOracle() {
@@ -180,12 +241,20 @@ std::unique_ptr<Oracle> MakeDeliveryOracle() {
 std::unique_ptr<Oracle> MakePortSanityOracle() {
   return std::make_unique<PortSanityOracle>();
 }
+std::unique_ptr<Oracle> MakeEpochOracle() {
+  return std::make_unique<EpochOracle>();
+}
+std::unique_ptr<Oracle> MakeHostAddressOracle() {
+  return std::make_unique<HostAddressOracle>();
+}
 
 std::vector<std::unique_ptr<Oracle>> StandardOracles() {
   std::vector<std::unique_ptr<Oracle>> oracles;
   oracles.push_back(MakeConvergenceOracle());
   oracles.push_back(MakeDeliveryOracle());
   oracles.push_back(MakePortSanityOracle());
+  oracles.push_back(MakeEpochOracle());
+  oracles.push_back(MakeHostAddressOracle());
   return oracles;
 }
 

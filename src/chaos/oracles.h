@@ -27,9 +27,17 @@
 //                  and faulted ones are not in the configuration — the
 //                  skeptic hold-down sanity check (no healthy link is held
 //                  down forever, no dead link is trusted)
+//   epoch          the highest live epoch grew by at most a small linear
+//                  budget in the faults the run applied: a corrupted epoch
+//                  value that escaped the CRC moved no register outright
+//                  (the epoch-burn hole)
+//   host-address   every registered host on a live switch holds the short
+//                  address of its actual attachment point (a stale or
+//                  damaged reply re-addressed no host for good)
 #ifndef SRC_CHAOS_ORACLES_H_
 #define SRC_CHAOS_ORACLES_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +54,12 @@ struct OracleContext {
   Tick deadline = 0;
   // Filled in by the convergence oracle for the report.
   Tick converged_at = -1;
+  // The epoch oracle's baseline: the highest live epoch when the fault
+  // script started, and the faults applied since (one per scripted action,
+  // one per adversary body or register write).  Left at zero, the oracle
+  // judges the growth since power-on against the fixed allowance alone.
+  std::uint64_t start_epoch = 0;
+  int faults = 0;
 };
 
 class Oracle {
@@ -67,10 +81,19 @@ std::vector<std::unique_ptr<Oracle>> StandardOracles();
 // partitioned network is judged by its widest surviving part.
 int HealthyDiameter(const Network& net);
 
+// The highest epoch held by a live switch (0 when none is alive).
+std::uint64_t MaxLiveEpoch(Network& net);
+
+// The epoch oracle's budget: growth allowed over `faults` applied faults.
+inline constexpr std::uint64_t kEpochBurnBase = 16;
+inline constexpr std::uint64_t kEpochBurnPerFault = 4;
+
 // --- individual oracles (exposed for targeted tests) ---
 std::unique_ptr<Oracle> MakeConvergenceOracle();
 std::unique_ptr<Oracle> MakeDeliveryOracle();
 std::unique_ptr<Oracle> MakePortSanityOracle();
+std::unique_ptr<Oracle> MakeEpochOracle();
+std::unique_ptr<Oracle> MakeHostAddressOracle();
 
 }  // namespace chaos
 }  // namespace autonet

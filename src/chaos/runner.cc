@@ -109,10 +109,13 @@ std::string BootToBaseline(Network& net) {
 }
 
 Tick Judge(Network& net, const std::vector<std::unique_ptr<Oracle>>& oracles,
-           const std::string& reproducer, std::vector<Violation>* violations) {
+           const std::string& reproducer, std::uint64_t start_epoch,
+           int faults, std::vector<Violation>* violations) {
   OracleContext ctx;
   ctx.net = &net;
   ctx.deadline = ConvergenceDeadline(net);
+  ctx.start_epoch = start_epoch;
+  ctx.faults = faults;
   for (const auto& oracle : oracles) {
     std::string detail = oracle->Check(ctx);
     if (!detail.empty()) {
@@ -236,6 +239,7 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
 
   ScenarioExecutor executor(&net, scenario, seed);
   Tick script_start = net.sim().now();
+  std::uint64_t start_epoch = MaxLiveEpoch(net);
   executor.Schedule(script_start);
   // The adversary engine is armed at script start and polls live network
   // state; the run must be driven until it retires (its final heal executes
@@ -254,10 +258,14 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
     net.Run(run_until - net.sim().now());
   }
   result.resolved_actions = executor.resolved();
+  int faults = static_cast<int>(result.resolved_actions.size());
+  if (adv_engine != nullptr) {
+    faults += adv_engine->faults();
+  }
 
   Tick converged_at =
       Judge(net, config.oracles ? config.oracles() : StandardOracles(),
-            reproducer, &result.violations);
+            reproducer, start_epoch, faults, &result.violations);
 
   // Workload phases 2+3: the fault phase ran concurrently with the script
   // and the oracle battery's wait for quiescence; now sample recovery,

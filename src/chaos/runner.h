@@ -50,8 +50,8 @@ struct TopologyCase {
   TopoSpec spec;
 };
 
-// The one registry of named topologies, for reproducer lines, schedule ids
-// and fuzz runs alike.  Unknown names leave *error set.
+// The one registry of named topologies, for reproducer lines and schedule
+// ids alike.  Unknown names leave *error set.
 // StandardTopologyNames() is the default campaign matrix; AllTopologyNames()
 // adds the larger fabrics and the 2-4 switch ones sized for exhaustive
 // interleaving exploration.
@@ -165,9 +165,9 @@ CampaignReport RunCampaign(const CampaignConfig& config);
 //   3. AttachPostMortem stamp the violations with the flight recorder's
 //                       blame chain and epoch timeline.
 //
-// RunOne (chaosrun, postmortem), check::RunSchedule (protocheck --sweep and
-// --replay, postmortem --schedule) and check::FuzzInject (protocheck
-// --inject) are built from them.
+// RunOne (chaosrun, postmortem; the adversary's strategies, `fuzz`
+// included, run inside it) and check::RunSchedule (protocheck --sweep and
+// --replay, postmortem --schedule) are built from them.
 
 // The convergence budget: base + per hop of the healthy topology's
 // diameter, following the paper's conjecture that reconfiguration time is a
@@ -184,10 +184,12 @@ Tick ConvergenceDeadline(Network& net);
 std::string BootToBaseline(Network& net);
 
 // Step 2.  Runs `oracles` in order; every failure is appended to
-// *violations with `reproducer`.  Returns when the convergence oracle saw a
-// consistent configuration, or -1 if it never did.
+// *violations with `reproducer`.  `start_epoch` and `faults` are the epoch
+// oracle's baseline (OracleContext).  Returns when the convergence oracle
+// saw a consistent configuration, or -1 if it never did.
 Tick Judge(Network& net, const std::vector<std::unique_ptr<Oracle>>& oracles,
-           const std::string& reproducer, std::vector<Violation>* violations);
+           const std::string& reproducer, std::uint64_t start_epoch,
+           int faults, std::vector<Violation>* violations);
 
 // Step 3.  Stamps every violation with the blame chain of the last epoch
 // and the full timeline, and stores the reconstruction in *postmortem when

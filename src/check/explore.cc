@@ -262,6 +262,7 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id,
   }
 
   Simulator& sim = net.sim();
+  std::uint64_t start_epoch = chaos::MaxLiveEpoch(net);
   Tick t_fault = sim.now() + 50 * kMillisecond;
   Tick offset = offsets[id.offset_index];
   Tick t_end = t_fault + offset + config.chooser_window;
@@ -296,7 +297,9 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id,
   sim.ScheduleAt(t_end, [&] { sim.SetTieChooser(nullptr); });
   net.Run(t_end - sim.now() + kMillisecond);
 
-  chaos::Judge(net, chaos::StandardOracles(), reproducer, &result.violations);
+  int faults = plan.secondary != FaultPlan::Secondary::kNone ? 2 : 1;
+  chaos::Judge(net, chaos::StandardOracles(), reproducer, start_epoch, faults,
+               &result.violations);
 
   result.decision_points = rec.count;
   result.dropped_decisions = rec.dropped;

@@ -1,17 +1,10 @@
 #include "src/check/fuzz.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include <memory>
-
 #include "src/autopilot/messages.h"
-#include "src/autopilot/reconfig.h"
-#include "src/chaos/runner.h"
-#include "src/core/network.h"
-#include "src/host/srp_client.h"
 
 namespace autonet {
 namespace check {
@@ -286,6 +279,13 @@ const char* MsgTypeName(MsgType type) {
   return kTypeNames[static_cast<int>(type)];
 }
 
+PacketType PacketTypeOf(MsgType type) {
+  static constexpr PacketType kPacketTypes[kNumMsgTypes] = {
+      PacketType::kConnectivity, PacketType::kReconfig,
+      PacketType::kHostAddress, PacketType::kSrp};
+  return kPacketTypes[static_cast<int>(type)];
+}
+
 bool MsgTypeFromName(const std::string& name, MsgType* out) {
   for (int i = 0; i < kNumMsgTypes; ++i) {
     if (name == kTypeNames[i]) {
@@ -505,219 +505,6 @@ FuzzReport CheckCorpus(const std::vector<CorpusEntry>& entries) {
            where + ": accepted message round-trips differently (reserialized " +
                HexEncode(out.reserialized) + ")",
            HexEncode(entry.bytes), "protocheck --corpus"});
-    }
-  }
-  return report;
-}
-
-// --- live injection ---
-
-InjectReport FuzzInject(const InjectConfig& config) {
-  InjectReport report;
-  std::string error;
-  TopoSpec spec = chaos::TopologyByName(config.topo, &error);
-  if (!error.empty()) {
-    report.findings.push_back({"", "setup", error, "", ""});
-    return report;
-  }
-  bool hit_switches = config.target == "switch" || config.target == "all";
-  bool hit_hosts = config.target == "host" || config.target == "all";
-  if (!hit_switches && !hit_hosts) {
-    report.findings.push_back(
-        {"", "setup", "unknown inject target '" + config.target + "'", "",
-         ""});
-    return report;
-  }
-  std::string reproducer = "protocheck --inject " +
-                           std::to_string(config.count) + " --topo " +
-                           config.topo + " --seed " +
-                           std::to_string(config.seed);
-  if (config.target != "switch") {
-    reproducer += " --inject-target " + config.target;
-  }
-
-  Network net(spec);
-  std::string boot = chaos::BootToBaseline(net);
-  if (!boot.empty()) {
-    report.findings.push_back({"", "bootstrap", boot, "", reproducer});
-    return report;
-  }
-  report.booted = true;
-
-  for (int i = 0; i < net.num_switches(); ++i) {
-    report.epoch_before =
-        std::max(report.epoch_before, net.autopilot_at(i).epoch());
-  }
-
-  // Host-targeted rounds also exercise the SRP client parser: one client
-  // per host chained onto the driver's receive handler, parsing every kSrp
-  // delivery (unsolicited replies are parsed, then dropped by request-id).
-  std::vector<std::unique_ptr<SrpClient>> srp_clients;
-  if (hit_hosts) {
-    for (int h = 0; h < net.num_hosts(); ++h) {
-      srp_clients.push_back(std::make_unique<SrpClient>(&net.driver_at(h)));
-    }
-  }
-
-  static constexpr PacketType kPacketTypes[kNumMsgTypes] = {
-      PacketType::kConnectivity, PacketType::kReconfig,
-      PacketType::kHostAddress, PacketType::kSrp};
-
-  Rng rng(config.seed);
-  for (int k = 0; k < config.count; ++k) {
-    bool host_round = hit_hosts;
-    if (hit_switches && hit_hosts) {
-      host_round = rng.Bernoulli(0.5);
-    }
-    std::vector<int> registered;
-    if (host_round) {
-      for (int h = 0; h < net.num_hosts(); ++h) {
-        if (net.driver_at(h).HasAddress()) {
-          registered.push_back(h);
-        }
-      }
-      if (registered.empty()) {
-        if (!hit_switches) {
-          net.Run(2 * kMillisecond);  // nobody registered yet: wait a round
-          continue;
-        }
-        host_round = false;  // fall back to the switch surface this round
-      }
-    }
-
-    Tick jitter = 200 * kMicrosecond +
-                  static_cast<Tick>(rng.UniformInt(0, 1800)) * kMicrosecond;
-    if (host_round) {
-      // A host-parsed body, fabric-forwarded from a switch control
-      // processor to the host's short address: corruption that escaped the
-      // CRC on the last hop.  kHostAddress bodies carry the real host UID
-      // (so the driver's accept path, not just the parser, is exercised);
-      // kSrp bodies land in the chained SRP client.
-      int h = registered[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(registered.size()) - 1))];
-      int sw = static_cast<int>(rng.UniformInt(0, net.num_switches() - 1));
-      MsgType type = rng.Bernoulli(0.5) ? MsgType::kHostAddress : MsgType::kSrp;
-      std::vector<std::uint8_t> body;
-      if (type == MsgType::kHostAddress) {
-        HostAddressMsg m;
-        m.kind = HostAddressMsg::Kind::kReply;
-        m.host_uid = net.host_at(h).uid();
-        m.switch_uid = RandUid(rng);
-        m.short_address =
-            static_cast<std::uint16_t>(rng.UniformInt(0x010, 0x7EF));
-        m.epoch = net.autopilot_at(sw).epoch() + rng.UniformInt(0, 3);
-        body = m.Serialize();
-      } else {
-        body = GenerateValidBody(type, rng);
-      }
-      std::string mutation;
-      body = Mutate(std::move(body), rng, &mutation);
-
-      Packet p;
-      p.dest = net.driver_at(h).short_address();
-      p.src = ShortAddress::FromSwitchPort(net.autopilot_at(sw).switch_num(),
-                                           kCpPort);
-      p.type = kPacketTypes[static_cast<int>(type)];
-      p.payload = std::move(body);
-      PacketRef pkt = MakePacket(std::move(p));
-      net.sim().ScheduleAfter(jitter, [&net, sw, pkt] {
-        net.switch_at(sw).CpSend(pkt);
-      });
-    } else {
-      MsgType type = static_cast<MsgType>(rng.UniformInt(0, kNumMsgTypes - 1));
-      int sw = static_cast<int>(rng.UniformInt(0, net.num_switches() - 1));
-      PortNum port = RandExternalPort(rng);
-      std::string mutation;
-      std::vector<std::uint8_t> body =
-          Mutate(GenerateValidBody(type, rng), rng, &mutation);
-
-      Packet p;
-      p.dest = kAddrLocalCp;
-      p.src = OneHopAddress(port);
-      p.type = kPacketTypes[static_cast<int>(type)];
-      p.payload = std::move(body);
-      PacketRef pkt = MakePacket(std::move(p));
-
-      // Deliver straight into the control processor's reassembly port as an
-      // intact packet: corruption that escaped the CRC.  If this clobbers a
-      // real in-flight reception, that packet is lost — legal link behavior
-      // the protocols already tolerate.
-      net.sim().ScheduleAfter(jitter, [&net, sw, port, pkt] {
-        CpPort& cp = net.switch_at(sw).cp_port();
-        cp.NoteArrivalPort(port);
-        cp.SendBegin(pkt);
-        for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-          cp.SendByte(pkt, i);
-        }
-        cp.SendEnd(EndFlags{});
-      });
-    }
-    net.Run(2 * kMillisecond + jitter);
-    ++report.injected;
-  }
-
-  if (hit_hosts) {
-    // A mutated reply whose epoch landed plausibly newer can have
-    // re-addressed a host; the driver recovers from genuine pings via its
-    // hold-then-confirm path within two ping rounds.  Give it that long
-    // before judging.
-    net.Run(8 * kSecond);
-  }
-
-  // The network absorbed the barrage; it must settle back to a consistent
-  // configuration and a plausible epoch.
-  std::vector<chaos::Violation> violations;
-  chaos::Judge(net, chaos::StandardOracles(), reproducer, &violations);
-  for (const chaos::Violation& v : violations) {
-    report.findings.push_back({"", v.oracle, v.detail, "", reproducer});
-  }
-
-  for (int i = 0; i < net.num_switches(); ++i) {
-    report.epoch_after =
-        std::max(report.epoch_after, net.autopilot_at(i).epoch());
-  }
-  // Each injection can advance the epoch only via a believed unit jump —
-  // anything larger is held for a confirming second sighting, which a
-  // one-shot corrupted field never produces (kEpochConfirmJump == 1) —
-  // plus the handful of epochs the triggered wave itself burns.  Growth
-  // beyond this small linear budget means a corrupted epoch value moved
-  // the register outright: the epoch-burn hole.
-  static_assert(ReconfigEngine::kEpochConfirmJump == 1,
-                "budget below assumes held-until-confirmed multi-jumps");
-  std::uint64_t burn_budget =
-      static_cast<std::uint64_t>(config.count) * 4 + 16;
-  if (report.epoch_after - report.epoch_before > burn_budget) {
-    report.findings.push_back(
-        {"", "epoch-plausibility",
-         "epoch jumped from " + std::to_string(report.epoch_before) + " to " +
-             std::to_string(report.epoch_after) + " (budget " +
-             std::to_string(burn_budget) +
-             ") — an injected epoch was believed",
-         "", reproducer});
-  }
-
-  // Host-address integrity: whatever the barrage claimed, every registered
-  // host must end up holding the short address of its actual attachment
-  // point (a stale or damaged reply that permanently re-addresses a host
-  // is exactly the failure the driver's hold-then-confirm prevents).
-  for (int h = 0; h < net.num_hosts(); ++h) {
-    if (!net.driver_at(h).HasAddress()) {
-      continue;
-    }
-    PortNum port = 0;
-    int sw = net.HostAttachment(h, &port);
-    if (sw < 0 || !net.switch_alive(sw)) {
-      continue;
-    }
-    ShortAddress expect =
-        ShortAddress::FromSwitchPort(net.autopilot_at(sw).switch_num(), port);
-    if (net.driver_at(h).short_address() != expect) {
-      report.findings.push_back(
-          {"", "host-address-integrity",
-           "host " + net.host_at(h).name() + " holds address " +
-               net.driver_at(h).short_address().ToString() + ", expected " +
-               expect.ToString(),
-           "", reproducer});
     }
   }
   return report;

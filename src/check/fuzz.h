@@ -1,6 +1,6 @@
 // The deterministic structure-aware message fuzzer (protocol correctness
 // harness, part 1).  It exercises the control-protocol parsers at the
-// ByteWriter/ByteReader boundary with three kinds of input:
+// ByteWriter/ByteReader boundary with two kinds of input:
 //
 //   identity    a valid serialized body, unmodified — must be accepted and
 //               re-serialize to exactly the received bytes
@@ -11,13 +11,16 @@
 //               received bytes ("no parser accepts a message that
 //               round-trips differently": an accepted-but-altered message
 //               means corruption survived the parse undetected)
-//   injection   mutated bodies delivered as intact packets into the control
-//               processors of a live converged network (modeling corruption
-//               that escaped the CRC) — the network must stay consistent
-//               and its epoch must stay plausible
+//
+// The same generator and mutator feed the adversary's `fuzz` strategy
+// (src/adversary/adversary.h), which delivers mutated bodies into the
+// control processors and host parsers of a live network (corruption that
+// escaped the CRC) and is judged by the chaos oracle battery.  This file is
+// compiled into autonet_core so the adversary can draw bodies from it.
 //
 // Everything is a pure function of a seed: any finding reproduces with
-// `protocheck --fuzz N --fuzz-seed S` or `--inject N --topo T --seed S`.
+// `protocheck --fuzz N --fuzz-seed S` or, for live injection, `chaosrun
+// --scenario S --topo T --seed N`.
 #ifndef SRC_CHECK_FUZZ_H_
 #define SRC_CHECK_FUZZ_H_
 
@@ -25,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/packet.h"
 #include "src/sim/random.h"
 
 namespace autonet {
@@ -40,6 +44,8 @@ enum class MsgType {
 inline constexpr int kNumMsgTypes = 4;
 
 const char* MsgTypeName(MsgType type);
+// The packet type that carries a body of `type` on the wire.
+PacketType PacketTypeOf(MsgType type);
 bool MsgTypeFromName(const std::string& name, MsgType* out);
 
 std::string HexEncode(const std::vector<std::uint8_t>& bytes);
@@ -64,9 +70,9 @@ std::string CheckRoundTrip(MsgType type, const std::vector<std::uint8_t>& bytes,
 
 struct FuzzFinding {
   std::string type;      // message type name
-  std::string mutation;  // dictionary entry (or oracle name for injection)
+  std::string mutation;  // dictionary entry
   std::string detail;    // one-line diagnosis
-  std::string hex;       // the offending body (empty for injection findings)
+  std::string hex;       // the offending body
   std::string reproducer;
 };
 
@@ -100,38 +106,6 @@ bool ParseCorpus(const std::string& text, std::vector<CorpusEntry>* out,
 bool LoadCorpus(const std::string& path, std::vector<CorpusEntry>* out,
                 std::string* error);
 FuzzReport CheckCorpus(const std::vector<CorpusEntry>& entries);
-
-// --- live injection ---
-
-struct InjectConfig {
-  std::string topo = "small3";  // a chaos::TopologyByName name
-  std::uint64_t seed = 1;
-  int count = 100;              // packets to inject
-  // Which parsers face the barrage: "switch" delivers into switch control
-  // processors (the original surface), "host" delivers host-parsed types
-  // (kHostAddress replies targeted at registered hosts' UIDs, kSrp bodies
-  // that exercise the driver and SRP-client parsers), "all" alternates.
-  std::string target = "switch";
-};
-
-struct InjectReport {
-  bool booted = false;
-  int injected = 0;
-  std::uint64_t epoch_before = 0;
-  std::uint64_t epoch_after = 0;
-  std::vector<FuzzFinding> findings;
-  bool ok() const { return booted && findings.empty(); }
-};
-
-// Boots the named topology to consistency (chaos::BootToBaseline), then
-// delivers `count` mutated control-message bodies as intact packets into the
-// configured target parsers (the CRC-escaped-corruption model): switch
-// control processors, and/or host-side parsers via fabric-forwarded packets.
-// Afterwards the standard chaos oracle battery (chaos::Judge) must pass, the
-// epoch must stay within a
-// small linear burn budget, and every registered host's short address must
-// still name its actual attachment point.
-InjectReport FuzzInject(const InjectConfig& config);
 
 }  // namespace check
 }  // namespace autonet

@@ -302,26 +302,26 @@ PostMortem PostMortem::Build(const FlightRecorder& recorder) {
     }
     tl.switches_joined = tl.wavefront.size();
 
+    // A phase exists only when both of its marks were recorded in order;
+    // an epoch whose events are out of order (one that never terminated,
+    // say, while a later epoch's install was attributed to it) reports the
+    // phase absent rather than a negative or unanchored span.
+    auto span = [](Tick start, Tick end) {
+      return start >= 0 && end >= start ? end - start : Tick{-1};
+    };
     PhaseBreakdown& ph = tl.phases;
-    if (tl.trigger_time >= 0) {
-      if (tl.first_skeptic.has_value()) {
-        ph.monitor = tl.trigger_time - tl.first_skeptic->ev.time;
-      } else if (tl.root_cause.has_value()) {
-        ph.monitor = tl.trigger_time - tl.root_cause->ev.time;
-      }
+    if (tl.first_skeptic.has_value()) {
+      ph.monitor = span(tl.first_skeptic->ev.time, tl.trigger_time);
+    } else if (tl.root_cause.has_value()) {
+      ph.monitor = span(tl.root_cause->ev.time, tl.trigger_time);
     }
     if (!tl.wavefront.empty()) {
       ph.tree = tl.wavefront.back().time - tl.wavefront.front().time;
-      if (tl.termination_time >= 0) {
-        ph.fanin = tl.termination_time - tl.wavefront.back().time;
-      }
+      ph.fanin = span(tl.wavefront.back().time, tl.termination_time);
     }
-    if (tl.termination_time >= 0 && last_compute >= tl.termination_time) {
-      ph.compute = last_compute - tl.termination_time;
-    }
-    if (last_install >= 0 && last_compute >= 0 &&
-        last_install >= last_compute) {
-      ph.install = last_install - last_compute;
+    ph.compute = span(tl.termination_time, last_compute);
+    if (ph.compute >= 0) {
+      ph.install = span(last_compute, last_install);
     }
     ph.total = tl.end - tl.begin;
 

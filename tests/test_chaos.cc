@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/autopilot/messages.h"
 #include "src/chaos/corpus.h"
 #include "src/chaos/executor.h"
 #include "src/chaos/oracles.h"
@@ -402,6 +403,58 @@ TEST(Runner, TopologyRegistryKnowsTheMatrix) {
   std::string error;
   TopologyByName("no-such-topology", &error);
   EXPECT_NE(error, "");
+}
+
+// A booted triangle with its hosts registered, judged from here.
+struct BootedSmall3 {
+  BootedSmall3() : net(TopologyByName("small3", nullptr)) {
+    EXPECT_EQ(BootToBaseline(net), "");
+    ctx.net = &net;
+    ctx.start_epoch = MaxLiveEpoch(net);
+  }
+  Network net;
+  OracleContext ctx;
+};
+
+TEST(Oracles, EpochFiresOnUndeclaredForwardJump) {
+  BootedSmall3 b;
+  auto oracle = MakeEpochOracle();
+  EXPECT_EQ(oracle->Check(b.ctx), "");
+  // An epoch register moved far forward with no fault declared: growth
+  // beyond the fixed allowance that no injected body can explain.
+  b.net.autopilot_at(1).engine().CorruptEpochRegister(b.ctx.start_epoch +
+                                                      kEpochBurnBase + 1);
+  EXPECT_NE(oracle->Check(b.ctx).find("a corrupted epoch was believed"),
+            std::string::npos);
+  // The same growth is within budget once a fault accounts for it.
+  b.ctx.faults = 1;
+  EXPECT_EQ(oracle->Check(b.ctx), "");
+}
+
+TEST(Oracles, HostAddressFiresOnForgedReAddress) {
+  BootedSmall3 b;
+  auto oracle = MakeHostAddressOracle();
+  EXPECT_EQ(oracle->Check(b.ctx), "");
+  // A forged address reply with the host's real UID and a plausibly newer
+  // epoch re-addresses the host on the spot; until its next ping the host
+  // holds an address that names no attachment point.
+  Network& net = b.net;
+  ASSERT_TRUE(net.driver_at(0).HasAddress());
+  HostAddressMsg m;
+  m.kind = HostAddressMsg::Kind::kReply;
+  m.host_uid = net.host_at(0).uid();
+  m.short_address = 0x7EE;
+  m.epoch = net.autopilot_at(0).epoch() + 1;
+  Packet p;
+  p.dest = net.driver_at(0).short_address();
+  p.src = ShortAddress::FromSwitchPort(net.autopilot_at(0).switch_num(),
+                                       kCpPort);
+  p.type = PacketType::kHostAddress;
+  p.payload = m.Serialize();
+  net.switch_at(0).CpSend(MakePacket(std::move(p)));
+  net.Run(10 * kMillisecond);
+  ASSERT_EQ(net.driver_at(0).short_address(), ShortAddress(0x7EE));
+  EXPECT_NE(oracle->Check(b.ctx).find("expected"), std::string::npos);
 }
 
 TEST(Oracles, HealthyDiameterScalesDeadlines) {

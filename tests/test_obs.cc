@@ -488,6 +488,41 @@ TEST(PostMortem, ReconstructsBlameChainWavefrontAndPhases) {
   EXPECT_NE(text.find("<- sw0 (port 3)"), std::string::npos);
 }
 
+// An epoch whose events are out of order, as a cascade of epochs leaves
+// them: its only termination precedes its last join, its configuration
+// arrived before that termination, and a route install still landed in it.
+// Fan-in would be negative and install would be measured from a compute
+// phase that never happened; both are reported absent.
+TEST(PostMortem, OutOfOrderEpochReportsImpossiblePhasesAbsent) {
+  obs::FlightRecorder rec;
+  rec.Arm();
+  obs::FlightRing* sw0 = rec.Ring("sw0", Uid(0x10));
+  obs::FlightRing* sw1 = rec.Ring("sw1", Uid(0x11));
+  auto record = [](obs::FlightRing* ring, Tick t, obs::FlightEventKind kind,
+                   std::uint64_t epoch) {
+    obs::FlightEvent ev;
+    ev.time = t;
+    ev.kind = kind;
+    ev.epoch = epoch;
+    ring->Record(ev);
+  };
+  record(sw0, 1000, obs::FlightEventKind::kTrigger, 4);
+  record(sw0, 1000, obs::FlightEventKind::kEpochJoin, 4);
+  record(sw0, 1100, obs::FlightEventKind::kConfigRecv, 4);
+  record(sw0, 1200, obs::FlightEventKind::kTermination, 4);
+  record(sw1, 2000, obs::FlightEventKind::kEpochJoin, 4);
+  record(sw1, 2100, obs::FlightEventKind::kRouteInstall, 0);
+
+  obs::PostMortem pm = obs::PostMortem::Build(rec);
+  const obs::EpochTimeline* tl = pm.FindEpoch(4);
+  ASSERT_NE(tl, nullptr);
+  EXPECT_EQ(tl->phases.tree, 1000);
+  EXPECT_EQ(tl->phases.fanin, -1) << "fan-in ends before it starts";
+  EXPECT_EQ(tl->phases.compute, -1);
+  EXPECT_EQ(tl->phases.install, -1) << "install without a compute phase";
+  EXPECT_EQ(tl->route_installs, 1);
+}
+
 // The Perfetto export of the same recording: one thread_name record per
 // track, events in begin-time order with the longer one first on a tie,
 // thread-scoped instants, and span durations in microseconds.
