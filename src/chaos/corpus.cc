@@ -199,6 +199,11 @@ scenario adv-storm-under-load
   workload rpc bytes 256 response 32 window 2
   adversary storm moves 4 burst 6 duration 3s
 
+scenario adv-fuzz
+  # Mutated control bodies that escaped the CRC: into switch control
+  # processors, and into registered hosts' driver and SRP-client parsers.
+  adversary fuzz moves 6 burst 8 duration 3s
+
 scenario adv-flap-resonance
   # Re-cut the instant the skeptic re-admits the link: a flap oscillating at
   # whatever the hold-down currently is.
