@@ -56,13 +56,12 @@ void Forwarder::SchedulePump() {
     return;
   }
   // One train per streaming burst: each PumpStep re-anchors the single
-  // queue entry at the next data slot (flow slots make the grid non-
-  // arithmetic, so the handler steers every step) and ends the train when
-  // the forwarder parks.
+  // queue entry at the next data slot and ends the train when the forwarder
+  // parks.
   Tick when = NextDataSlotAfter(owner_->now());
   pump_event_ = owner_->sim()->ScheduleTrainRawAt(
       when, 0,
-      [](void* self, std::uint64_t, std::uint32_t) {
+      [](void* self, std::uint64_t) {
         return static_cast<Forwarder*>(self)->PumpStep();
       },
       this, 0);

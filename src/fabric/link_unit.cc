@@ -97,9 +97,7 @@ void LinkUnit::OnPacketBegin(const PacketRef& packet) {
   fifo_.PushBegin(packet);
 }
 
-void LinkUnit::OnDataByte(const PacketRef& packet, std::uint32_t offset,
-                          bool corrupt) {
-  (void)packet;
+void LinkUnit::OnDataByte(std::uint32_t offset, bool corrupt) {
   (void)offset;
   if (!fifo_.receiving()) {
     ++status_.bad_syntax;  // data outside a packet

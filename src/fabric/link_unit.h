@@ -74,9 +74,9 @@ class LinkUnit final : public LinkEndpoint, public Port {
   // Inline: runs once per forwarded byte; the forwarder's single-output
   // fast path calls it directly (LinkUnit is final), so the whole
   // byte-transmit chain down to Link::PushFlit compiles as one unit.
-  void SendByte(const PacketRef& packet, std::uint32_t offset) override {
+  void SendByte(const PacketRef&, std::uint32_t offset) override {
     if (link_ != nullptr) {
-      link_->TransmitByte(side_, packet, offset);
+      link_->TransmitByte(side_, offset);
     }
   }
   void SendEnd(EndFlags flags) override;
@@ -84,8 +84,7 @@ class LinkUnit final : public LinkEndpoint, public Port {
 
   // --- LinkEndpoint (receive path) ---
   void OnPacketBegin(const PacketRef& packet) override;
-  void OnDataByte(const PacketRef& packet, std::uint32_t offset,
-                  bool corrupt) override;
+  void OnDataByte(std::uint32_t offset, bool corrupt) override;
   void OnPacketEnd(EndFlags flags) override;
   void OnFlowDirective(FlowDirective directive) override;
   void OnCarrierChange(bool carrier_up) override;

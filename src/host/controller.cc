@@ -106,12 +106,11 @@ void HostController::SchedulePump() {
     return;
   }
   // One train per transmit burst: PumpStep re-anchors the single queue
-  // entry at each next data slot (the handler steers because flow slots
-  // make the grid non-arithmetic) and ends it when the queue drains or
-  // flow control stops us.
+  // entry at each next data slot and ends it when the queue drains or flow
+  // control stops us.
   pump_event_ = sim_->ScheduleTrainRawAt(
       NextDataSlotAfter(sim_->now()), 0,
-      [](void* self, std::uint64_t, std::uint32_t) {
+      [](void* self, std::uint64_t) {
         return static_cast<HostController*>(self)->PumpStep();
       },
       this, 0);
@@ -141,7 +140,7 @@ Simulator::TrainStep HostController::PumpStep() {
     return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()));
   }
   if (tx_offset_ < packet->WireSize()) {
-    port.link->TransmitByte(port.side, packet, tx_offset_++);
+    port.link->TransmitByte(port.side, tx_offset_++);
     return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()));
   }
   port.link->TransmitEnd(port.side, EndFlags{});
@@ -170,9 +169,8 @@ void HostController::NetPort::OnPacketBegin(const PacketRef& packet) {
   rx_corrupted = false;
 }
 
-void HostController::NetPort::OnDataByte(const PacketRef& packet,
-                                         std::uint32_t offset, bool corrupt) {
-  (void)packet;
+void HostController::NetPort::OnDataByte(std::uint32_t offset,
+                                         bool corrupt) {
   (void)offset;
   if (corrupt) {
     rx_corrupted = true;

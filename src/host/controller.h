@@ -96,8 +96,7 @@ class HostController {
     }
 
     void OnPacketBegin(const PacketRef& packet) override;
-    void OnDataByte(const PacketRef& packet, std::uint32_t offset,
-                    bool corrupt) override;
+    void OnDataByte(std::uint32_t offset, bool corrupt) override;
     void OnPacketEnd(EndFlags flags) override;
     void OnFlowDirective(FlowDirective directive) override;
     void OnCarrierChange(bool carrier_up) override;

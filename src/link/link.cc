@@ -1,7 +1,5 @@
 #include "src/link/link.h"
 
-#include <utility>
-
 #include "src/link/slots.h"
 
 namespace autonet {
@@ -65,60 +63,15 @@ bool Link::CarrierAt(Side rx_side) const {
   return false;
 }
 
-void Link::FlitRing::Grow() {
-  std::size_t cap = buf_.empty() ? kInitialCapacity : buf_.size() * 2;
-  std::vector<Flit> bigger(cap);
-  std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-  }
-  buf_ = std::move(bigger);
-  head_ = 0;
-  tail_ = n;
-}
-
-// Out-of-line slow half of PushFlit (see link.h for the hot half): the
-// one-shot bypass fallback for out-of-order arrivals, and train start for a
-// channel that has no parked train to resume.
-void Link::PushFlitBypass(const Flit& flit, const PacketRef& packet) {
-  // The train's queue must stay sorted by arrival, and its packet
-  // bookkeeping needs begin/byte/end of a packet to take the same path, so
-  // the rest of this packet is delivered the old way.
-  LinkEndpoint* ep = flit.ep;
-  switch (flit.kind) {
-    case Flit::Kind::kBegin: {
-      PacketRef copy = packet;
-      sim_->ScheduleAtReserved(flit.arrive, flit.seq,
-                               [ep, copy] { ep->OnPacketBegin(copy); });
-      break;
-    }
-    case Flit::Kind::kByte: {
-      PacketRef copy = packet;
-      std::uint32_t offset = flit.offset;
-      bool corrupt = flit.corrupt;
-      sim_->ScheduleAtReserved(flit.arrive, flit.seq,
-                               [ep, copy, offset, corrupt] {
-                                 ep->OnDataByte(copy, offset, corrupt);
-                               });
-      break;
-    }
-    case Flit::Kind::kEnd: {
-      EndFlags flags = flit.flags;
-      sim_->ScheduleAtReserved(flit.arrive, flit.seq,
-                               [ep, flags] { ep->OnPacketEnd(flags); });
-      break;
-    }
-  }
-}
-
-void Link::StartDeliveryTrain(Side from, Channel& ch) {
+void Link::StartDeliveryTrain(int index) {
+  Channel& ch = channels_[index];
   const Flit& head = ch.inflight.front();
   ch.train = sim_->ScheduleTrainRawAt(
       head.arrive, head.seq,
-      [](void* self, std::uint64_t side, std::uint32_t) {
-        return static_cast<Link*>(self)->DeliverStep(static_cast<Side>(side));
+      [](void* self, std::uint64_t index) {
+        return static_cast<Link*>(self)->DeliverStep(static_cast<int>(index));
       },
-      this, static_cast<std::uint64_t>(from));
+      this, static_cast<std::uint64_t>(index));
 }
 
 // One train firing: deliver the head flit, then re-anchor the train at the
@@ -126,21 +79,17 @@ void Link::StartDeliveryTrain(Side from, Channel& ch) {
 // drained.  The flit is popped before its callback runs, so an endpoint
 // reacting by transmitting (which appends to some channel) sees consistent
 // state.
-Simulator::TrainStep Link::DeliverStep(Side from) {
-  Channel& ch = channels_[static_cast<int>(from)];
-  Flit f = ch.inflight.front();
-  ch.inflight.pop_front();
+Simulator::TrainStep Link::DeliverStep(int index) {
+  Channel& ch = channels_[index];
+  Flit f = ch.inflight.pop_front();
   switch (f.kind) {
     case Flit::Kind::kBegin:
-      ch.rx_packet = std::move(ch.begin_packets.front());
-      ch.begin_packets.pop_front();
-      f.ep->OnPacketBegin(ch.rx_packet);
+      f.ep->OnPacketBegin(ch.begin_packets.pop_front());
       break;
     case Flit::Kind::kByte:
-      f.ep->OnDataByte(ch.rx_packet, f.offset, f.corrupt);
+      f.ep->OnDataByte(f.offset, f.corrupt);
       break;
     case Flit::Kind::kEnd:
-      ch.rx_packet = PacketRef{};
       f.ep->OnPacketEnd(f.flags);
       break;
   }
@@ -168,7 +117,9 @@ void Link::TransmitBegin(Side from, const PacketRef& packet) {
   flit.seq = sim_->ReserveSeq();
   flit.ep = ep;
   flit.kind = Flit::Kind::kBegin;
-  PushFlit(from, flit, packet);
+  int index = ChannelIndex(from, rx);
+  channels_[index].begin_packets.push_back(packet);
+  PushFlit(index, flit);
 }
 
 void Link::TransmitEnd(Side from, EndFlags flags) {
@@ -188,7 +139,7 @@ void Link::TransmitEnd(Side from, EndFlags flags) {
   flit.ep = ep;
   flit.kind = Flit::Kind::kEnd;
   flit.flags = flags;
-  PushFlit(from, flit, PacketRef{});
+  PushFlit(ChannelIndex(from, rx), flit);
 }
 
 // Out-of-line slow half of SetFlowDirective: the inline wrapper has already

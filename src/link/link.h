@@ -1,20 +1,23 @@
 // Full-duplex point-to-point link model (sections 3.1, 5.3, 6.1).
 //
-// A Link owns two unidirectional channels between endpoints A and B.  Each
-// channel carries a stream of 80 ns symbol slots; data symbols are delivered
-// to the remote endpoint after the propagation delay, and flow-control
-// directive *changes* are delivered quantized to the next flow-control slot
-// (every 256th slot) plus the propagation delay.  Idle channels generate no
-// events: "how many directive slots were missed" style questions are
-// answered arithmetically from state-change timestamps.
+// A Link joins endpoints A and B with a stream of 80 ns symbol slots in
+// each direction; data symbols are delivered to the remote endpoint after
+// the propagation delay, and flow-control directive *changes* are delivered
+// quantized to the next flow-control slot (every 256th slot) plus the
+// propagation delay.  Idle channels generate no events: "how many directive
+// slots were missed" style questions are answered arithmetically from
+// state-change timestamps.
 //
-// Delivery uses one simulator *train* per channel rather than one event per
-// symbol: each transmitted symbol becomes a POD flit in the channel's
-// in-flight queue, and a single queue entry re-sifts itself from arrival to
-// arrival.  Each flit's tie-break sequence is reserved at transmit time, so
-// the global firing order is identical to the event-per-byte engine this
-// replaced — only the per-byte std::function, PacketRef copy, and queue
-// entry are gone.
+// Symbols in flight are kept in four channels, one per (transmitting side,
+// receiving side): A->B and B->A cross the cable (delay d), A->A and B->B
+// are reflections (delay 2d).  Each channel's delay is fixed, so its
+// arrivals are in transmit order even when a mode change mid-stream moves a
+// side's symbols from one channel to another.  Delivery uses one simulator
+// *train* per channel rather than one event per symbol: each transmitted
+// symbol becomes a POD flit in the channel's in-flight ring, and a single
+// queue entry re-sifts itself from arrival to arrival.  Each flit's
+// tie-break sequence is reserved at transmit time, so the global firing
+// order is identical to one event per symbol.
 //
 // Fault modes reproduce the physical behaviours the paper describes:
 //   kCut         no symbols arrive in either direction (unplugged cable)
@@ -27,9 +30,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/packet.h"
@@ -58,8 +61,7 @@ class LinkEndpoint {
   virtual void OnPacketBegin(const PacketRef& packet) = 0;
   // One data byte of the current packet.  `corrupt` models a transmission
   // error in this byte (will surface as a CRC failure / BadCode).
-  virtual void OnDataByte(const PacketRef& packet, std::uint32_t offset,
-                          bool corrupt) = 0;
+  virtual void OnDataByte(std::uint32_t offset, bool corrupt) = 0;
   virtual void OnPacketEnd(EndFlags flags) = 0;
   virtual void OnFlowDirective(FlowDirective directive) = 0;
   // The link was cut or restored under us (also fired on mode changes that
@@ -95,7 +97,7 @@ class Link {
   // --- transmit path (called by the owning endpoint of `from`) ---
   void TransmitBegin(Side from, const PacketRef& packet);
   // Inline (defined below the class): runs once per payload byte.
-  void TransmitByte(Side from, const PacketRef& packet, std::uint32_t offset);
+  void TransmitByte(Side from, std::uint32_t offset);
   void TransmitEnd(Side from, EndFlags flags);
 
   // Latches the directive this side sends in flow-control slots.  kNone
@@ -147,11 +149,10 @@ class Link {
   };
 
   // One in-flight symbol of a channel: receiver and arrival time are
-  // captured at transmit time (exactly what the per-byte events captured),
-  // as is `seq`, the reserved tie-break position among simultaneous events.
-  // Deliberately trivially copyable — the ring buffer below moves these by
-  // plain stores; the packet a kBegin introduces rides in the channel's
-  // `begin_packets` side queue instead.
+  // captured at transmit time, as is `seq`, the reserved tie-break position
+  // among simultaneous events.  Deliberately trivially copyable — the ring
+  // below moves these by plain stores; the packet a kBegin introduces rides
+  // in the channel's `begin_packets` ring instead.
   struct Flit {
     enum class Kind : std::uint8_t { kBegin, kByte, kEnd };
     Tick arrive;
@@ -164,54 +165,64 @@ class Link {
   };
   static_assert(std::is_trivially_copyable_v<Flit>);
 
-  // Power-of-two ring buffer of in-flight flits: push/pop are an index
-  // increment and a masked store/load, with none of std::deque's segment
-  // bookkeeping on the per-byte path.  A channel holds about one flit per
-  // slot of propagation delay (64 per km), and most cables are metres long
-  // and hold one or two, so the ring starts small and doubles only when
-  // full: each channel's ring is sized to what it has had in flight.
-  class FlitRing {
+  // Power-of-two FIFO ring: push/pop are an index increment and a masked
+  // store/load, with none of std::deque's segment bookkeeping on the
+  // per-byte path.  A channel holds about one flit per slot of propagation
+  // delay (64 per km), and most cables are metres long and hold one or two,
+  // so the ring allocates nothing until its first push and then doubles
+  // only when full: each ring is sized to what it has had in flight, and
+  // the reflection channels of a cable that never reflects stay empty.
+  template <typename T>
+  class Ring {
    public:
     bool empty() const { return head_ == tail_; }
     std::size_t size() const { return tail_ - head_; }
-    const Flit& front() const { return buf_[head_ & (buf_.size() - 1)]; }
-    const Flit& back() const { return buf_[(tail_ - 1) & (buf_.size() - 1)]; }
-    void push_back(const Flit& f) {
+    const T& front() const { return buf_[head_ & (buf_.size() - 1)]; }
+    void push_back(T v) {
       if (size() == buf_.size()) {
         Grow();
       }
-      buf_[tail_ & (buf_.size() - 1)] = f;
+      buf_[tail_ & (buf_.size() - 1)] = std::move(v);
       ++tail_;
     }
-    void pop_front() { ++head_; }
+    T pop_front() { return std::move(buf_[head_++ & (buf_.size() - 1)]); }
 
    private:
     static constexpr std::size_t kInitialCapacity = 4;
 
-    void Grow();
+    void Grow() {
+      std::vector<T> bigger(buf_.empty() ? kInitialCapacity
+                                         : buf_.size() * 2);
+      std::size_t n = size();
+      for (std::size_t i = 0; i < n; ++i) {
+        bigger[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+      }
+      buf_ = std::move(bigger);
+      head_ = 0;
+      tail_ = n;
+    }
 
-    std::vector<Flit> buf_;
+    std::vector<T> buf_;
     std::size_t head_ = 0;
     std::size_t tail_ = 0;
   };
 
-  // Unidirectional channel state, keyed by the transmitting side.
+  // Unidirectional channel state, keyed by (transmitting, receiving) side;
+  // see ChannelIndex.
   struct Channel {
-    FlitRing inflight;
+    Ring<Flit> inflight;
     // Packets of the kBegin flits in `inflight`, in order (cut-through
     // keeps this at one or two entries).
-    std::deque<PacketRef> begin_packets;
-    PacketRef rx_packet;  // packet currently streaming out of the channel
+    Ring<PacketRef> begin_packets;
     Simulator::EventId train;
     // The train parked itself when the channel drained (its slot is kept
     // for ResumeTrain); distinguishes an idle train from one whose firing
     // is on the stack right now.
     bool parked = false;
-    // A mode change that shortens the path mid-stream makes arrivals
-    // non-monotone; such flits (and the rest of their packet) bypass the
-    // train as one-shot events until the next packet boundary.
-    bool bypass = false;
   };
+  static constexpr int ChannelIndex(Side from, Side to) {
+    return 2 * static_cast<int>(from) + static_cast<int>(to);
+  }
 
   // Where do symbols transmitted from `from` end up?  Returns false if they
   // are lost.  Inline: on the per-byte transmit path, and kNormal folds to
@@ -244,18 +255,12 @@ class Link {
   LinkEndpoint* EndpointAt(Side side) const {
     return endpoints_[static_cast<int>(side)];
   }
-  // `packet` is the packet a kBegin introduces (queued for the train, or
-  // captured by the bypass one-shot) and, for a kByte, the packet read only
-  // on the rare bypass path; unused for kEnd.  Inline (defined below the
-  // class) with the rare halves split out-of-line.
-  void PushFlit(Side from, const Flit& flit, const PacketRef& packet);
-  // One-shot event fallback for a flit that cannot ride the train (a mode
-  // change made arrivals non-monotone mid-packet).
-  void PushFlitBypass(const Flit& flit, const PacketRef& packet);
-  // Starts the delivery train for a channel whose head flit just arrived
-  // and whose train slot is not merely parked.
-  void StartDeliveryTrain(Side from, Channel& ch);
-  Simulator::TrainStep DeliverStep(Side from);
+  // Inline (defined below the class); the cold train start is out of line.
+  void PushFlit(int index, const Flit& flit);
+  // Starts the delivery train for channel `index`, whose head flit was just
+  // pushed and whose train slot is not merely parked.
+  void StartDeliveryTrain(int index);
+  Simulator::TrainStep DeliverStep(int index);
   void SetFlowDirectiveChanged(Side from, FlowDirective directive);
   void ScheduleDirective(Side from, FlowDirective directive);
   void NotifyCarrier();
@@ -269,35 +274,18 @@ class Link {
   Rng corruption_rng_;
   std::array<LinkEndpoint*, 2> endpoints_{};
   std::array<TxState, 2> tx_{};
-  std::array<Channel, 2> channels_{};
+  std::array<Channel, 4> channels_{};
   std::array<bool, 2> last_carrier_{false, false};
 };
 
-// Appends a transmitted symbol to its channel's in-flight queue, starting
-// (or resuming) the delivery train if the channel was idle.  Every flit
-// arrives at its captured (arrive, seq) position whichever path delivers
-// it, so the global firing order is identical to the event-per-symbol
-// engine.  Inline so the per-byte transmit chain (endpoint -> TransmitByte
-// -> PushFlit -> ResumeTrain) compiles as one unit; the bypass fallback and
-// cold train start stay out of line.
-inline void Link::PushFlit(Side from, const Flit& flit,
-                           const PacketRef& packet) {
-  Channel& ch = channels_[static_cast<int>(from)];
-  bool out_of_order =
-      !ch.inflight.empty() && flit.arrive < ch.inflight.back().arrive;
-  if (out_of_order) {
-    ch.bypass = true;
-  } else if (flit.kind == Flit::Kind::kBegin) {
-    // A new packet whose begin is in order streams through the train again.
-    ch.bypass = false;
-  }
-  if (ch.bypass) {
-    PushFlitBypass(flit, packet);
-    return;
-  }
-  if (flit.kind == Flit::Kind::kBegin) {
-    ch.begin_packets.push_back(packet);
-  }
+// Appends a transmitted symbol to channel `index`'s in-flight ring,
+// starting (or resuming) the delivery train if the channel was idle.  The
+// channel's fixed delay keeps the ring sorted by arrival, so every flit
+// fires at its captured (arrive, seq) position.  Inline so the per-byte
+// transmit chain (endpoint -> TransmitByte -> PushFlit -> ResumeTrain)
+// compiles as one unit; the cold train start stays out of line.
+inline void Link::PushFlit(int index, const Flit& flit) {
+  Channel& ch = channels_[index];
   bool was_empty = ch.inflight.empty();
   ch.inflight.push_back(flit);
   if (was_empty) {
@@ -309,7 +297,7 @@ inline void Link::PushFlit(Side from, const Flit& flit,
       const Flit& head = ch.inflight.front();
       sim_->ResumeTrain(ch.train, head.arrive, head.seq);
     } else if (!ch.train.valid()) {
-      StartDeliveryTrain(from, ch);
+      StartDeliveryTrain(index);
     }
     // else: a DeliverStep firing for this channel is on the stack (the
     // delivery callback transmitted back into the same channel, e.g. in
@@ -317,8 +305,7 @@ inline void Link::PushFlit(Side from, const Flit& flit,
   }
 }
 
-inline void Link::TransmitByte(Side from, const PacketRef& packet,
-                               std::uint32_t offset) {
+inline void Link::TransmitByte(Side from, std::uint32_t offset) {
   Side rx;
   Tick delay;
   if (!DeliveryTarget(from, &rx, &delay)) {
@@ -337,7 +324,7 @@ inline void Link::TransmitByte(Side from, const PacketRef& packet,
   flit.offset = offset;
   flit.kind = Flit::Kind::kByte;
   flit.corrupt = corrupt;
-  PushFlit(from, flit, packet);
+  PushFlit(ChannelIndex(from, rx), flit);
 }
 
 }  // namespace autonet

@@ -78,14 +78,7 @@ Simulator::EventId Simulator::ScheduleAt(Tick when, Callback callback) {
     when = now_;
     NotePastClamp();
   }
-  return ScheduleAtReserved(when, NextSeq(), std::move(callback));
-}
-
-Simulator::EventId Simulator::ScheduleAtReserved(Tick when, std::uint64_t seq,
-                                                Callback callback) {
-  if (when < now_) {
-    when = now_;
-  }
+  std::uint64_t seq = NextSeq();
   std::uint32_t slot = AllocEventSlot();
   EventSlot& s = events_[slot];
   s.callback = std::move(callback);
@@ -97,8 +90,7 @@ Simulator::EventId Simulator::ScheduleAtReserved(Tick when, std::uint64_t seq,
 
 Simulator::EventId Simulator::ScheduleTrainRawAt(Tick start, std::uint64_t seq,
                                                  TrainFn fn, void* ctx,
-                                                 std::uint64_t arg, Tick stride,
-                                                 std::uint32_t count) {
+                                                 std::uint64_t arg) {
   if (start < now_) {
     start = now_;
     NotePastClamp();
@@ -112,9 +104,6 @@ Simulator::EventId Simulator::ScheduleTrainRawAt(Tick start, std::uint64_t seq,
   t.ctx = ctx;
   t.arg = arg;
   t.id_seq = seq;
-  t.stride = stride;
-  t.next_k = 0;
-  t.count = count;
   t.cancelled = false;
   t.parked = false;
   queue_.push(QEntry::Make(start, seq, slot, true), now_);
@@ -202,16 +191,15 @@ void Simulator::DispatchEntry(QEntry entry) {
     return;
   }
 
-  // Train firing: deliver index k, then push a fresh entry anchored at the
-  // next firing time (the wheel makes pop and push O(1), so no replace-top
-  // trick is needed).  The handler may cancel the train (even destroy its
-  // owner), so re-reference the slot by index afterwards and only then
-  // decide the slot's fate — with the entry already popped, a mid-firing
-  // Cancel leaves slot disposal to us.
+  // Train firing: run the handler, then push a fresh entry anchored at the
+  // next firing time it names (the wheel makes pop and push O(1), so no
+  // replace-top trick is needed).  The handler may cancel the train (even
+  // destroy its owner), so re-reference the slot by index afterwards and
+  // only then decide the slot's fate — with the entry already popped, a
+  // mid-firing Cancel leaves slot disposal to us.
   std::uint32_t slot = entry.slot();
-  std::uint32_t k = trains_[slot].next_k++;
   const TrainSlot& firing = trains_[slot];
-  TrainStep step = firing.fn(firing.ctx, firing.arg, k);
+  TrainStep step = firing.fn(firing.ctx, firing.arg);
   TrainSlot& t = trains_[slot];
   if (t.cancelled) {
     FreeTrainSlot(slot);  // Cancel already adjusted live_count_
@@ -224,28 +212,20 @@ void Simulator::DispatchEntry(QEntry entry) {
     --live_count_;
     return;
   }
-  if (step.kind() == TrainStep::Kind::kDone ||
-      (t.count != 0 && t.next_k >= t.count)) {
+  if (step.kind() == TrainStep::Kind::kDone) {
     --live_count_;
     FreeTrainSlot(slot);
     return;
   }
-  Tick next_when;
-  std::uint64_t next_seq;
-  if (step.kind() == TrainStep::Kind::kAt) {
-    next_when = step.when;
-    if (next_when < now_) {
-      next_when = now_;
-      NotePastClamp();
-    }
-    next_seq = step.seq() != 0 ? step.seq() : NextSeq();
-  } else {
-    // Arithmetic advance.  The fresh sequence lands exactly where a plain
-    // event scheduled right after the handler would have, which is what
-    // keeps event-chain-to-train conversions timing-invisible.
-    next_when = entry.when + t.stride;
-    next_seq = NextSeq();
+  Tick next_when = step.when;
+  if (next_when < now_) {
+    next_when = now_;
+    NotePastClamp();
   }
+  // A fresh sequence lands exactly where a plain event scheduled right after
+  // the handler would have, which keeps event-chain-to-train conversions
+  // timing-invisible.
+  std::uint64_t next_seq = step.seq() != 0 ? step.seq() : NextSeq();
   queue_.push(QEntry::Make(next_when, next_seq, slot, true), now_);
 }
 

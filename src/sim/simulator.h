@@ -46,25 +46,22 @@ class Simulator {
   };
 
   // What a train handler wants to happen after the firing it just served:
-  // advance arithmetically, end the train, re-anchor to an explicit time
-  // (optionally with a tie-break sequence reserved earlier, see
-  // ReserveSeq()), or park — leave the queue but keep the slot so the owner
-  // can ResumeTrain() it later without paying slot churn.
+  // end the train, re-anchor to an explicit time (optionally with a
+  // tie-break sequence reserved earlier, see ReserveSeq()), or park — leave
+  // the queue but keep the slot so the owner can ResumeTrain() it later
+  // without paying slot churn.
   // 16 bytes (kind shares a word with the 39-bit seq) so handlers return it
   // in a register pair instead of through a hidden sret pointer — the return
   // crosses an indirect-call boundary once per train firing.
   struct TrainStep {
-    enum class Kind : std::uint8_t { kAuto, kDone, kAt, kPark };
+    enum class Kind : std::uint8_t { kDone, kAt, kPark };
     Tick when = 0;
     std::uint64_t seq_kind = 0;  // seq << 2 | kind
 
     Kind kind() const { return static_cast<Kind>(seq_kind & 3); }
     std::uint64_t seq() const { return seq_kind >> 2; }
 
-    static TrainStep Auto() { return TrainStep{}; }
-    static TrainStep Done() {
-      return TrainStep{0, std::uint64_t{static_cast<std::uint8_t>(Kind::kDone)}};
-    }
+    static TrainStep Done() { return TrainStep{}; }
     static TrainStep At(Tick when, std::uint64_t seq = 0) {
       return TrainStep{when,
                        seq << 2 | static_cast<std::uint8_t>(Kind::kAt)};
@@ -73,11 +70,10 @@ class Simulator {
       return TrainStep{0, std::uint64_t{static_cast<std::uint8_t>(Kind::kPark)}};
     }
   };
-  // A train's handler: a free function plus two context words, called with
-  // the 0-based firing index k.  Trains run on the per-byte hot path (link
-  // delivery on short links starts one train per symbol), so there is no
-  // std::function to construct, call through, or tear down.
-  using TrainFn = TrainStep (*)(void* ctx, std::uint64_t arg, std::uint32_t k);
+  // A train's handler: a free function plus two context words.  Trains run
+  // on the per-byte hot path (one link delivery firing per symbol), so
+  // there is no std::function to construct, call through, or tear down.
+  using TrainFn = TrainStep (*)(void* ctx, std::uint64_t arg);
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -93,11 +89,11 @@ class Simulator {
 
   // --- train events -----------------------------------------------------
   //
-  // A train is an arithmetic (or handler-steered) sequence of firings that
-  // keeps exactly ONE queue entry alive: after each firing the entry
-  // re-sifts itself to the next firing time instead of being freed.  A
-  // packet's worth of byte deliveries costs one pool slot and one live
-  // queue entry — versus one of each per byte with plain events.
+  // A train is a handler-steered sequence of firings that keeps exactly ONE
+  // queue entry alive: each firing's handler names the next firing time
+  // (TrainStep::At), and the entry re-sifts itself there instead of being
+  // freed.  A packet's worth of byte deliveries costs one pool slot and one
+  // live queue entry — versus one of each per byte with plain events.
   //
   // Determinism contract: simultaneous events fire in sequence order, and a
   // re-sift takes a fresh sequence number exactly where a plain event would
@@ -107,14 +103,11 @@ class Simulator {
   // reserves a byte's delivery order at transmit time), reserve a sequence
   // with ReserveSeq() and pass it via TrainStep::At / ScheduleTrainRawAt.
 
-  // Fires fn(ctx, arg, 0..count-1) at start, start+stride, ...; `count` 0
-  // means unbounded (the handler ends the train with TrainStep::Done()), and
-  // the handler's TrainStep can override the arithmetic advance per firing.
-  // `seq` (0: take the next) is the first firing's tie-break sequence;
-  // stride defaults to 0 so the handler steers every step.
+  // Fires fn(ctx, arg) at `start`, then wherever each firing's TrainStep
+  // says, until one returns Done().  `seq` (0: take the next) is the first
+  // firing's tie-break sequence.
   EventId ScheduleTrainRawAt(Tick start, std::uint64_t seq, TrainFn fn,
-                             void* ctx, std::uint64_t arg, Tick stride = 0,
-                             std::uint32_t count = 0);
+                             void* ctx, std::uint64_t arg);
 
   // Re-queues a train that parked itself (TrainStep::Park).  Heap-identical
   // to ending the train and scheduling a fresh one at (when, seq) — only the
@@ -147,11 +140,9 @@ class Simulator {
   // Claims the next insertion sequence number without scheduling anything.
   // Two events at the same tick fire in sequence order, so a component that
   // knows *now* that a firing will be needed later can fix its tie-break
-  // position now (used by Link to keep byte-train delivery order-identical
-  // to the per-byte-event engine it replaced).
+  // position now (Link reserves each symbol's delivery position at transmit
+  // time and hands it to its channel's train).
   std::uint64_t ReserveSeq() { return NextSeq(); }
-  // Schedules a plain event whose tie-break sequence was reserved earlier.
-  EventId ScheduleAtReserved(Tick when, std::uint64_t seq, Callback callback);
 
   // Returns true if the event (or train) existed and had not yet fired (for
   // trains: not yet ended).  O(1), touches only the named pool slot.
@@ -446,12 +437,9 @@ class Simulator {
     TrainFn fn = nullptr;      // ctx/arg are its context
     void* ctx = nullptr;
     std::uint64_t arg = 0;
-    std::uint32_t next_k = 0;
-    std::uint32_t count = 0;  // 0 = unbounded
     bool cancelled = false;
     bool parked = false;  // no queue entry; waiting for ResumeTrain
     std::uint64_t id_seq = 0;  // creation seq (EventId tag); 0 = free
-    Tick stride = 0;
   };
 
   // Allocates the next sequence number, halting (deterministically, with a

@@ -15,7 +15,7 @@ class FakeSwitchPort : public LinkEndpoint {
     current = packet;
     bytes = 0;
   }
-  void OnDataByte(const PacketRef&, std::uint32_t, bool) override { ++bytes; }
+  void OnDataByte(std::uint32_t, bool) override { ++bytes; }
   void OnPacketEnd(EndFlags flags) override {
     received.push_back({current, flags.corrupted, flags.truncated});
     byte_counts.push_back(bytes);
@@ -170,7 +170,7 @@ TEST_F(ControllerTest, ReceivesAndChecksPackets) {
   // Transmit from the switch side at slot cadence.
   link0_->TransmitBegin(Link::Side::kB, pkt);
   for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-    link0_->TransmitByte(Link::Side::kB, pkt, i);
+    link0_->TransmitByte(Link::Side::kB, i);
   }
   link0_->TransmitEnd(Link::Side::kB, EndFlags{});
   sim_.RunUntil(sim_.now() + 1 * kMillisecond);
@@ -192,7 +192,7 @@ TEST_F(ControllerTest, SlowHostDiscardsInsteadOfStopping) {
     PacketRef pkt = SmallPacket(60);
     link.TransmitBegin(Link::Side::kB, pkt);
     for (std::uint32_t b = 0; b < pkt->WireSize(); ++b) {
-      link.TransmitByte(Link::Side::kB, pkt, b);
+      link.TransmitByte(Link::Side::kB, b);
     }
     link.TransmitEnd(Link::Side::kB, EndFlags{});
   }
