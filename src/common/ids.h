@@ -79,7 +79,6 @@ class ShortAddress {
 
   constexpr bool IsLocalCp() const { return value_ == 0; }
   constexpr bool IsOneHop() const { return value_ >= 0x001 && value_ <= 0x00F; }
-  constexpr PortNum OneHopPort() const { return value_; }
   constexpr bool IsAssignable() const {
     return value_ >= 0x010 && value_ <= 0x7EF;
   }

@@ -10,7 +10,6 @@
 
 namespace autonet {
 
-constexpr std::int64_t SlotIndex(Tick t) { return t / kSlotNs; }
 constexpr Tick SlotStart(std::int64_t index) { return index * kSlotNs; }
 constexpr bool IsFlowSlot(std::int64_t index) {
   return index % kFlowSlotPeriod == 0;

@@ -27,7 +27,6 @@ class JsonWriter {
   JsonWriter& Int(std::int64_t value);
   JsonWriter& UInt(std::uint64_t value);
   JsonWriter& Bool(bool value);
-  JsonWriter& Null();
   // Splices pre-serialized JSON (e.g. a registry snapshot) in as one value.
   JsonWriter& Raw(std::string_view json);
 

@@ -17,10 +17,6 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  double UniformDouble(double lo = 0.0, double hi = 1.0) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
-  }
-
   bool Bernoulli(double p) {
     if (p <= 0.0) {
       return false;
@@ -31,17 +27,7 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  // Exponentially distributed value with the given mean.
-  double Exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-  }
-
   std::uint64_t NextU64() { return engine_(); }
-
-  // Derives an independent stream (e.g. one per switch) from this one.
-  Rng Fork() { return Rng(engine_() ^ 0x9E3779B97F4A7C15ull); }
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;
