@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,8 @@ TEST(ScheduleIds, FromStringRejectsMalformedIds) {
   EXPECT_FALSE(ScheduleId::FromString("small3:cut0:o3:d1").has_value());
   EXPECT_FALSE(ScheduleId::FromString("small3:cut0:o3:d1.0").has_value());
   EXPECT_FALSE(ScheduleId::FromString("a:b:o0:-:extra").has_value());
+  EXPECT_FALSE(ScheduleId::FromString("small3:cut0:o-0:-").has_value());
+  EXPECT_FALSE(ScheduleId::FromString("small3:cut0:o3:d-1.1").has_value());
 }
 
 TEST(ScheduleIds, FaultMatrixCoversCablesAndSwitches) {
@@ -419,6 +422,22 @@ TEST(Explore, SweepHonorsBudgetAndReportsSkips) {
   EXPECT_EQ(report.schedules_skipped, report.deviations_possible - 3);
   EXPECT_FALSE(report.ToJson().empty());
   EXPECT_TRUE(report.ReproducerLines().empty());
+}
+
+TEST(Explore, MalformedFaultIsOneSetupViolation) {
+  // Fault text is parsed when the schedule runs, against the topology: a
+  // negative or out-of-range index, or a secondary the primary does not
+  // take, fails setup before any network is built.
+  ExploreConfig config = SmallConfig();
+  for (const char* text : {"small3:cut-1:o0:-", "small3:cut99:o0:-",
+                           "small3:crash0+restore:o0:-"}) {
+    std::optional<ScheduleId> id = ScheduleId::FromString(text);
+    ASSERT_TRUE(id.has_value()) << text;
+    ScheduleResult result = RunSchedule(config, *id);
+    EXPECT_FALSE(result.ok) << text;
+    ASSERT_EQ(result.violations.size(), 1u) << text;
+    EXPECT_EQ(result.violations[0].oracle, "setup") << text;
+  }
 }
 
 TEST(Explore, ViolationCarriesReplayableReproducer) {
