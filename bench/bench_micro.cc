@@ -4,8 +4,10 @@
 // multi-hop traffic stream with the flight recorder disarmed and armed
 // (medians of alternating runs), and an RPC fleet through a
 // reconfiguration.  It writes them to BENCH_SIM.json, the committed perf
-// baseline the CI bench-smoke job diffs against (>20% event-throughput
-// regression fails the build; >5% armed-vs-disarmed flight overhead too).
+// baseline the CI bench-smoke job diffs against.  A >20% drop in work per
+// CPU-second fails the build: events for the two engine rows, payload bytes
+// for the multihop rows, completed RPCs for the RPC row.  So does >5%
+// armed-vs-disarmed flight overhead (events/s of the same event count).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
