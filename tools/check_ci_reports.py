@@ -12,6 +12,11 @@ nonzero if any check fails.
                          vacuously)
   perfetto TRACE         the post-mortem Chrome trace parses and carries an
                          epoch span on a named reconfig track
+  fingerprints CURRENT COMMITTED
+                         every run in the CURRENT report has a run with the
+                         same scenario, topology and seed in the COMMITTED
+                         report, with equal log_hash, metrics_hash and (where
+                         either carries one) adversary_hash
 
 Example:
   tools/check_ci_reports.py slo-steady slo-small3.json slo-srclan16.json
@@ -75,6 +80,29 @@ def check_perfetto(path):
     return True
 
 
+FINGERPRINTS = ("log_hash", "metrics_hash", "adversary_hash")
+
+
+def check_fingerprints(current, committed):
+    key = lambda r: (r["scenario"], r["topology"], r["seed"])
+    baseline = {key(r): r for r in load(committed)["runs"]}
+    ok = True
+    runs = load(current)["runs"]
+    for run in runs:
+        name = "{} {} seed {}".format(*key(run))
+        want = baseline.get(key(run))
+        if want is None:
+            print(f"FAIL {name}: no such run in {committed}")
+            ok = False
+            continue
+        diff = [f for f in FINGERPRINTS if run.get(f) != want.get(f)]
+        if diff:
+            print(f"FAIL {name}: {', '.join(diff)} differ from {committed}")
+            ok = False
+    print(f"checked {len(runs)} runs of {current} against {committed}")
+    return ok
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -82,11 +110,16 @@ def main():
     sub.add_parser("slo-steady").add_argument("reports", nargs="+")
     sub.add_parser("adversary").add_argument("report")
     sub.add_parser("perfetto").add_argument("trace")
+    fingerprints = sub.add_parser("fingerprints")
+    fingerprints.add_argument("current")
+    fingerprints.add_argument("committed")
     args = parser.parse_args()
     if args.check == "slo-steady":
         ok = check_slo_steady(args.reports)
     elif args.check == "adversary":
         ok = check_adversary(args.report)
+    elif args.check == "fingerprints":
+        ok = check_fingerprints(args.current, args.committed)
     else:
         ok = check_perfetto(args.trace)
     sys.exit(0 if ok else 1)
