@@ -49,7 +49,7 @@ void DeliverCrcEscaped(Network& net, int sw, PortNum port,
   cp.NoteArrivalPort(port);
   cp.SendBegin(pkt);
   for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-    cp.SendByte(pkt, i);
+    cp.SendByte(i);
   }
   cp.SendEnd(EndFlags{});
 }

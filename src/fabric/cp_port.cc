@@ -41,8 +41,7 @@ void CpPort::SendBegin(const PacketRef& packet) {
   rx_bytes_ = 0;
 }
 
-void CpPort::SendByte(const PacketRef& packet, std::uint32_t offset) {
-  (void)packet;
+void CpPort::SendByte(std::uint32_t offset) {
   (void)offset;
   ++rx_bytes_;
 }

@@ -49,7 +49,7 @@ class CpPort final : public Port {
   // --- Port (output side: crossbar -> control processor memory) ---
   bool CanTransmitNow() const override { return true; }
   void SendBegin(const PacketRef& packet) override;
-  void SendByte(const PacketRef& packet, std::uint32_t offset) override;
+  void SendByte(std::uint32_t offset) override;
   void SendEnd(EndFlags flags) override;
 
  private:

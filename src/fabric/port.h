@@ -34,7 +34,7 @@ class Port {
   // Output-side transmission, one symbol per call (the forwarder provides
   // the slot cadence).
   virtual void SendBegin(const PacketRef& packet) = 0;
-  virtual void SendByte(const PacketRef& packet, std::uint32_t offset) = 0;
+  virtual void SendByte(std::uint32_t offset) = 0;
   virtual void SendEnd(EndFlags flags) = 0;
 
   // The input FIFO had data to forward but the crossbar pump found nothing

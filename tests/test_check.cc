@@ -206,7 +206,7 @@ TEST(Inject, ImplausibleEpochIsDroppedNotJoined) {
     cp.NoteArrivalPort(1);
     cp.SendBegin(pkt);
     for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-      cp.SendByte(pkt, i);
+      cp.SendByte(i);
     }
     cp.SendEnd(EndFlags{});
   });
@@ -256,7 +256,7 @@ TEST(Inject, SuspectEpochHeldUntilConfirmedBySecondSighting) {
     cp.NoteArrivalPort(1);
     cp.SendBegin(pkt);
     for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-      cp.SendByte(pkt, i);
+      cp.SendByte(i);
     }
     cp.SendEnd(EndFlags{});
   };
