@@ -64,6 +64,10 @@ class Forwarder {
   bool StalledByFlowControl() const;
   void SchedulePump();
   Simulator::TrainStep PumpStep();
+  // PumpStep's two outcomes: fire again at the next data slot, granting the
+  // input link deferral until then, or end the train and the grant.
+  Simulator::TrainStep PumpAgain();
+  Simulator::TrainStep PumpStop();
   void Finish(EndFlags flags);
 
   Switch* owner_;
@@ -72,11 +76,14 @@ class Forwarder {
   bool broadcast_;
   // Hot-path caches, valid for the forwarder's whole life (ports are owned
   // by the switch and outlive every forwarder).  `in_port_` skips the
-  // per-byte unique_ptr deref; `fast_out_` is the single external output
+  // per-byte unique_ptr deref, and `in_unit_` is the same port when it is
+  // an external one (nullptr for the control processor), whose link holds
+  // this pump's deferral grant.  `fast_out_` is the single external output
   // port of a unicast forwarder (nullptr otherwise), letting the byte pump
   // call the final LinkUnit::SendByte directly instead of iterating the
   // port vector through a virtual call.
   Port* in_port_ = nullptr;
+  LinkUnit* in_unit_ = nullptr;
   LinkUnit* fast_out_ = nullptr;
   // Cached OutputsAllowTransmit(): the flow gate is queried once per pumped
   // byte but changes only when a port's received directive flips, which the

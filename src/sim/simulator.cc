@@ -181,6 +181,7 @@ void Simulator::DispatchEntry(QEntry entry) {
   check_last_seq_ = entry.seq();
 #endif
   now_ = entry.when;
+  dispatch_seq_ = entry.seq();
   ++events_processed_;
   if (!entry.train()) {
     EventSlot& s = events_[entry.slot()];
@@ -229,7 +230,16 @@ void Simulator::DispatchEntry(QEntry entry) {
   queue_.push(QEntry::Make(next_when, next_seq, slot, true), now_);
 }
 
+void Simulator::RemoveOffQueueWork(OffQueueWork* work) {
+  std::erase(off_queue_, work);
+}
+
 void Simulator::SetTieChooser(TieChooser chooser) {
+  if (chooser && !chooser_) {
+    for (OffQueueWork* work : off_queue_) {
+      work->Requeue();
+    }
+  }
   chooser_ = std::move(chooser);
   if (!chooser_ && !ready_batch_.empty()) {
     // Return batched entries to the queue; they are live, at the current
@@ -366,8 +376,9 @@ std::uint64_t Simulator::RunUntil(Tick t) {
     }
     ++processed;
   }
-  if (now_ < t) {
+  if (now_ <= t) {
     now_ = t;
+    dispatch_seq_ = std::numeric_limits<std::uint64_t>::max();
   }
   return processed;
 }

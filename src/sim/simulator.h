@@ -137,6 +137,29 @@ class Simulator {
     return true;
   }
 
+  // The dispatch position: (now(), seq) of the entry being dispatched or
+  // last dispatched, or (t, infinity) once RunUntil(t) has run everything
+  // up to t.  Passed(when, seq) is true if an entry at (when, seq) would
+  // already have fired.  A component that applies work lazily, outside the
+  // queue (Link's deferred byte deliveries), uses it to apply exactly the
+  // work that is due when someone looks.
+  bool Passed(Tick when, std::uint64_t seq) const {
+    return when < now_ || (when == now_ && seq < dispatch_seq_);
+  }
+
+  // Work that is due at reserved (when, seq) positions but held outside the
+  // queue registers here.  A tie chooser must see every firing of a tick, so
+  // installing one first asks each holder to put its work back on the queue.
+  class OffQueueWork {
+   public:
+    virtual void Requeue() = 0;
+
+   protected:
+    ~OffQueueWork() = default;
+  };
+  void AddOffQueueWork(OffQueueWork* work) { off_queue_.push_back(work); }
+  void RemoveOffQueueWork(OffQueueWork* work);
+
   // Claims the next insertion sequence number without scheduling anything.
   // Two events at the same tick fire in sequence order, so a component that
   // knows *now* that a firing will be needed later can fix its tie-break
@@ -162,10 +185,12 @@ class Simulator {
   // sequence.  The chooser is only consulted when n >= 2; out-of-range
   // picks clamp to 0.  Passing nullptr restores default order (any batched
   // entries return to the queue unharmed).  May be installed or removed
-  // from inside a callback.  Purely an exploration instrument: off, it
+  // from inside a callback.  Installing one first requeues all off-queue
+  // work (see OffQueueWork).  Purely an exploration instrument: off, it
   // costs one predicted branch per dispatch.
   using TieChooser = std::function<std::uint32_t(Tick now, std::uint32_t n)>;
   void SetTieChooser(TieChooser chooser);
+  bool tie_chooser_installed() const { return static_cast<bool>(chooser_); }
 
   // Runs the earliest pending event.  Returns false if the queue is empty.
   bool Step();
@@ -476,11 +501,13 @@ class Simulator {
   void NotePastClamp();
 
   Tick now_ = 0;
+  std::uint64_t dispatch_seq_ = 0;  // with now_, the dispatch position
   std::uint64_t next_seq_ = 1;
   std::uint64_t events_processed_ = 0;
   std::size_t live_count_ = 0;
   EventQueue queue_;
   TieChooser chooser_;
+  std::vector<OffQueueWork*> off_queue_;
   // Live same-tick entries pulled out of the queue for the chooser,
   // seq-sorted; empty whenever chooser_ is unset.
   std::vector<QEntry> ready_batch_;
