@@ -28,7 +28,7 @@ namespace {
 class Stopper : public LinkEndpoint {
  public:
   void OnPacketBegin(const PacketRef&) override {}
-  void OnDataByte(std::uint32_t, bool) override {}
+  void OnDataBytes(std::uint32_t, std::uint32_t, std::uint32_t) override {}
   void OnPacketEnd(EndFlags) override {}
   void OnFlowDirective(FlowDirective) override {}
   void OnCarrierChange(bool) override {}

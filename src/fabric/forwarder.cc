@@ -86,26 +86,34 @@ Simulator::TrainStep Forwarder::PumpAgain() {
 }
 
 Simulator::TrainStep Forwarder::PumpStop() {
-  pump_event_ = {};
+  // The revoke applies the bytes that landed before this firing while the
+  // train is still live, so their FIFO activity does not restart it.
   if (in_unit_ != nullptr) {
     in_unit_->RevokeDeferral();
   }
+  pump_event_ = {};
   return Simulator::TrainStep::Done();
 }
 
 Simulator::TrainStep Forwarder::PumpStep() {
-  if (in_unit_ != nullptr) {
-    in_unit_->Settle();  // the bytes that landed before this firing
-  }
   if (finished_) {
     return PumpStop();
   }
   if (StalledByFlowControl()) {
     return PumpStop();  // resume on OnThrottleChange
   }
+  PortFifo& fifo = in_port_->fifo();
+  // Look at the input link — apply the bytes that landed before this
+  // firing — only to decide begin, end or underflow, or when the head
+  // packet has no applied byte left to pop.  Popping an applied byte
+  // without looking is exact: under the grant the FIFO's true occupancy
+  // stays at or below half full, so the directive recomputed after the pop
+  // is start either way.
+  if (in_unit_ != nullptr && !(begun_ && fifo.HeadByteReady())) {
+    in_unit_->Settle();
+  }
   if (!begun_) {
     // Transmit the begin command (one slot), then stream bytes.
-    PortFifo& fifo = in_port_->fifo();
     if (!fifo.HasHead()) {
       return PumpStop();  // reset raced us; owner cleans up
     }
@@ -119,7 +127,6 @@ Simulator::TrainStep Forwarder::PumpStep() {
     bytes_moved_ = 0;
     return PumpAgain();
   }
-  PortFifo& fifo = in_port_->fifo();
   if (auto offset = fifo.PopByte()) {
     if (fast_out_ != nullptr) {
       fast_out_->SendByte(*offset);

@@ -104,6 +104,13 @@ class PortFifo {
     Account(+1);
     return true;
   }
+  // Pushes n bytes at once; the caller has checked they fit (occupancy +
+  // n <= capacity), so none overflows.
+  void PushBytes(std::uint32_t n) {
+    assert(receiving_ && !records_.empty() && occupancy_ + n <= capacity_);
+    records_.back().bytes_entered += n;
+    Account(static_cast<std::ptrdiff_t>(n));
+  }
   void MarkIncomingCorrupt();
   void PushEnd(EndFlags flags);
   // Carrier vanished mid-packet: terminate the incoming packet as truncated.
@@ -130,6 +137,10 @@ class PortFifo {
     std::uint32_t offset = record.bytes_consumed++;
     Account(-1);
     return offset;
+  }
+  // True when the head packet has a data byte to pop.
+  bool HeadByteReady() const {
+    return !records_.empty() && records_.front().bytes_buffered() != 0;
   }
   // True when the head packet's end mark is next (all bytes consumed).
   bool HeadEndReady() const {

@@ -174,13 +174,14 @@ void HostController::NetPort::OnPacketBegin(const PacketRef& packet) {
   rx_corrupted = false;
 }
 
-void HostController::NetPort::OnDataByte(std::uint32_t offset,
-                                         bool corrupt) {
-  (void)offset;
-  if (corrupt) {
+void HostController::NetPort::OnDataBytes(std::uint32_t first_offset,
+                                          std::uint32_t n,
+                                          std::uint32_t corrupt_count) {
+  (void)first_offset;
+  if (corrupt_count != 0) {
     rx_corrupted = true;
   }
-  ++rx_bytes;
+  rx_bytes += n;
 }
 
 void HostController::NetPort::OnPacketEnd(EndFlags flags) {

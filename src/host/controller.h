@@ -96,7 +96,8 @@ class HostController {
     }
 
     void OnPacketBegin(const PacketRef& packet) override;
-    void OnDataByte(std::uint32_t offset, bool corrupt) override;
+    void OnDataBytes(std::uint32_t first_offset, std::uint32_t n,
+                     std::uint32_t corrupt_count) override;
     void OnPacketEnd(EndFlags flags) override;
     void OnFlowDirective(FlowDirective directive) override;
     void OnCarrierChange(bool carrier_up) override;

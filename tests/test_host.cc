@@ -15,7 +15,10 @@ class FakeSwitchPort : public LinkEndpoint {
     current = packet;
     bytes = 0;
   }
-  void OnDataByte(std::uint32_t, bool) override { ++bytes; }
+  void OnDataBytes(std::uint32_t, std::uint32_t n, std::uint32_t) override {
+    EXPECT_EQ(n, 1u);  // never grants deferral
+    ++bytes;
+  }
   void OnPacketEnd(EndFlags flags) override {
     received.push_back({current, flags.corrupted, flags.truncated});
     byte_counts.push_back(bytes);

@@ -17,11 +17,12 @@ class RecordingEndpoint : public LinkEndpoint {
   void OnPacketBegin(const PacketRef& packet) override {
     begins.push_back(packet);
   }
-  void OnDataByte(std::uint32_t offset, bool corrupt) override {
+  // Never grants deferral, so every byte fires on its own.
+  void OnDataBytes(std::uint32_t offset, std::uint32_t n,
+                   std::uint32_t corrupt) override {
+    EXPECT_EQ(n, 1u);
     bytes.push_back(offset);
-    if (corrupt) {
-      ++corrupt_bytes;
-    }
+    corrupt_bytes += static_cast<int>(corrupt);
   }
   void OnPacketEnd(EndFlags flags) override { ends.push_back(flags); }
   void OnFlowDirective(FlowDirective d) override { directives.push_back(d); }
@@ -300,8 +301,13 @@ class TimingEndpoint : public LinkEndpoint {
                           std::vector<Symbol>* log = nullptr)
       : sim_(sim), name_(name), log_(log != nullptr ? log : &symbols) {}
   void OnPacketBegin(const PacketRef&) override { Record('b', 0); }
-  void OnDataByte(std::uint32_t offset, bool) override {
-    Record('d', offset);
+  // A settled run lands as one call; each of its bytes is recorded at the
+  // look that applied it.
+  void OnDataBytes(std::uint32_t offset, std::uint32_t n,
+                   std::uint32_t) override {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      Record('d', offset + i);
+    }
   }
   void OnPacketEnd(EndFlags) override { Record('e', 0); }
   void OnFlowDirective(FlowDirective) override {}
