@@ -216,6 +216,29 @@ class HostAddressOracle : public Oracle {
   }
 };
 
+class FifoOracle : public Oracle {
+ public:
+  std::string name() const override { return "fifo"; }
+  std::string Check(OracleContext& ctx) override {
+    Network& net = *ctx.net;
+    for (int s = 0; s < net.num_switches(); ++s) {
+      Switch& sw = net.switch_at(s);
+      for (PortNum p = kFirstExternalPort; p < kPortsPerSwitch; ++p) {
+        const Link* link = sw.link_unit(p).link();
+        // The raw view: a byte still deferred fits below half full, so it
+        // cannot be an overflow.
+        std::uint64_t lost = sw.port(p).fifo().overflow_count();
+        if (lost != 0 && link != nullptr && !link->ever_faulted()) {
+          return "switch " + sw.name() + " port " + std::to_string(p) +
+                 " overflowed its receive FIFO " + std::to_string(lost) +
+                 " time(s) on a link with no injected fault";
+        }
+      }
+    }
+    return "";
+  }
+};
+
 }  // namespace
 
 int HealthyDiameter(const Network& net) {
@@ -247,6 +270,9 @@ std::unique_ptr<Oracle> MakeEpochOracle() {
 std::unique_ptr<Oracle> MakeHostAddressOracle() {
   return std::make_unique<HostAddressOracle>();
 }
+std::unique_ptr<Oracle> MakeFifoOracle() {
+  return std::make_unique<FifoOracle>();
+}
 
 std::vector<std::unique_ptr<Oracle>> StandardOracles() {
   std::vector<std::unique_ptr<Oracle>> oracles;
@@ -255,6 +281,7 @@ std::vector<std::unique_ptr<Oracle>> StandardOracles() {
   oracles.push_back(MakePortSanityOracle());
   oracles.push_back(MakeEpochOracle());
   oracles.push_back(MakeHostAddressOracle());
+  oracles.push_back(MakeFifoOracle());
   return oracles;
 }
 

@@ -34,6 +34,10 @@
 //   host-address   every registered host on a live switch holds the short
 //                  address of its actual attachment point (a stale or
 //                  damaged reply re-addressed no host for good)
+//   fifo           no switch receive FIFO overflowed on a link that never
+//                  had a cut, reflection or corruption injected: flow
+//                  control (section 6.2) stops every sender in time on a
+//                  healthy link, so a fault-free overflow is lost data
 #ifndef SRC_CHAOS_ORACLES_H_
 #define SRC_CHAOS_ORACLES_H_
 
@@ -94,6 +98,7 @@ std::unique_ptr<Oracle> MakeDeliveryOracle();
 std::unique_ptr<Oracle> MakePortSanityOracle();
 std::unique_ptr<Oracle> MakeEpochOracle();
 std::unique_ptr<Oracle> MakeHostAddressOracle();
+std::unique_ptr<Oracle> MakeFifoOracle();
 
 }  // namespace chaos
 }  // namespace autonet

@@ -457,6 +457,23 @@ TEST(Oracles, HostAddressFiresOnForgedReAddress) {
   EXPECT_NE(oracle->Check(b.ctx).find("expected"), std::string::npos);
 }
 
+TEST(Oracles, FifoFiresOnOverflowOfAnUnfaultedLink) {
+  BootedSmall3 b;
+  auto oracle = MakeFifoOracle();
+  EXPECT_EQ(oracle->Check(b.ctx), "");
+  // Overflow one receive FIFO by hand: one byte more than it holds.
+  const PortNum p = b.net.spec().cables[0].port_a;
+  PortFifo& fifo = b.net.switch_at(b.net.spec().cables[0].sw_a).port(p).fifo();
+  fifo.PushBegin(MakePacket(Packet{}));
+  while (fifo.PushByte()) {
+  }
+  ASSERT_EQ(fifo.overflow_count(), 1u);
+  EXPECT_NE(oracle->Check(b.ctx).find("no injected fault"), std::string::npos);
+  // Corruption injected on that cable explains the loss.
+  b.net.SetCableCorruptionRate(0, 1e-9);
+  EXPECT_EQ(oracle->Check(b.ctx), "");
+}
+
 TEST(Oracles, HealthyDiameterScalesDeadlines) {
   Network line(MakeLine(6, 1));
   EXPECT_EQ(HealthyDiameter(line), 5);
