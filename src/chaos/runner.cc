@@ -217,6 +217,7 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
   }
 
   Network net(topo.spec);
+  net.sim().SetPerByteReference(config.per_byte_reference);
   std::string boot = BootToBaseline(net);
   if (!boot.empty()) {
     result.violations.push_back({"bootstrap", boot, reproducer, "", ""});
@@ -315,6 +316,7 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
 
   result.log_hash = HashMergedLog(net);
   result.metrics_hash = Fnv1a(kFnvOffset, net.DumpMetricsJson());
+  result.data_hash = net.sim().data_digest();
   if (merge_metrics != nullptr) {
     merge_metrics->MergeFrom(net.sim().metrics());
   }

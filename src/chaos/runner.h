@@ -86,6 +86,10 @@ struct CampaignConfig {
   // Oracle battery factory; default StandardOracles.  Tests substitute
   // deliberately broken oracles here to prove violations are caught.
   std::function<std::vector<std::unique_ptr<Oracle>>()> oracles;
+  // Runs every link byte as an event of its own
+  // (Simulator::SetPerByteReference); tests compare such runs with the
+  // default ones.  No command-line flag sets it.
+  bool per_byte_reference = false;
 };
 
 struct RunResult {
@@ -98,6 +102,9 @@ struct RunResult {
   double reconfig_ms = -1;  // duration of the last reconfiguration wave
   std::uint64_t log_hash = 0;      // FNV-1a over the merged event log
   std::uint64_t metrics_hash = 0;  // FNV-1a over the metrics JSON snapshot
+  // What the data plane showed its observers: Simulator::data_digest().
+  // Not in the report; the per-byte reference differential compares it.
+  std::uint64_t data_hash = 0;
   double wall_ms = 0;              // host wall clock for this run
   std::vector<std::string> resolved_actions;
 

@@ -60,6 +60,17 @@ Network::Network(TopoSpec spec, NetworkConfig config)
                                            Link::Side::kB);
     }
     drivers_[h]->SetReceiveHandler([this, h](Delivery d) {
+      // (time, host, size, intact, tag): the tag is the first 8 payload
+      // bytes, as SendTagged writes it.
+      const Packet& p = *d.packet;
+      std::uint64_t tag = 0;
+      for (std::size_t i = 0; i < 8 && i < p.payload.size(); ++i) {
+        tag = tag << 8 | p.payload[i];
+      }
+      sim_.MixDataDigest(static_cast<std::uint64_t>(d.delivered_at));
+      sim_.MixDataDigest(static_cast<std::uint64_t>(h) << 32 |
+                         p.WireSize() << 1 | (d.intact() ? 1 : 0));
+      sim_.MixDataDigest(tag);
       if (delivery_hook_) {
         delivery_hook_(h, d);
       }

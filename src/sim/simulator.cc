@@ -234,13 +234,24 @@ void Simulator::RemoveOffQueueWork(OffQueueWork* work) {
   std::erase(off_queue_, work);
 }
 
+void Simulator::SetPerByteReference(bool on) {
+  if (on && off_queue_allowed_) {
+    for (OffQueueWork* work : off_queue_) {
+      work->Requeue();
+    }
+  }
+  per_byte_reference_ = on;
+  off_queue_allowed_ = !chooser_ && !per_byte_reference_;
+}
+
 void Simulator::SetTieChooser(TieChooser chooser) {
-  if (chooser && !chooser_) {
+  if (chooser && off_queue_allowed_) {
     for (OffQueueWork* work : off_queue_) {
       work->Requeue();
     }
   }
   chooser_ = std::move(chooser);
+  off_queue_allowed_ = !chooser_ && !per_byte_reference_;
   if (!chooser_ && !ready_batch_.empty()) {
     // Return batched entries to the queue; they are live, at the current
     // tick, and seq-sorted, so default order resumes exactly.

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/time.h"
 #include "src/obs/flight.h"
 #include "src/obs/metrics.h"
@@ -190,7 +191,25 @@ class Simulator {
   // costs one predicted branch per dispatch.
   using TieChooser = std::function<std::uint32_t(Tick now, std::uint32_t n)>;
   void SetTieChooser(TieChooser chooser);
-  bool tie_chooser_installed() const { return static_cast<bool>(chooser_); }
+
+  // --- per-byte reference mode (for tests) --------------------------------
+  //
+  // Under it every receiver refuses every deferral grant, so every link
+  // byte is an event of its own, as in the slot-exact model; a differential
+  // test runs the same work in both modes and compares what was observed.
+  // Switching it on first requeues all off-queue work, like a tie chooser.
+  void SetPerByteReference(bool on);
+  // Whether off-queue work may be created: not under a tie chooser, which
+  // must see every firing of a tick, nor in per-byte reference mode.
+  bool off_queue_allowed() const { return off_queue_allowed_; }
+
+  // A fingerprint of what the data plane showed its observers (client
+  // deliveries and status-register samples), mixed in by those observers;
+  // two runs of the same work compare it.
+  void MixDataDigest(std::uint64_t word) {
+    data_digest_ = Fnv1a(data_digest_, &word, sizeof word);
+  }
+  std::uint64_t data_digest() const { return data_digest_; }
 
   // Runs the earliest pending event.  Returns false if the queue is empty.
   bool Step();
@@ -508,6 +527,9 @@ class Simulator {
   EventQueue queue_;
   TieChooser chooser_;
   std::vector<OffQueueWork*> off_queue_;
+  bool per_byte_reference_ = false;
+  bool off_queue_allowed_ = true;  // neither of the two above
+  std::uint64_t data_digest_ = kFnvOffset;
   // Live same-tick entries pulled out of the queue for the chooser,
   // seq-sorted; empty whenever chooser_ is unset.
   std::vector<QEntry> ready_batch_;
