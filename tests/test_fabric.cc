@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/fabric/port_fifo.h"
 #include "src/fabric/scheduler.h"
@@ -561,6 +564,140 @@ TEST_F(MiniNetTest, FlowControlStallMidStream) {
   ASSERT_EQ(h2_rx_.size(), 1u);
   EXPECT_TRUE(h2_rx_[0].intact());
   EXPECT_EQ(h2_rx_[0].delivered_at, 1216211);
+}
+
+// --- The lazy settle: a streaming pump looks at its link only when it must
+//
+// Deferred bytes are applied in runs, when their receiver looks.  These
+// tests compare a run with deferral against one in the per-byte reference
+// mode (Simulator::SetPerByteReference), where every byte is an event of
+// its own.
+
+// One MiniNet outside the test framework, so a test can build two.
+class MiniNet : public MiniNetTest {
+ public:
+  explicit MiniNet(bool per_byte_reference) {
+    SetUp();
+    sim_.SetPerByteReference(per_byte_reference);
+  }
+  void TestBody() override {}
+
+  // Streams a 4000-byte packet over a marginal trunk and, every 530 ns
+  // through it, reads the receiving ports: even samples through
+  // LinkUnit::fifo(), odd ones through ReadAndClearStatus.
+  std::vector<std::uint64_t> SampleStream() {
+    trunk_->SetCorruptionRate(0.002);
+    h1_->Send(DataPacket(AddrH2(), AddrH1(), 4000));
+    std::vector<std::uint64_t> samples;
+    std::uint64_t bad_code = 0;
+    for (int k = 0; k < 640; ++k) {
+      sim_.ScheduleAt(kMicrosecond + k * 530, [this, k, &samples, &bad_code] {
+        for (auto [sw, port] : {std::pair{sw_b_.get(), kTrunkPort},
+                                std::pair{sw_a_.get(), kHostPort}}) {
+          if (k % 2 == 0) {
+            samples.push_back(sw->link_unit(port).fifo().occupancy());
+            continue;
+          }
+          PortStatus s = sw->ReadAndClearStatus(port);
+          samples.push_back(s.fifo_occupancy);
+          samples.push_back(s.bytes_forwarded);
+          samples.push_back(s.bad_code);
+          bad_code += s.bad_code;
+        }
+      });
+    }
+    sim_.RunUntil(2 * kMillisecond);
+    EXPECT_EQ(h2_rx_.size(), 1u);
+    samples.push_back(sim_.metrics().GetCounter("switch.swB.link.flow_stops")
+                          ->value());
+    samples.push_back(bad_code);  // last: the trunk's damage, all samples
+    return samples;
+  }
+};
+
+TEST(LazySettle, MidStreamReadsMatchThePerByteModel) {
+  std::vector<std::uint64_t> deferred = MiniNet(false).SampleStream();
+  std::vector<std::uint64_t> reference = MiniNet(true).SampleStream();
+  EXPECT_EQ(deferred, reference);
+  EXPECT_GT(reference.back(), 0u);  // the samples saw the trunk's damage
+}
+
+// Records the flow directives a switch port sends, with their arrival.
+class DirectiveLog : public LinkEndpoint {
+ public:
+  explicit DirectiveLog(Simulator* sim) : sim_(sim) {}
+  void OnPacketBegin(const PacketRef&) override {}
+  void OnDataBytes(std::uint32_t, std::uint32_t, std::uint32_t) override {}
+  void OnPacketEnd(EndFlags) override {}
+  void OnFlowDirective(FlowDirective d) override {
+    directives.emplace_back(d, sim_->now());
+  }
+  void OnCarrierChange(bool) override {}
+
+  std::vector<std::pair<FlowDirective, Tick>> directives;
+
+ private:
+  Simulator* sim_;
+};
+
+// A lone switch port fed by hand, one OnDataBytes call per run or one per
+// byte.  Its table discards everything, so each packet drains at link rate.
+struct HandFedPort {
+  static constexpr PortNum kPort = 1;
+  Simulator sim;
+  Link link{&sim, 0.01};
+  DirectiveLog far{&sim};
+  Switch sw{&sim, Uid(0x100), "sw"};
+
+  HandFedPort() {
+    link.Attach(Link::Side::kB, &far);
+    sw.AttachLink(kPort, &link, Link::Side::kA);
+  }
+  ~HandFedPort() { sw.DetachLink(kPort); }
+
+  // At `at`, lands a packet of `bytes` bytes, then its end.
+  void Feed(Tick at, std::uint32_t bytes, bool as_one_run) {
+    sim.ScheduleAt(at, [this, bytes, as_one_run] {
+      LinkUnit& unit = sw.link_unit(kPort);
+      unit.OnPacketBegin(DataPacket(ShortAddress(0x20), ShortAddress(0x10),
+                                    bytes));
+      if (as_one_run) {
+        unit.OnDataBytes(0, bytes, 0);
+      } else {
+        for (std::uint32_t i = 0; i < bytes; ++i) {
+          unit.OnDataBytes(i, 1, 0);
+        }
+      }
+      unit.OnPacketEnd(EndFlags{});
+    });
+  }
+};
+
+TEST(LazySettle, RunCrossingHalfFullIsAppliedByteByByte) {
+  // Each packet drains in about 2500 * 80 ns = 200 us.  The first raises
+  // the high-water mark past half full; the second, fed as one run, would
+  // cross half full again and so must latch stop byte by byte; the third
+  // stays under half full and the high-water mark, the one-push case.
+  auto run = [](bool as_one_run) {
+    HandFedPort port;
+    port.Feed(10 * kMicrosecond, 3000, false);
+    port.Feed(400 * kMicrosecond, 2500, as_one_run);
+    port.Feed(800 * kMicrosecond, 1000, as_one_run);
+    port.sim.RunUntil(2 * kMillisecond);
+    const PortFifo& fifo = port.sw.link_unit(HandFedPort::kPort).fifo();
+    EXPECT_EQ(fifo.occupancy(), 0u);
+    return std::tuple{
+        port.far.directives,
+        port.sim.metrics().GetCounter("switch.sw.link.flow_stops")->value(),
+        fifo.max_occupancy(), fifo.overflow_count(),
+        port.sim.events_processed()};
+  };
+  auto one_run = run(true);
+  auto per_byte = run(false);
+  EXPECT_EQ(one_run, per_byte);
+  // Both of the first two packets latched stop once.
+  EXPECT_EQ(std::get<1>(per_byte), 2u);
+  EXPECT_EQ(std::get<2>(per_byte), 3001u);
 }
 
 // A 1 km trunk holds about 64 bytes in flight.
