@@ -6,18 +6,6 @@ namespace autonet {
 
 PortFifo::PortFifo(std::size_t capacity) : capacity_(capacity) {}
 
-void PortFifo::RecordRing::Grow() {
-  std::size_t cap = buf_.empty() ? 8 : buf_.size() * 2;
-  std::vector<PacketRecord> bigger(cap);
-  std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    bigger[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-  }
-  buf_ = std::move(bigger);
-  head_ = 0;
-  tail_ = n;
-}
-
 void PortFifo::PushBegin(const PacketRef& packet) {
   PacketRecord record;
   record.packet = packet;
@@ -66,8 +54,7 @@ std::optional<EndFlags> PortFifo::TryPopEnd() {
   if (!HeadEndReady()) {
     return std::nullopt;
   }
-  PacketRecord record = std::move(records_.front());
-  records_.pop_front();
+  PacketRecord record = records_.pop_front();
   Account(-1);
   return EndFlags{.truncated = record.truncated, .corrupted = record.corrupted};
 }

@@ -13,10 +13,10 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "src/common/ids.h"
 #include "src/common/packet.h"
+#include "src/common/ring.h"
 #include "src/link/link.h"
 
 namespace autonet {
@@ -43,45 +43,6 @@ class PortFifo {
     std::uint32_t bytes_buffered() const {
       return bytes_entered - bytes_consumed;
     }
-  };
-
-  // Power-of-two ring of packet records.  Cut-through keeps this at one or
-  // two entries, but its head and tail are touched once per payload byte on
-  // the forwarding hot path — a ring keeps those accesses to a masked index
-  // into one contiguous buffer, with none of std::deque's segment-map
-  // indirection.
-  class RecordRing {
-   public:
-    bool empty() const { return head_ == tail_; }
-    std::size_t size() const { return tail_ - head_; }
-    PacketRecord& front() { return buf_[head_ & (buf_.size() - 1)]; }
-    const PacketRecord& front() const {
-      return buf_[head_ & (buf_.size() - 1)];
-    }
-    PacketRecord& back() { return buf_[(tail_ - 1) & (buf_.size() - 1)]; }
-    void push_back(PacketRecord&& r) {
-      if (size() == buf_.size()) {
-        Grow();
-      }
-      buf_[tail_ & (buf_.size() - 1)] = std::move(r);
-      ++tail_;
-    }
-    void pop_front() {
-      buf_[head_ & (buf_.size() - 1)] = PacketRecord{};  // drop the PacketRef
-      ++head_;
-    }
-    void clear() {
-      while (!empty()) {
-        pop_front();
-      }
-    }
-
-   private:
-    void Grow();
-
-    std::vector<PacketRecord> buf_;
-    std::size_t head_ = 0;
-    std::size_t tail_ = 0;
   };
 
   // --- enqueue side (link unit receive path) ---
@@ -176,7 +137,9 @@ class PortFifo {
   std::size_t max_occupancy_ = 0;
   std::uint64_t overflow_count_ = 0;
   bool receiving_ = false;  // a packet is currently arriving
-  RecordRing records_;
+  // Cut-through keeps this at one or two records, but its head and tail are
+  // touched once per payload byte on the forwarding hot path.
+  Ring<PacketRecord> records_;
 };
 
 }  // namespace autonet

@@ -114,8 +114,7 @@ Simulator::TrainStep Link::DeliverStep(int index) {
       return Simulator::TrainStep::At(next.arrive, next.seq);
     }
   }
-  ch.parked = true;  // keep the slot; the next undeferred flit resumes it
-  return Simulator::TrainStep::Park();
+  return Simulator::TrainStep::Park();  // the next undeferred flit resumes it
 }
 
 // Deferred flits are all data bytes for the receiver holding the grant (a

@@ -15,9 +15,10 @@
 // side's symbols from one channel to another.  Delivery uses one simulator
 // *train* per channel rather than one event per symbol: each transmitted
 // symbol becomes a POD flit in the channel's in-flight ring, and a single
-// queue entry re-sifts itself from arrival to arrival.  Each flit's
-// tie-break sequence is reserved at transmit time, so the global firing
-// order is identical to one event per symbol.
+// queue entry re-sifts itself from arrival to arrival.  A train with no
+// flit left to deliver parks, keeping its simulator slot, and the next
+// flit resumes it.  Each flit's tie-break sequence is reserved at transmit
+// time, so the global firing order is identical to one event per symbol.
 //
 // Most data bytes land where nobody is looking: a streaming forwarder's
 // FIFO, or a host port that only counts them.  A receiver may grant its
@@ -45,10 +46,9 @@
 #include <limits>
 #include <memory>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "src/common/packet.h"
+#include "src/common/ring.h"
 #include "src/common/time.h"
 #include "src/link/flow.h"
 #include "src/sim/random.h"
@@ -218,53 +218,6 @@ class Link final : public Simulator::OffQueueWork {
   };
   static_assert(std::is_trivially_copyable_v<Flit>);
 
-  // Power-of-two FIFO ring: push/pop are an index increment and a masked
-  // store/load, with none of std::deque's segment bookkeeping on the
-  // per-byte path.  A channel holds about one flit per slot of propagation
-  // delay (64 per km), and most cables are metres long and hold one or two,
-  // so the ring allocates nothing until its first push and then doubles
-  // only when full: each ring is sized to what it has had in flight, and
-  // the reflection channels of a cable that never reflects stay empty.
-  template <typename T>
-  class Ring {
-   public:
-    bool empty() const { return head_ == tail_; }
-    bool full() const { return size() == buf_.size(); }
-    std::size_t size() const { return tail_ - head_; }
-    const T& front() const { return buf_[head_ & (buf_.size() - 1)]; }
-    void push_back(T v) {
-      if (full()) {
-        Grow();
-      }
-      buf_[tail_ & (buf_.size() - 1)] = std::move(v);
-      ++tail_;
-    }
-    T pop_front() { return std::move(buf_[head_++ & (buf_.size() - 1)]); }
-    // Discards the first n elements (trivially copyable T only).
-    void drop_front(std::size_t n) { head_ += n; }
-    // The i-th element from the front.
-    T& operator[](std::size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
-
-   private:
-    static constexpr std::size_t kInitialCapacity = 4;
-
-    void Grow() {
-      std::vector<T> bigger(buf_.empty() ? kInitialCapacity
-                                         : buf_.size() * 2);
-      std::size_t n = size();
-      for (std::size_t i = 0; i < n; ++i) {
-        bigger[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-      }
-      buf_ = std::move(bigger);
-      head_ = 0;
-      tail_ = n;
-    }
-
-    std::vector<T> buf_;
-    std::size_t head_ = 0;
-    std::size_t tail_ = 0;
-  };
-
   // Unidirectional channel state, keyed by (transmitting, receiving) side;
   // see ChannelIndex.
   // The fields a deferred byte touches come first, in one cache line.
@@ -278,12 +231,9 @@ class Link final : public Simulator::OffQueueWork {
     // Packets of the kBegin flits in `inflight`, in order (cut-through
     // keeps this at one or two entries).
     Ring<PacketRef> begin_packets;
-    // The train is queued at the first flit that is not deferred, if any.
+    // The train is queued at the first flit that is not deferred, if any,
+    // and parks (keeping its slot for ResumeTrain) when none is left.
     Simulator::EventId train;
-    // The train parked itself when no undeferred flit remained (its slot is
-    // kept for ResumeTrain); distinguishes an idle train from one whose
-    // firing is on the stack right now.
-    bool parked = false;
     bool firing = false;  // DeliverStep is on the stack
   };
   // A channel holding this many flits applies its due deferred bytes before
@@ -328,8 +278,11 @@ class Link final : public Simulator::OffQueueWork {
   // Inline (defined below the class); the cold train start is out of line.
   void PushFlit(int index, const Flit& flit);
   // Anchors channel `index`'s train at `flit`, its first undeferred flit,
-  // when the train is not already queued: resumes a parked train, starts a
-  // new one, or leaves it to the DeliverStep on the stack.
+  // when the train is not already queued: starts one, or resumes a parked
+  // one.  ResumeTrain refuses a train that is queued, or whose DeliverStep
+  // is on the stack and will chain to the first undeferred flit itself (the
+  // delivery callback transmitted back into the same channel, e.g. in
+  // reflect mode).
   void AnchorTrain(int index, const Flit& flit);
   void StartDeliveryTrain(int index, const Flit& flit);
   Simulator::TrainStep DeliverStep(int index);
@@ -386,18 +339,14 @@ inline void Link::PushFlit(int index, const Flit& flit) {
 
 inline void Link::AnchorTrain(int index, const Flit& flit) {
   Channel& ch = channels_[index];
-  if (ch.parked) {
+  if (!ch.train.valid()) {
+    StartDeliveryTrain(index, flit);
+  } else {
     // On short links the channel drains after every symbol, so the train
     // parks and resumes once per symbol; reusing the parked slot keeps
     // that to a single heap push.
-    ch.parked = false;
     sim_->ResumeTrain(ch.train, flit.arrive, flit.seq);
-  } else if (!ch.train.valid()) {
-    StartDeliveryTrain(index, flit);
   }
-  // else: a DeliverStep firing for this channel is on the stack (the
-  // delivery callback transmitted back into the same channel, e.g. in
-  // reflect mode); it will chain to the first undeferred flit itself.
 }
 
 // Inline: a streaming forwarder re-grants at every pump firing.

@@ -9,7 +9,7 @@ namespace autonet {
 
 void Simulator::SeqOverflow() {
   std::fprintf(stderr,
-               "Simulator: event sequence space exhausted (2^39 schedules)\n");
+               "Simulator: event sequence space exhausted (2^40 schedules)\n");
   std::abort();
 }
 
@@ -20,46 +20,29 @@ void Simulator::SlotOverflow() {
   std::abort();
 }
 
-std::uint32_t Simulator::AllocEventSlot() {
-  if (!free_events_.empty()) {
-    std::uint32_t slot = free_events_.back();
-    free_events_.pop_back();
-    return slot;
+std::uint32_t Simulator::AllocSlot(std::uint64_t id) {
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    if (slots_.size() > kMaxSlot) {
+      SlotOverflow();
+    }
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  if (events_.size() > kMaxSlot) {
-    SlotOverflow();
-  }
-  events_.emplace_back();
-  return static_cast<std::uint32_t>(events_.size() - 1);
+  slots_[slot].id = id;
+  return slot;
 }
 
-std::uint32_t Simulator::AllocTrainSlot() {
-  if (!free_trains_.empty()) {
-    std::uint32_t slot = free_trains_.back();
-    free_trains_.pop_back();
-    return slot;
-  }
-  if (trains_.size() > kMaxSlot) {
-    SlotOverflow();
-  }
-  trains_.emplace_back();
-  return static_cast<std::uint32_t>(trains_.size() - 1);
-}
-
-void Simulator::FreeEventSlot(std::uint32_t slot) {
-  EventSlot& s = events_[slot];
+void Simulator::FreeSlot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.id = 0;
+  s.queued = 0;
+  s.fn = nullptr;
   s.callback = nullptr;
-  s.seq = 0;
-  free_events_.push_back(slot);
-}
-
-void Simulator::FreeTrainSlot(std::uint32_t slot) {
-  TrainSlot& t = trains_[slot];
-  t.fn = nullptr;
-  t.id_seq = 0;
-  t.cancelled = false;
-  t.parked = false;
-  free_trains_.push_back(slot);
+  free_slots_.push_back(slot);
 }
 
 void Simulator::NotePastClamp() {
@@ -74,89 +57,45 @@ void Simulator::NotePastClamp() {
 }
 
 Simulator::EventId Simulator::ScheduleAt(Tick when, Callback callback) {
-  if (when < now_) {
-    when = now_;
-    NotePastClamp();
-  }
   std::uint64_t seq = NextSeq();
-  std::uint32_t slot = AllocEventSlot();
-  EventSlot& s = events_[slot];
+  std::uint32_t slot = AllocSlot(seq);
+  Slot& s = slots_[slot];
   s.callback = std::move(callback);
-  s.seq = seq;
-  queue_.push(QEntry::Make(when, seq, slot, false), now_);
+  Enqueue(s, slot, when, seq);
   ++live_count_;
-  return EventId{seq, slot, false};
+  return EventId{seq, slot};
 }
 
 Simulator::EventId Simulator::ScheduleTrainRawAt(Tick start, std::uint64_t seq,
                                                  TrainFn fn, void* ctx,
                                                  std::uint64_t arg) {
-  if (start < now_) {
-    start = now_;
-    NotePastClamp();
-  }
   if (seq == 0) {
     seq = NextSeq();
   }
-  std::uint32_t slot = AllocTrainSlot();
-  TrainSlot& t = trains_[slot];
-  t.fn = fn;
-  t.ctx = ctx;
-  t.arg = arg;
-  t.id_seq = seq;
-  t.cancelled = false;
-  t.parked = false;
-  queue_.push(QEntry::Make(start, seq, slot, true), now_);
+  std::uint32_t slot = AllocSlot(seq);
+  Slot& s = slots_[slot];
+  s.fn = fn;
+  s.ctx = ctx;
+  s.arg = arg;
+  Enqueue(s, slot, start, seq);
   ++live_count_;
-  return EventId{seq, slot, true};
+  return EventId{seq, slot};
 }
 
 bool Simulator::Cancel(EventId id) {
-  if (!id.valid()) {
-    return false;
+  if (!id.valid() || id.slot >= slots_.size() ||
+      slots_[id.slot].id != id.seq) {
+    return false;  // already ended, or a different event owns the slot
   }
-  if (id.train) {
-    if (id.slot >= trains_.size()) {
-      return false;
-    }
-    TrainSlot& t = trains_[id.slot];
-    if (t.id_seq != id.seq || t.cancelled) {
-      return false;  // already ended, or a different train owns the slot
-    }
-    if (t.parked) {
-      // No queue entry exists to drain the slot later; free it now.  The
-      // park already removed the train from live_count_.
-      FreeTrainSlot(id.slot);
-      return true;
-    }
-    // Inverted cancellation: flag the slot; the train's single queue entry
-    // is discarded when it surfaces.  The slot is freed then, not here —
-    // its handler may be the one currently executing.
-    t.cancelled = true;
+  // Free the slot (and whatever a callback captures) now: its queue entry,
+  // if any, fails the liveness check when it surfaces.  A parked train has
+  // none and is not pending; a firing one keeps its entry's seq in `queued`
+  // until its handler returns, so it still counts here.
+  if (slots_[id.slot].queued != 0) {
     --live_count_;
-    return true;
   }
-  if (id.slot >= events_.size()) {
-    return false;
-  }
-  EventSlot& s = events_[id.slot];
-  if (s.seq != id.seq) {
-    return false;  // already fired, or the slot was recycled
-  }
-  // Release the callback (and whatever it captures) now; the queue entry
-  // fails its generation check when it reaches the head.
-  FreeEventSlot(id.slot);
-  --live_count_;
+  FreeSlot(id.slot);
   return true;
-}
-
-bool Simulator::EntryLive(const QEntry& entry) {
-  if (entry.train()) {
-    // A train owns its slot for as long as its queue entry exists, so the
-    // slot cannot have been recycled under the entry.
-    return !trains_[entry.slot()].cancelled;
-  }
-  return events_[entry.slot()].seq == entry.seq();
 }
 
 void Simulator::DispatchTop(QEntry entry) {
@@ -183,10 +122,11 @@ void Simulator::DispatchEntry(QEntry entry) {
   now_ = entry.when;
   dispatch_seq_ = entry.seq();
   ++events_processed_;
-  if (!entry.train()) {
-    EventSlot& s = events_[entry.slot()];
+  std::uint32_t slot = entry.slot();
+  Slot& s = slots_[slot];
+  if (s.fn == nullptr) {
     Callback callback = std::move(s.callback);
-    FreeEventSlot(entry.slot());
+    FreeSlot(slot);
     --live_count_;
     callback();
     return;
@@ -195,39 +135,31 @@ void Simulator::DispatchEntry(QEntry entry) {
   // Train firing: run the handler, then push a fresh entry anchored at the
   // next firing time it names (the wheel makes pop and push O(1), so no
   // replace-top trick is needed).  The handler may cancel the train (even
-  // destroy its owner), so re-reference the slot by index afterwards and
-  // only then decide the slot's fate — with the entry already popped, a
-  // mid-firing Cancel leaves slot disposal to us.
-  std::uint32_t slot = entry.slot();
-  const TrainSlot& firing = trains_[slot];
-  TrainStep step = firing.fn(firing.ctx, firing.arg);
-  TrainSlot& t = trains_[slot];
-  if (t.cancelled) {
-    FreeTrainSlot(slot);  // Cancel already adjusted live_count_
-    return;
+  // destroy its owner), which frees the slot and lets a new schedule reuse
+  // it, so re-reference the slot by index afterwards and stop if it no
+  // longer holds this train.
+  std::uint64_t id = s.id;
+  TrainStep step = s.fn(s.ctx, s.arg);
+  Slot& t = slots_[slot];
+  if (t.id != id) {
+    return;  // Cancel already adjusted live_count_
   }
   if (step.kind() == TrainStep::Kind::kPark) {
     // The slot stays owned by the train for a later ResumeTrain.  A parked
     // train is not pending.
-    t.parked = true;
+    t.queued = 0;
     --live_count_;
     return;
   }
   if (step.kind() == TrainStep::Kind::kDone) {
     --live_count_;
-    FreeTrainSlot(slot);
+    FreeSlot(slot);
     return;
-  }
-  Tick next_when = step.when;
-  if (next_when < now_) {
-    next_when = now_;
-    NotePastClamp();
   }
   // A fresh sequence lands exactly where a plain event scheduled right after
   // the handler would have, which keeps event-chain-to-train conversions
   // timing-invisible.
-  std::uint64_t next_seq = step.seq() != 0 ? step.seq() : NextSeq();
-  queue_.push(QEntry::Make(next_when, next_seq, slot, true), now_);
+  Enqueue(t, slot, step.when, step.seq());
 }
 
 void Simulator::RemoveOffQueueWork(OffQueueWork* work) {
@@ -278,9 +210,6 @@ bool Simulator::StepChosen(Tick horizon) {
         const QEntry entry = queue_.top(now_);
         if (!EntryLive(entry)) {
           queue_.pop();
-          if (entry.train()) {
-            FreeTrainSlot(entry.slot());
-          }
           continue;
         }
         if (entry.when > horizon) {
@@ -302,9 +231,6 @@ bool Simulator::StepChosen(Tick horizon) {
       const QEntry entry = queue_.top(now_);
       if (!EntryLive(entry)) {
         queue_.pop();
-        if (entry.train()) {
-          FreeTrainSlot(entry.slot());
-        }
         continue;
       }
       if (entry.when != when) {
@@ -315,6 +241,11 @@ bool Simulator::StepChosen(Tick horizon) {
       while (it != ready_batch_.begin() && (it - 1)->seq() > entry.seq()) {
         --it;
       }
+      if (it != ready_batch_.begin() && (it - 1)->key == entry.key) {
+        // A stale twin: a cancelled train's entry at a reserved (when, seq)
+        // that a new train in the same slot was queued at again.
+        continue;
+      }
       ready_batch_.insert(it, entry);
     }
     // Drop members cancelled since they were pulled (an earlier choice this
@@ -323,8 +254,6 @@ bool Simulator::StepChosen(Tick horizon) {
     for (std::size_t i = 0; i < ready_batch_.size(); ++i) {
       if (EntryLive(ready_batch_[i])) {
         ready_batch_[w++] = ready_batch_[i];
-      } else if (ready_batch_[i].train()) {
-        FreeTrainSlot(ready_batch_[i].slot());
       }
     }
     ready_batch_.resize(w);
@@ -351,12 +280,7 @@ bool Simulator::StepDefault(Tick horizon) {
     if (!EntryLive(entry)) {
       // A stale head may carry any timestamp (including one beyond the
       // horizon); discard it regardless so it never blocks the scan.
-      std::uint32_t slot = entry.slot();
-      bool train = entry.train();
       queue_.pop();
-      if (train) {
-        FreeTrainSlot(slot);  // drained entry of a cancelled train
-      }
       continue;
     }
     if (entry.when > horizon) {

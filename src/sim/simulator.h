@@ -9,12 +9,13 @@
 //
 // Hot-path layout: the event queue holds 16-byte POD entries — a timing
 // wheel for the near-future slot grid over a 4-ary overflow heap for far
-// timers; callbacks and train state live in slab pools indexed by those
+// timers; callbacks and train state live in one slab pool indexed by those
 // entries, so queue moves never touch a std::function and the
-// never-cancelled event touches no hash table.  Cancellation is inverted —
-// `Cancel` invalidates the pool slot (a generation check), and the stale
-// queue entry is discarded when it surfaces; events that are never
-// cancelled pay nothing.
+// never-cancelled event touches no hash table.  Plain events and trains
+// share one slot pool and one liveness rule: a queue entry is live exactly
+// when its seq is its slot's `queued` seq.  `Cancel` frees the slot at
+// once, and the stale queue entry is discarded when it surfaces; events
+// that are never cancelled pay nothing.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -42,7 +43,6 @@ class Simulator {
   struct EventId {
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
-    bool train = false;
     bool valid() const { return seq != 0; }
   };
 
@@ -51,7 +51,7 @@ class Simulator {
   // tie-break sequence reserved earlier, see ReserveSeq()), or park — leave
   // the queue but keep the slot so the owner can ResumeTrain() it later
   // without paying slot churn.
-  // 16 bytes (kind shares a word with the 39-bit seq) so handlers return it
+  // 16 bytes (kind shares a word with the 40-bit seq) so handlers return it
   // in a register pair instead of through a hidden sret pointer — the return
   // crosses an indirect-call boundary once per train firing.
   struct TrainStep {
@@ -115,25 +115,18 @@ class Simulator {
   // slot alloc/init/free churn is skipped — so the link's start-a-train-per-
   // symbol pattern on short links costs one heap push per symbol instead.
   // A parked train is not pending (it holds no queue entry); Cancel frees
-  // it immediately.  Returns false if `id` does not name a parked train.
+  // it immediately.  Returns false if `id` does not name a parked train:
+  // one that is queued or firing, an ended one, or a plain event.
   // Inline: short links park and resume once per delivered symbol.
   bool ResumeTrain(EventId id, Tick when, std::uint64_t seq = 0) {
-    if (!id.valid() || !id.train || id.slot >= trains_.size()) {
+    if (!id.valid() || id.slot >= slots_.size()) {
       return false;
     }
-    TrainSlot& t = trains_[id.slot];
-    if (t.id_seq != id.seq || !t.parked || t.cancelled) {
+    Slot& s = slots_[id.slot];
+    if (s.id != id.seq || s.queued != 0) {
       return false;
     }
-    if (when < now_) {
-      when = now_;
-      NotePastClamp();
-    }
-    if (seq == 0) {
-      seq = NextSeq();
-    }
-    t.parked = false;
-    queue_.push(QEntry::Make(when, seq, id.slot, true), now_);
+    Enqueue(s, id.slot, when, seq);
     ++live_count_;
     return true;
   }
@@ -241,13 +234,12 @@ class Simulator {
  private:
   // Sequence numbers and pool-slot indices share one word in the heap entry
   // (seq in the high bits so key order == seq order among equal times).
-  // 39 bits of sequence bounds a run at ~5.5e11 schedules and 24 bits of
-  // slot bound the pools at ~16.7M concurrently-live events — both checked
+  // 40 bits of sequence bound a run at ~1.1e12 schedules and 24 bits of
+  // slot bound the pool at ~16.7M concurrently-live events — both checked
   // where they could first overflow.
   static constexpr int kSlotBits = 24;
-  static constexpr int kTrainBits = 1;
   static constexpr std::uint64_t kMaxSeq =
-      (std::uint64_t{1} << (64 - kSlotBits - kTrainBits)) - 1;
+      (std::uint64_t{1} << (64 - kSlotBits)) - 1;
   static constexpr std::uint32_t kMaxSlot =
       (std::uint32_t{1} << kSlotBits) - 1;
 
@@ -256,19 +248,12 @@ class Simulator {
   // std::function, and top() is read without const_cast tricks.
   struct QEntry {
     Tick when;
-    std::uint64_t key;  // seq << 25 | slot << 1 | train
+    std::uint64_t key;  // seq << 24 | slot
 
-    static QEntry Make(Tick when, std::uint64_t seq, std::uint32_t slot,
-                       bool train) {
-      return QEntry{when, seq << (kSlotBits + kTrainBits) |
-                              std::uint64_t{slot} << kTrainBits |
-                              std::uint64_t{train}};
-    }
-    std::uint64_t seq() const { return key >> (kSlotBits + kTrainBits); }
+    std::uint64_t seq() const { return key >> kSlotBits; }
     std::uint32_t slot() const {
-      return static_cast<std::uint32_t>(key >> kTrainBits) & kMaxSlot;
+      return static_cast<std::uint32_t>(key) & kMaxSlot;
     }
-    bool train() const { return (key & 1) != 0; }
   };
   // 4-ary min-heap over QEntry.  Used as the *overflow* tier of the
   // two-tier EventQueue below: only events beyond the timing wheel's window
@@ -473,21 +458,21 @@ class Simulator {
     EventHeap far_;
   };
 
-  struct EventSlot {
-    Callback callback;
-    std::uint64_t seq = 0;  // 0 = free; else generation tag of the entry
-  };
-  struct TrainSlot {
-    TrainFn fn = nullptr;      // ctx/arg are its context
+  // A scheduled plain event (fn == nullptr: `callback`) or train (fn with
+  // its ctx/arg context).  Both obey one liveness rule: a queue entry is
+  // live exactly when its seq equals its slot's `queued`.  Cancel frees the
+  // slot at once, so an entry left in the queue goes stale by itself.
+  struct Slot {
+    std::uint64_t id = 0;      // creation seq (EventId tag); 0 = free
+    std::uint64_t queued = 0;  // seq of the live queue entry; 0 = none
+    TrainFn fn = nullptr;
     void* ctx = nullptr;
     std::uint64_t arg = 0;
-    bool cancelled = false;
-    bool parked = false;  // no queue entry; waiting for ResumeTrain
-    std::uint64_t id_seq = 0;  // creation seq (EventId tag); 0 = free
+    Callback callback;
   };
 
   // Allocates the next sequence number, halting (deterministically, with a
-  // diagnostic) if the 39-bit heap-key field would overflow.
+  // diagnostic) if the 40-bit heap-key field would overflow.
   std::uint64_t NextSeq() {
     if (next_seq_ > kMaxSeq) {
       SeqOverflow();
@@ -497,13 +482,25 @@ class Simulator {
   [[noreturn]] static void SeqOverflow();
   [[noreturn]] static void SlotOverflow();
 
-  std::uint32_t AllocEventSlot();
-  std::uint32_t AllocTrainSlot();
-  void FreeEventSlot(std::uint32_t slot);
-  void FreeTrainSlot(std::uint32_t slot);
-  // Is this queue entry still current?  Frees the slot of a drained
-  // cancelled train as a side effect.
-  bool EntryLive(const QEntry& entry);
+  // Returns a free slot with `id` set.
+  std::uint32_t AllocSlot(std::uint64_t id);
+  void FreeSlot(std::uint32_t slot);
+  // Pushes slot `index`'s one live queue entry at (when, seq).  A `when` in
+  // the past is clamped to now and counted; `seq` 0 takes the next one.
+  void Enqueue(Slot& s, std::uint32_t index, Tick when, std::uint64_t seq) {
+    if (when < now_) {
+      when = now_;
+      NotePastClamp();
+    }
+    if (seq == 0) {
+      seq = NextSeq();
+    }
+    s.queued = seq;
+    queue_.push(QEntry{when, seq << kSlotBits | index}, now_);
+  }
+  bool EntryLive(const QEntry& entry) const {
+    return slots_[entry.slot()].queued == entry.seq();
+  }
   // `entry` is the caller's copy of queue_.top() — passed in (two registers)
   // so the dispatch loop reads the heap root exactly once per event.
   void DispatchTop(QEntry entry);
@@ -533,10 +530,8 @@ class Simulator {
   // Live same-tick entries pulled out of the queue for the chooser,
   // seq-sorted; empty whenever chooser_ is unset.
   std::vector<QEntry> ready_batch_;
-  std::vector<EventSlot> events_;
-  std::vector<std::uint32_t> free_events_;
-  std::vector<TrainSlot> trains_;
-  std::vector<std::uint32_t> free_trains_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 #ifdef AUTONET_QUEUE_ORDER_CHECK
   Tick check_last_when_ = 0;          // dispatch-order audit (debug builds)
   std::uint64_t check_last_seq_ = 0;

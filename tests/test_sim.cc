@@ -305,6 +305,75 @@ TEST(SimulatorTrain, CancelOfParkedTrainFreesSlot) {
   EXPECT_TRUE(sim.empty());
 }
 
+// A cancelled train's slot is free at once, so whatever is scheduled next
+// may take it over; the train's queue entry, if any, must then stay dead.
+TEST(SimulatorTrain, HandlerCancelsOwnTrainThenSchedulesIntoItsSlot) {
+  Simulator sim;
+  Trains trains(&sim);
+  int train_fires = 0;
+  std::vector<Tick> event_fires;
+  Simulator::EventId id;
+  id = trains.Schedule(100, [&] {
+    ++train_fires;
+    EXPECT_TRUE(sim.Cancel(id));
+    sim.ScheduleAt(sim.now() + 10, [&] { event_fires.push_back(sim.now()); });
+    return Simulator::TrainStep::At(sim.now() + 5);
+  });
+  sim.Run();
+  EXPECT_EQ(train_fires, 1);
+  EXPECT_EQ(event_fires, (std::vector<Tick>{110}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorTrain, StaleEntryOfCancelledTrainFiresNothing) {
+  Simulator sim;
+  Trains trains(&sim);
+  std::vector<Tick> train_fires;
+  std::vector<Tick> event_fires;
+  auto id = trains.Schedule(200, [&] {
+    train_fires.push_back(sim.now());
+    return Simulator::TrainStep::Done();
+  });
+  sim.ScheduleAt(150, [&] {
+    EXPECT_TRUE(sim.Cancel(id));
+    sim.ScheduleAt(300, [&] { event_fires.push_back(sim.now()); });
+  });
+  EXPECT_EQ(sim.RunUntil(250), 1u);  // the train's entry at 200 is stale
+  EXPECT_TRUE(train_fires.empty());
+  EXPECT_TRUE(event_fires.empty());
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_TRUE(train_fires.empty());
+  EXPECT_EQ(event_fires, (std::vector<Tick>{300}));
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorTrain, OldIdOfCancelledParkedTrainMissesTheNewOccupant) {
+  Simulator sim;
+  Trains trains(&sim);
+  auto id = trains.Schedule(10, [] { return Simulator::TrainStep::Park(); });
+  sim.Run();
+  EXPECT_TRUE(sim.Cancel(id));
+  // The new occupant parks too, so the slot looks like the old train's.
+  std::vector<Tick> fires;
+  auto next = trains.Schedule(20, [&] {
+    fires.push_back(sim.now());
+    return fires.size() == 1 ? Simulator::TrainStep::Park()
+                             : Simulator::TrainStep::Done();
+  });
+  sim.Run();
+  EXPECT_FALSE(sim.ResumeTrain(id, 50));
+  EXPECT_FALSE(sim.Cancel(id));
+  EXPECT_TRUE(sim.empty());
+  EXPECT_TRUE(sim.ResumeTrain(next, 100));
+  EXPECT_FALSE(sim.Cancel(id));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_EQ(fires, (std::vector<Tick>{20, 100}));
+  EXPECT_TRUE(sim.empty());
+}
+
 TEST(SimulatorTrain, ResumeInPastClampsToNow) {
   Simulator sim;
   Trains trains(&sim);
@@ -492,6 +561,41 @@ TEST(SimulatorTieChooser, TrainFiringsJoinTheTiePool) {
   // train first, then 1, then 0; the train's second firing at t=110 is a
   // lone event.
   EXPECT_EQ(order, (std::vector<int>{100, 1, 0, 101}));
+}
+
+// A train cancelled while queued at a reserved (when, seq), whose slot a
+// new train takes over and re-queues at that same position: the old entry is
+// an exact twin of the new one and must not count as a second tie member.
+TEST(SimulatorTieChooser, CancelledTrainsTwinIsNotATieMember) {
+  Simulator sim;
+  Trains trains(&sim);
+  std::uint64_t reserved = sim.ReserveSeq();
+  auto first = trains.Schedule(
+      200, [] { return Simulator::TrainStep::Done(); }, reserved);
+  std::vector<int> order;
+  sim.ScheduleAt(100, [&] {
+    EXPECT_TRUE(sim.Cancel(first));
+    int k = 0;
+    trains.Schedule(150, [&, k]() mutable {
+      order.push_back(100 + k);
+      return k++ == 0 ? Simulator::TrainStep::At(200, reserved)
+                      : Simulator::TrainStep::Done();
+    });
+  });
+  // Live between the new train's start and its re-queue, so the dispatch
+  // loop does not look past it while the old entry is still stale.
+  sim.ScheduleAt(175, [&] { order.push_back(1); });
+  sim.ScheduleAt(200, [&] { order.push_back(0); });
+  std::vector<std::pair<Tick, std::uint32_t>> choices;
+  sim.SetTieChooser([&](Tick now, std::uint32_t n) {
+    choices.push_back({now, n});
+    return 0u;
+  });
+  sim.Run();
+  EXPECT_EQ(choices,
+            (std::vector<std::pair<Tick, std::uint32_t>>{{200, 2}}));
+  EXPECT_EQ(order, (std::vector<int>{100, 1, 101, 0}));
+  EXPECT_TRUE(sim.empty());
 }
 
 TEST(Timer, RestartSupersedesPreviousArm) {
