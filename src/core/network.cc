@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <optional>
 
 #include "src/routing/spanning_tree.h"
 #include "src/routing/updown.h"
@@ -487,12 +488,13 @@ void Network::RestartSwitch(int i) {
 
 // --- traffic ---
 
-bool Network::SendData(int src_host, int dst_host, std::size_t data_bytes,
-                       std::uint16_t ether_type) {
-  AutonetDriver& src = *drivers_[src_host];
-  AutonetDriver& dst = *drivers_[dst_host];
+std::optional<Packet> Network::DataPacket(int src_host, int dst_host,
+                                          std::size_t data_bytes,
+                                          std::uint16_t ether_type) const {
+  const AutonetDriver& src = *drivers_[src_host];
+  const AutonetDriver& dst = *drivers_[dst_host];
   if (!src.HasAddress() || !dst.HasAddress()) {
-    return false;
+    return std::nullopt;
   }
   Packet p;
   p.dest = dst.short_address();
@@ -502,29 +504,28 @@ bool Network::SendData(int src_host, int dst_host, std::size_t data_bytes,
   p.ether_type = ether_type;
   p.payload.assign(data_bytes, 0xD5);
   p.created_at = sim_.now();
-  return src.Send(std::move(p));
+  return p;
+}
+
+bool Network::SendData(int src_host, int dst_host, std::size_t data_bytes,
+                       std::uint16_t ether_type) {
+  std::optional<Packet> p =
+      DataPacket(src_host, dst_host, data_bytes, ether_type);
+  return p && drivers_[src_host]->Send(std::move(*p));
 }
 
 bool Network::SendTagged(int src_host, int dst_host, std::size_t data_bytes,
                          std::uint16_t ether_type, std::uint64_t tag) {
-  AutonetDriver& src = *drivers_[src_host];
-  AutonetDriver& dst = *drivers_[dst_host];
-  if (!src.HasAddress() || !dst.HasAddress()) {
+  std::optional<Packet> p = DataPacket(
+      src_host, dst_host, std::max<std::size_t>(data_bytes, 8), ether_type);
+  if (!p) {
     return false;
   }
-  Packet p;
-  p.dest = dst.short_address();
-  p.type = PacketType::kEthernetEncap;
-  p.src_uid = hosts_[src_host]->uid();
-  p.dest_uid = hosts_[dst_host]->uid();
-  p.ether_type = ether_type;
-  p.payload.assign(std::max<std::size_t>(data_bytes, 8), 0xD5);
   for (int i = 0; i < 8; ++i) {
-    p.payload[static_cast<std::size_t>(i)] =
+    p->payload[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(tag >> (56 - 8 * i));
   }
-  p.created_at = sim_.now();
-  return src.Send(std::move(p));
+  return drivers_[src_host]->Send(std::move(*p));
 }
 
 void Network::ClearInboxes() {

@@ -12,6 +12,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,11 @@ class Network {
   void RefreshLinkMode(int cable);
   bool ControlPlaneIdle() const;
   Tick LastControlActivity() const;
+  // The client data packet SendData and SendTagged send, or nullopt if
+  // either host's driver has no short address yet.
+  std::optional<Packet> DataPacket(int src_host, int dst_host,
+                                   std::size_t data_bytes,
+                                   std::uint16_t ether_type) const;
 
   TopoSpec spec_;
   NetworkConfig config_;

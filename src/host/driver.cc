@@ -126,8 +126,6 @@ bool AutonetDriver::Send(Packet&& packet) {
   return controller_->Send(MakePacket(std::move(packet)));
 }
 
-void AutonetDriver::ForceFailover() { FailOver("client request"); }
-
 void AutonetDriver::TestActiveLink(TestResult on_result, Tick timeout) {
   StartLoopback(std::move(on_result), timeout, /*restore_port=*/-1);
 }

@@ -59,10 +59,6 @@ class AutonetDriver {
   // false if the address is not yet known or the transmit buffer is full.
   bool Send(Packet&& packet);
 
-  // Lets clients force a link switch (the driver interface of the paper
-  // "lets a client program switch the active link on demand").
-  void ForceFailover();
-
   // Loopback self-test (section 6.3: packets sent to 0x7FC "will be looped
   // back to that host.  This feature is used by a host to test its links").
   // Tests the *active* link; the callback reports success.

@@ -50,21 +50,10 @@ void LocalNet::AttachEthernet(EthernetStation* station) {
       [this](const EthernetFrame& frame) { OnEthernetFrame(frame); });
 }
 
-void LocalNet::SetEnabled(NetworkId net, bool enabled) {
-  enabled_[static_cast<int>(net)] = enabled;
-}
-
-bool LocalNet::IsEnabled(NetworkId net) const {
-  return enabled_[static_cast<int>(net)];
-}
-
 // --- transmission (section 6.8.1's algorithm) ---
 
 bool LocalNet::Send(NetworkId net, Datagram datagram) {
   datagram.src_uid = uid_;
-  if (!IsEnabled(net)) {
-    return false;
-  }
   if (net == NetworkId::kEthernet) {
     if (station_ == nullptr || datagram.encrypted) {
       return false;  // encryption is an Autonet-only capability

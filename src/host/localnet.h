@@ -63,10 +63,6 @@ class LocalNet {
   bool autonet_available() const { return driver_ != nullptr; }
   bool ethernet_available() const { return station_ != nullptr; }
 
-  // GetInfo/SetState of Figure 4, reduced to enabling/disabling networks.
-  void SetEnabled(NetworkId net, bool enabled);
-  bool IsEnabled(NetworkId net) const;
-
   // Sends a UID-addressed datagram on the given network.
   bool Send(NetworkId net, Datagram datagram);
 
@@ -113,7 +109,6 @@ class LocalNet {
   EventLog log_;
   AutonetDriver* driver_ = nullptr;
   EthernetStation* station_ = nullptr;
-  bool enabled_[2] = {true, true};
   ReceiveHandler handler_;
   UidCache cache_;
   KeyTable keys_;
