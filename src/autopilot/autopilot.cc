@@ -210,7 +210,6 @@ void Autopilot::HandleHostAddress(const Delivery& d) {
   reply.short_address =
       ShortAddress::FromSwitchPort(switch_num_, d.arrival_port).value();
   reply.epoch = engine_.epoch();
-  ++stats_.host_addr_replies;
   SendCpPacket(ShortAddress(reply.short_address),
                ShortAddress::FromSwitchPort(switch_num_, kCpPort),
                PacketType::kHostAddress, reply.Serialize());
@@ -229,7 +228,6 @@ void Autopilot::HandleSrp(const Delivery& d) {
       return;
     }
     ++msg->position;
-    ++stats_.srp_forwarded;
     SendCpPacket(OneHopAddress(out), kAddrLocalCp, PacketType::kSrp,
                  msg->Serialize());
     return;
@@ -239,7 +237,6 @@ void Autopilot::HandleSrp(const Delivery& d) {
   }
   // Final hop: serve the request and send the reply back along the
   // recorded reverse path.
-  ++stats_.srp_served;
   SrpMsg reply;
   reply.request_id = msg->request_id;
   ByteWriter body;
@@ -642,7 +639,6 @@ void Autopilot::OnProbeReply(PortNum p, const ConnectivityMsg& msg) {
       msg.echo_uid != node_->uid() || msg.echo_port != p) {
     return;  // not the reply we are waiting for
   }
-  ++stats_.probe_replies_handled;
   m.probe_outstanding = false;
   m.probe_misses = 0;
   Tick now = node_->now();

@@ -39,12 +39,8 @@ class Autopilot {
  public:
   struct Stats {
     std::uint64_t probes_sent = 0;
-    std::uint64_t probe_replies_handled = 0;
     std::uint64_t probe_timeouts = 0;
     std::uint64_t crc_errors = 0;
-    std::uint64_t host_addr_replies = 0;
-    std::uint64_t srp_forwarded = 0;
-    std::uint64_t srp_served = 0;
     std::uint64_t tables_loaded = 0;
     Tick last_table_load = -1;
     std::uint64_t port_deaths = 0;

@@ -39,7 +39,6 @@ void AutonetDriver::SendPing() {
   p.src = has_address_ ? address_ : ShortAddress(0);
   p.type = PacketType::kHostAddress;
   p.payload = msg.Serialize();
-  ++stats_.pings_sent;
   last_ping_ = controller_->sim()->now();
   controller_->Send(MakePacket(std::move(p)));
 }
@@ -86,7 +85,6 @@ void AutonetDriver::OnDelivery(Delivery d) {
       if (!plausibly_newer && !confirmed) {
         pending_addr_valid_ = true;
         pending_addr_ = addr;
-        ++stats_.addresses_held;
         controller_->log().Logf(
             controller_->sim()->now(),
             "driver: holding address change %s -> %s (epoch %llu, have "
@@ -100,7 +98,6 @@ void AutonetDriver::OnDelivery(Delivery d) {
     if (!has_address_ || addr != address_) {
       has_address_ = true;
       address_ = addr;
-      ++stats_.address_changes;
       controller_->log().Logf(controller_->sim()->now(),
                               "driver: short address %s (epoch %llu)",
                               addr.ToString().c_str(),
@@ -142,7 +139,6 @@ void AutonetDriver::StartLoopback(TestResult on_result, Tick timeout,
     on_result(false);  // one test at a time
     return;
   }
-  ++stats_.loopback_tests;
   loopback_result_ = std::move(on_result);
   loopback_restore_port_ = restore_port;
   loopback_expect_ = ++loopback_token_ + 0x10F0F0F0F0F0F0F0ull;

@@ -21,11 +21,7 @@ namespace autonet {
 class AutonetDriver {
  public:
   struct Stats {
-    std::uint64_t pings_sent = 0;
     std::uint64_t failovers = 0;
-    std::uint64_t address_changes = 0;
-    std::uint64_t addresses_held = 0;  // implausible changes awaiting confirm
-    std::uint64_t loopback_tests = 0;
     std::uint64_t loopback_failures = 0;
   };
 
