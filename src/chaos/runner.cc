@@ -232,7 +232,7 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
   std::unique_ptr<workload::WorkloadEngine> engine;
   if (wl.enabled()) {
     engine = std::make_unique<workload::WorkloadEngine>(
-        &net, wl, config.slo_budget, HealthyDiameter(net));
+        &net, wl, workload::SloBudgetConfig{}, HealthyDiameter(net));
     engine->Start();
     net.Run(config.slo_steady);
     engine->SetPhase(workload::Phase::kFault);

@@ -75,7 +75,6 @@ struct CampaignConfig {
   // engine retires.  A scenario-level `adversary` line overrides this.
   // Disabled by default so baseline campaigns stay byte-identical.
   adversary::Spec adversary;
-  workload::SloBudgetConfig slo_budget;
   // Workload phase lengths: steady-state before the script (the latency
   // baseline), recovery after quiescence (the post-reconfiguration sample),
   // and the drain grace for in-flight ops before the books close.
