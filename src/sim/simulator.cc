@@ -166,24 +166,23 @@ void Simulator::RemoveOffQueueWork(OffQueueWork* work) {
   std::erase(off_queue_, work);
 }
 
-void Simulator::SetPerByteReference(bool on) {
-  if (on && off_queue_allowed_) {
+void Simulator::SetOffQueueAllowed(bool allowed) {
+  if (off_queue_allowed_ && !allowed) {
     for (OffQueueWork* work : off_queue_) {
       work->Requeue();
     }
   }
+  off_queue_allowed_ = allowed;
+}
+
+void Simulator::SetPerByteReference(bool on) {
+  SetOffQueueAllowed(!chooser_ && !on);
   per_byte_reference_ = on;
-  off_queue_allowed_ = !chooser_ && !per_byte_reference_;
 }
 
 void Simulator::SetTieChooser(TieChooser chooser) {
-  if (chooser && off_queue_allowed_) {
-    for (OffQueueWork* work : off_queue_) {
-      work->Requeue();
-    }
-  }
+  SetOffQueueAllowed(!chooser && !per_byte_reference_);
   chooser_ = std::move(chooser);
-  off_queue_allowed_ = !chooser_ && !per_byte_reference_;
   if (!chooser_ && !ready_batch_.empty()) {
     // Return batched entries to the queue; they are live, at the current
     // tick, and seq-sorted, so default order resumes exactly.

@@ -515,6 +515,9 @@ class Simulator {
   // body): peels stale heads, dispatches the earliest live entry.
   bool StepDefault(Tick horizon);
   void NotePastClamp();
+  // The one way off_queue_allowed_ changes: revoking it first requeues
+  // every OffQueueWork.
+  void SetOffQueueAllowed(bool allowed);
 
   Tick now_ = 0;
   std::uint64_t dispatch_seq_ = 0;  // with now_, the dispatch position
