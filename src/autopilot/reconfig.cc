@@ -133,6 +133,17 @@ void ReconfigEngine::SendAckTo(PortNum port, std::uint32_t their_seq) {
   callbacks_.send(port, ack);
 }
 
+void ReconfigEngine::SendPayloadAck(PortNum port, ReconfigMsg::Kind kind,
+                                    std::uint32_t payload_seq) {
+  ReconfigMsg ack;
+  ack.kind = kind;
+  ack.epoch = epoch_;
+  ack.sender_uid = self_uid_;
+  ack.payload_seq = payload_seq;
+  m_messages_sent_->Increment();
+  callbacks_.send(port, ack);
+}
+
 void ReconfigEngine::SendReliable(PortNum port, ReconfigMsg msg) {
   // At most one outstanding message of each kind per port.
   outgoing_.erase(std::remove_if(outgoing_.begin(), outgoing_.end(),
@@ -378,13 +389,7 @@ void ReconfigEngine::OnMessage(PortNum inport, const ReconfigMsg& msg) {
     }
     case ReconfigMsg::Kind::kReport: {
       // Always ack (the ack may have been lost).
-      ReconfigMsg ack;
-      ack.kind = ReconfigMsg::Kind::kReportAck;
-      ack.epoch = epoch_;
-      ack.sender_uid = self_uid_;
-      ack.payload_seq = msg.payload_seq;
-      m_messages_sent_->Increment();
-      callbacks_.send(inport, ack);
+      SendPayloadAck(inport, ReconfigMsg::Kind::kReportAck, msg.payload_seq);
 
       emit_->Emit({.time = sim_->now(),
                    .epoch = epoch_,
@@ -412,13 +417,7 @@ void ReconfigEngine::OnMessage(PortNum inport, const ReconfigMsg& msg) {
       RemoveOutgoing(inport, ReconfigMsg::Kind::kReport, msg.payload_seq);
       break;
     case ReconfigMsg::Kind::kConfig: {
-      ReconfigMsg ack;
-      ack.kind = ReconfigMsg::Kind::kConfigAck;
-      ack.epoch = epoch_;
-      ack.sender_uid = self_uid_;
-      ack.payload_seq = msg.payload_seq;
-      m_messages_sent_->Increment();
-      callbacks_.send(inport, ack);
+      SendPayloadAck(inport, ReconfigMsg::Kind::kConfigAck, msg.payload_seq);
       if (!config_applied_) {
         emit_->Emit({.time = sim_->now(),
                      .epoch = epoch_,
@@ -437,13 +436,7 @@ void ReconfigEngine::OnMessage(PortNum inport, const ReconfigMsg& msg) {
       break;
     case ReconfigMsg::Kind::kDelta: {
       // Ack, then relay toward the root (or apply if we are the root).
-      ReconfigMsg ack;
-      ack.kind = ReconfigMsg::Kind::kConfigAck;
-      ack.epoch = epoch_;
-      ack.sender_uid = self_uid_;
-      ack.payload_seq = msg.payload_seq;
-      m_messages_sent_->Increment();
-      callbacks_.send(inport, ack);
+      SendPayloadAck(inport, ReconfigMsg::Kind::kConfigAck, msg.payload_seq);
       if (!config_applied_ || !applied_topo_.has_value()) {
         break;  // a full reconfiguration is already underway
       }
@@ -638,13 +631,7 @@ void ReconfigEngine::ApplyDeltaAsRoot(const LinkDelta& delta) {
 }
 
 void ReconfigEngine::ApplyMinorConfig(const ReconfigMsg& msg, PortNum from) {
-  ReconfigMsg ack;
-  ack.kind = ReconfigMsg::Kind::kConfigAck;
-  ack.epoch = epoch_;
-  ack.sender_uid = self_uid_;
-  ack.payload_seq = msg.payload_seq;
-  m_messages_sent_->Increment();
-  callbacks_.send(from, ack);
+  SendPayloadAck(from, ReconfigMsg::Kind::kConfigAck, msg.payload_seq);
 
   if (!config_applied_ || msg.config_version <= applied_version_) {
     return;  // stale or superseded

@@ -177,6 +177,9 @@ class ReconfigEngine {
   void ReevaluatePosition();
   void SendPositionTo(PortNum port);
   void SendAckTo(PortNum port, std::uint32_t their_seq);
+  // Acks a report, config, delta or minor config by its payload_seq.
+  void SendPayloadAck(PortNum port, ReconfigMsg::Kind kind,
+                      std::uint32_t payload_seq);
   void SendReliable(PortNum port, ReconfigMsg msg);
   void RemoveOutgoing(PortNum port, ReconfigMsg::Kind kind, std::uint32_t seq);
   void Retransmit();

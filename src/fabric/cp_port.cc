@@ -20,9 +20,7 @@ void CpPort::TryStagePending() {
       return;  // wait until the crossbar drains the FIFO
     }
     fifo_.PushBegin(packet);
-    for (std::size_t i = 0; i < packet->WireSize(); ++i) {
-      fifo_.PushByte();
-    }
+    fifo_.PushBytes(static_cast<std::uint32_t>(packet->WireSize()));
     fifo_.PushEnd(EndFlags{});
     pending_.pop_front();
     owner_->OnFifoActivity(kCpPort);

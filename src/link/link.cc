@@ -66,8 +66,12 @@ bool Link::CarrierAt(Side rx_side) const {
   return false;
 }
 
-void Link::StartDeliveryTrain(int index, const Flit& flit) {
-  channels_[index].train = sim_->ScheduleTrainRawAt(
+void Link::AnchorTrain(int index, const Flit& flit) {
+  Channel& ch = channels_[index];
+  if (ch.train.valid()) {
+    return;
+  }
+  ch.train = sim_->ScheduleTrainRawAt(
       flit.arrive, flit.seq,
       [](void* self, std::uint64_t index) {
         return static_cast<Link*>(self)->DeliverStep(static_cast<int>(index));
@@ -93,7 +97,7 @@ void Link::Apply(Channel& ch, const Flit& f) {
 // One train firing at the channel's first undeferred flit: apply the
 // deferred bytes ahead of it (all due earlier), deliver it, then re-anchor
 // the train at the next undeferred flit's reserved (arrive, seq) position —
-// or park it if none is left.  Each flit is popped before its callback
+// or end it if none is left.  Each flit is popped before its callback
 // runs, so an endpoint reacting by transmitting (which appends to some
 // channel) sees consistent state.
 Simulator::TrainStep Link::DeliverStep(int index) {
@@ -114,7 +118,8 @@ Simulator::TrainStep Link::DeliverStep(int index) {
       return Simulator::TrainStep::At(next.arrive, next.seq);
     }
   }
-  return Simulator::TrainStep::Park();  // the next undeferred flit resumes it
+  ch.train = Simulator::EventId{};  // the next undeferred flit starts one
+  return Simulator::TrainStep::Done();
 }
 
 // Deferred flits are all data bytes for the receiver holding the grant (a

@@ -16,9 +16,10 @@
 // *train* per channel rather than one event per symbol: each transmitted
 // symbol becomes a POD flit in the channel's in-flight ring, and a single
 // queue entry re-sifts itself from arrival to arrival.  A train with no
-// flit left to deliver parks, keeping its simulator slot, and the next
-// flit resumes it.  Each flit's tie-break sequence is reserved at transmit
-// time, so the global firing order is identical to one event per symbol.
+// flit left to deliver ends, and the next flit starts a new one at its own
+// reserved position.  Each flit's tie-break sequence is reserved at
+// transmit time, so the global firing order is identical to one event per
+// symbol.
 //
 // Most data bytes land where nobody is looking: a streaming forwarder's
 // FIFO, or a host port that only counts them.  A receiver may grant its
@@ -231,8 +232,8 @@ class Link final : public Simulator::OffQueueWork {
     // Packets of the kBegin flits in `inflight`, in order (cut-through
     // keeps this at one or two entries).
     Ring<PacketRef> begin_packets;
-    // The train is queued at the first flit that is not deferred, if any,
-    // and parks (keeping its slot for ResumeTrain) when none is left.
+    // The train is queued at the first flit that is not deferred, if any;
+    // it ends, and this is reset, when none is left.
     Simulator::EventId train;
     bool firing = false;  // DeliverStep is on the stack
   };
@@ -275,16 +276,15 @@ class Link final : public Simulator::OffQueueWork {
   LinkEndpoint* EndpointAt(Side side) const {
     return endpoints_[static_cast<int>(side)];
   }
-  // Inline (defined below the class); the cold train start is out of line.
+  // Inline (defined below the class); the train start is out of line.
   void PushFlit(int index, const Flit& flit);
-  // Anchors channel `index`'s train at `flit`, its first undeferred flit,
-  // when the train is not already queued: starts one, or resumes a parked
-  // one.  ResumeTrain refuses a train that is queued, or whose DeliverStep
-  // is on the stack and will chain to the first undeferred flit itself (the
+  // Starts channel `index`'s train at `flit`, its first undeferred flit, at
+  // the flit's reserved (arrive, seq) position, unless the channel already
+  // has one: queued at an earlier flit, or firing, in which case its
+  // DeliverStep will chain to the first undeferred flit itself (the
   // delivery callback transmitted back into the same channel, e.g. in
   // reflect mode).
   void AnchorTrain(int index, const Flit& flit);
-  void StartDeliveryTrain(int index, const Flit& flit);
   Simulator::TrainStep DeliverStep(int index);
   // Hands a train firing's flit to its receiver.
   void Apply(Channel& ch, const Flit& f);
@@ -322,8 +322,8 @@ class Link final : public Simulator::OffQueueWork {
 // train to deliver, anchoring the train here if no other undeferred flit is
 // pending.  The channel's fixed delay keeps the ring sorted by arrival, so
 // every flit fires at its captured (arrive, seq) position.  Inline so the
-// per-byte transmit chain (endpoint -> TransmitByte -> PushFlit ->
-// ResumeTrain) compiles as one unit.
+// per-byte transmit chain (endpoint -> TransmitByte -> PushFlit) compiles as
+// one unit.
 inline void Link::PushFlit(int index, const Flit& flit) {
   Channel& ch = channels_[index];
   if (flit.arrive <= ch.horizon && ch.headroom != 0) {
@@ -334,18 +334,6 @@ inline void Link::PushFlit(int index, const Flit& flit) {
   ch.inflight.push_back(flit);
   if (!anchored) {
     AnchorTrain(index, flit);
-  }
-}
-
-inline void Link::AnchorTrain(int index, const Flit& flit) {
-  Channel& ch = channels_[index];
-  if (!ch.train.valid()) {
-    StartDeliveryTrain(index, flit);
-  } else {
-    // On short links the channel drains after every symbol, so the train
-    // parks and resumes once per symbol; reusing the parked slot keeps
-    // that to a single heap push.
-    sim_->ResumeTrain(ch.train, flit.arrive, flit.seq);
   }
 }
 

@@ -62,7 +62,6 @@ Simulator::EventId Simulator::ScheduleAt(Tick when, Callback callback) {
   Slot& s = slots_[slot];
   s.callback = std::move(callback);
   Enqueue(s, slot, when, seq);
-  ++live_count_;
   return EventId{seq, slot};
 }
 
@@ -78,7 +77,6 @@ Simulator::EventId Simulator::ScheduleTrainRawAt(Tick start, std::uint64_t seq,
   s.ctx = ctx;
   s.arg = arg;
   Enqueue(s, slot, start, seq);
-  ++live_count_;
   return EventId{seq, slot};
 }
 
@@ -88,12 +86,7 @@ bool Simulator::Cancel(EventId id) {
     return false;  // already ended, or a different event owns the slot
   }
   // Free the slot (and whatever a callback captures) now: its queue entry,
-  // if any, fails the liveness check when it surfaces.  A parked train has
-  // none and is not pending; a firing one keeps its entry's seq in `queued`
-  // until its handler returns, so it still counts here.
-  if (slots_[id.slot].queued != 0) {
-    --live_count_;
-  }
+  // if any, fails the liveness check when it surfaces.
   FreeSlot(id.slot);
   return true;
 }
@@ -127,7 +120,6 @@ void Simulator::DispatchEntry(QEntry entry) {
   if (s.fn == nullptr) {
     Callback callback = std::move(s.callback);
     FreeSlot(slot);
-    --live_count_;
     callback();
     return;
   }
@@ -142,17 +134,9 @@ void Simulator::DispatchEntry(QEntry entry) {
   TrainStep step = s.fn(s.ctx, s.arg);
   Slot& t = slots_[slot];
   if (t.id != id) {
-    return;  // Cancel already adjusted live_count_
-  }
-  if (step.kind() == TrainStep::Kind::kPark) {
-    // The slot stays owned by the train for a later ResumeTrain.  A parked
-    // train is not pending.
-    t.queued = 0;
-    --live_count_;
-    return;
+    return;  // cancelled: Cancel already freed the slot
   }
   if (step.kind() == TrainStep::Kind::kDone) {
-    --live_count_;
     FreeSlot(slot);
     return;
   }
@@ -291,14 +275,6 @@ bool Simulator::StepDefault(Tick horizon) {
   return false;
 }
 
-bool Simulator::Step() {
-  constexpr Tick kNoHorizon = std::numeric_limits<Tick>::max();
-  if (chooser_) {
-    return StepChosen(kNoHorizon);
-  }
-  return StepDefault(kNoHorizon);
-}
-
 std::uint64_t Simulator::RunUntil(Tick t) {
   std::uint64_t processed = 0;
   // Re-test the chooser every iteration: a dispatched callback may install
@@ -317,9 +293,10 @@ std::uint64_t Simulator::RunUntil(Tick t) {
   return processed;
 }
 
-std::uint64_t Simulator::Run(std::uint64_t max_events) {
+std::uint64_t Simulator::Run() {
+  constexpr Tick kNoHorizon = std::numeric_limits<Tick>::max();
   std::uint64_t processed = 0;
-  while (processed < max_events && Step()) {
+  while (chooser_ ? StepChosen(kNoHorizon) : StepDefault(kNoHorizon)) {
     ++processed;
   }
   return processed;

@@ -47,28 +47,23 @@ class Simulator {
   };
 
   // What a train handler wants to happen after the firing it just served:
-  // end the train, re-anchor to an explicit time (optionally with a
-  // tie-break sequence reserved earlier, see ReserveSeq()), or park — leave
-  // the queue but keep the slot so the owner can ResumeTrain() it later
-  // without paying slot churn.
+  // end the train, or re-anchor it to an explicit time (optionally with a
+  // tie-break sequence reserved earlier, see ReserveSeq()).
   // 16 bytes (kind shares a word with the 40-bit seq) so handlers return it
   // in a register pair instead of through a hidden sret pointer — the return
   // crosses an indirect-call boundary once per train firing.
   struct TrainStep {
-    enum class Kind : std::uint8_t { kDone, kAt, kPark };
+    enum class Kind : std::uint8_t { kDone, kAt };
     Tick when = 0;
-    std::uint64_t seq_kind = 0;  // seq << 2 | kind
+    std::uint64_t seq_kind = 0;  // seq << 1 | kind
 
-    Kind kind() const { return static_cast<Kind>(seq_kind & 3); }
-    std::uint64_t seq() const { return seq_kind >> 2; }
+    Kind kind() const { return static_cast<Kind>(seq_kind & 1); }
+    std::uint64_t seq() const { return seq_kind >> 1; }
 
     static TrainStep Done() { return TrainStep{}; }
     static TrainStep At(Tick when, std::uint64_t seq = 0) {
       return TrainStep{when,
-                       seq << 2 | static_cast<std::uint8_t>(Kind::kAt)};
-    }
-    static TrainStep Park() {
-      return TrainStep{0, std::uint64_t{static_cast<std::uint8_t>(Kind::kPark)}};
+                       seq << 1 | static_cast<std::uint8_t>(Kind::kAt)};
     }
   };
   // A train's handler: a free function plus two context words.  Trains run
@@ -109,27 +104,6 @@ class Simulator {
   // firing's tie-break sequence.
   EventId ScheduleTrainRawAt(Tick start, std::uint64_t seq, TrainFn fn,
                              void* ctx, std::uint64_t arg);
-
-  // Re-queues a train that parked itself (TrainStep::Park).  Heap-identical
-  // to ending the train and scheduling a fresh one at (when, seq) — only the
-  // slot alloc/init/free churn is skipped — so the link's start-a-train-per-
-  // symbol pattern on short links costs one heap push per symbol instead.
-  // A parked train is not pending (it holds no queue entry); Cancel frees
-  // it immediately.  Returns false if `id` does not name a parked train:
-  // one that is queued or firing, an ended one, or a plain event.
-  // Inline: short links park and resume once per delivered symbol.
-  bool ResumeTrain(EventId id, Tick when, std::uint64_t seq = 0) {
-    if (!id.valid() || id.slot >= slots_.size()) {
-      return false;
-    }
-    Slot& s = slots_[id.slot];
-    if (s.id != id.seq || s.queued != 0) {
-      return false;
-    }
-    Enqueue(s, id.slot, when, seq);
-    ++live_count_;
-    return true;
-  }
 
   // The dispatch position: (now(), seq) of the entry being dispatched or
   // last dispatched, or (t, infinity) once RunUntil(t) has run everything
@@ -204,21 +178,19 @@ class Simulator {
   }
   std::uint64_t data_digest() const { return data_digest_; }
 
-  // Runs the earliest pending event.  Returns false if the queue is empty.
-  bool Step();
-
   // Runs all events with time <= t, then advances the clock to t.
   // Returns the number of events processed.
   std::uint64_t RunUntil(Tick t);
 
-  // Runs until the queue is empty or max_events have been processed.
-  std::uint64_t Run(std::uint64_t max_events = UINT64_MAX);
+  // Runs until the queue is empty.  Returns the number of events processed.
+  std::uint64_t Run();
 
   Tick now() const { return now_; }
-  bool empty() const { return live_count_ == 0; }
+  bool empty() const { return pending() == 0; }
   // Live schedulables: pending plain events plus active trains (a train
-  // counts once, however many firings it has left).
-  std::size_t pending() const { return live_count_; }
+  // counts once, however many firings it has left, and while its handler
+  // runs).  A slot is allocated exactly while one of these holds it.
+  std::size_t pending() const { return slots_.size() - free_slots_.size(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
   // Telemetry shared by every component in this simulation: a network-wide
@@ -460,11 +432,14 @@ class Simulator {
 
   // A scheduled plain event (fn == nullptr: `callback`) or train (fn with
   // its ctx/arg context).  Both obey one liveness rule: a queue entry is
-  // live exactly when its seq equals its slot's `queued`.  Cancel frees the
-  // slot at once, so an entry left in the queue goes stale by itself.
+  // live exactly when its seq equals its slot's `queued`.  A slot is
+  // allocated exactly while its entry is queued, batched by the tie chooser
+  // or firing a train's handler (a plain event's slot is freed before its
+  // callback runs).  Cancel frees the slot at once, so an entry left in the
+  // queue goes stale by itself.
   struct Slot {
     std::uint64_t id = 0;      // creation seq (EventId tag); 0 = free
-    std::uint64_t queued = 0;  // seq of the live queue entry; 0 = none
+    std::uint64_t queued = 0;  // seq of the live or firing entry; 0 = free
     TrainFn fn = nullptr;
     void* ctx = nullptr;
     std::uint64_t arg = 0;
@@ -511,7 +486,7 @@ class Simulator {
   // earliest pending tick <= horizon, lets the chooser pick, dispatches.
   // Returns false when nothing within the horizon remains.
   bool StepChosen(Tick horizon);
-  // Default-order equivalent used by Step/RunUntil (the pre-chooser loop
+  // Default-order equivalent used by Run/RunUntil (the pre-chooser loop
   // body): peels stale heads, dispatches the earliest live entry.
   bool StepDefault(Tick horizon);
   void NotePastClamp();
@@ -523,7 +498,6 @@ class Simulator {
   std::uint64_t dispatch_seq_ = 0;  // with now_, the dispatch position
   std::uint64_t next_seq_ = 1;
   std::uint64_t events_processed_ = 0;
-  std::size_t live_count_ = 0;
   EventQueue queue_;
   TieChooser chooser_;
   std::vector<OffQueueWork*> off_queue_;

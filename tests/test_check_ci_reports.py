@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """The CI perf gate (`tools/check_ci_reports.py perf`) on small synthetic
-perfbench results: what it passes, what it fails, and that a failure names
-the workload and metric."""
+perfbench results: what it passes, what it fails, that a failure names the
+workload and metric, and the median pair ratio it prints.  Then the
+protocheck sweep comparison (`sweep`) on two small reports."""
 import json
 import os
 import subprocess
@@ -88,6 +89,58 @@ class PerfGate(unittest.TestCase):
         code, out = self.gate()
         self.assertEqual(code, 1, out)
         self.assertIn("FAIL rpc_reconfig: head failed", out)
+
+    def test_prints_median_of_per_pair_ratios(self):
+        # Pair ratios 0.97, 0.95, 0.99, 0.96, 0.98: their median is 0.97,
+        # while the ratio of the two sides' medians (990 / 1000) is 0.99.
+        ratios = (0.97, 0.95, 0.99, 0.96, 0.98)
+        self.runs["head"]["chaos_baseline"] = [
+            result(1000 * s * r) for s, r in zip(SPREAD, ratios)]
+        code, out = self.gate()
+        self.assertEqual(code, 0, out)
+        line = next(l for l in out.splitlines()
+                    if "chaos_baseline ops_per_cpu_s" in l)
+        self.assertIn("head median 990 vs base 1000", line)
+        self.assertIn("median pair ratio 0.970", line)
+
+
+def schedule(sid, log_hash="00ff", ok=True, points=12, dropped=3):
+    return {"id": sid, "ok": ok, "decision_points": points,
+            "dropped_decisions": dropped, "log_hash": log_hash,
+            "wall_ms": 1.5}
+
+
+class SweepCheck(unittest.TestCase):
+    def check(self, current):
+        committed = [schedule("small3:cut0:o0:-"),
+                     schedule("small3:cut0:o1:-")]
+        with tempfile.TemporaryDirectory() as d:
+            paths = []
+            for name, runs in (("current", current), ("committed", committed)):
+                paths.append(os.path.join(d, f"{name}.json"))
+                with open(paths[-1], "w") as f:
+                    json.dump({"explore": {"wall_ms": 10.0}, "runs": runs}, f)
+            proc = subprocess.run([sys.executable, CHECK, "sweep", *paths],
+                                  capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    def test_equal_schedules_pass_whatever_their_wall_time(self):
+        current = [schedule("small3:cut0:o1:-"), schedule("small3:cut0:o0:-")]
+        current[0]["wall_ms"] = 99.0
+        code, out = self.check(current)
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("FAIL", out)
+
+    def test_moved_log_hash_fails_and_names_the_schedule(self):
+        current = [schedule("small3:cut0:o0:-"),
+                   schedule("small3:cut0:o1:-", log_hash="0100")]
+        code, out = self.check(current)
+        self.assertEqual(code, 1, out)
+        failures = [l for l in out.splitlines() if l.startswith("FAIL")]
+        self.assertEqual(len(failures), 1, out)
+        self.assertTrue(
+            failures[0].startswith("FAIL small3:cut0:o1:-: log_hash differ"),
+            out)
 
 
 if __name__ == "__main__":

@@ -274,37 +274,6 @@ TEST(SimulatorTrain, RawTrainFires) {
   EXPECT_EQ(sim.now(), 210);
 }
 
-TEST(SimulatorTrain, ParkAndResume) {
-  Simulator sim;
-  Trains trains(&sim);
-  std::vector<Tick> fires;
-  auto id = trains.Schedule(100, [&] {
-    fires.push_back(sim.now());
-    return fires.size() == 1 ? Simulator::TrainStep::Park()
-                             : Simulator::TrainStep::Done();
-  });
-  sim.Run();
-  EXPECT_EQ(fires, (std::vector<Tick>{100}));
-  EXPECT_TRUE(sim.empty());  // parked trains are not pending
-  EXPECT_TRUE(sim.ResumeTrain(id, 300));
-  EXPECT_FALSE(sim.ResumeTrain(id, 300));  // not parked while queued
-  sim.Run();
-  EXPECT_EQ(fires, (std::vector<Tick>{100, 300}));
-  EXPECT_FALSE(sim.ResumeTrain(id, 400));  // train ended; slot released
-}
-
-TEST(SimulatorTrain, CancelOfParkedTrainFreesSlot) {
-  Simulator sim;
-  Trains trains(&sim);
-  auto id = trains.Schedule(10, [] { return Simulator::TrainStep::Park(); });
-  sim.Run();
-  EXPECT_TRUE(sim.Cancel(id));
-  EXPECT_FALSE(sim.ResumeTrain(id, 100));
-  EXPECT_FALSE(sim.Cancel(id));
-  sim.Run();
-  EXPECT_TRUE(sim.empty());
-}
-
 // A cancelled train's slot is free at once, so whatever is scheduled next
 // may take it over; the train's queue entry, if any, must then stay dead.
 TEST(SimulatorTrain, HandlerCancelsOwnTrainThenSchedulesIntoItsSlot) {
@@ -349,47 +318,61 @@ TEST(SimulatorTrain, StaleEntryOfCancelledTrainFiresNothing) {
   EXPECT_TRUE(sim.empty());
 }
 
-TEST(SimulatorTrain, OldIdOfCancelledParkedTrainMissesTheNewOccupant) {
+TEST(SimulatorTrain, OldIdOfCancelledTrainMissesTheNewOccupant) {
   Simulator sim;
   Trains trains(&sim);
-  auto id = trains.Schedule(10, [] { return Simulator::TrainStep::Park(); });
-  sim.Run();
+  auto id = trains.Schedule(10, [] { return Simulator::TrainStep::Done(); });
   EXPECT_TRUE(sim.Cancel(id));
-  // The new occupant parks too, so the slot looks like the old train's.
+  // The new occupant takes the freed slot and is queued there.
   std::vector<Tick> fires;
   auto next = trains.Schedule(20, [&] {
     fires.push_back(sim.now());
-    return fires.size() == 1 ? Simulator::TrainStep::Park()
-                             : Simulator::TrainStep::Done();
+    return Simulator::TrainStep::Done();
   });
-  sim.Run();
-  EXPECT_FALSE(sim.ResumeTrain(id, 50));
-  EXPECT_FALSE(sim.Cancel(id));
-  EXPECT_TRUE(sim.empty());
-  EXPECT_TRUE(sim.ResumeTrain(next, 100));
+  ASSERT_EQ(next.slot, id.slot);
   EXPECT_FALSE(sim.Cancel(id));
   EXPECT_EQ(sim.pending(), 1u);
   sim.Run();
-  EXPECT_EQ(fires, (std::vector<Tick>{20, 100}));
+  EXPECT_EQ(fires, (std::vector<Tick>{20}));
   EXPECT_TRUE(sim.empty());
 }
 
-TEST(SimulatorTrain, ResumeInPastClampsToNow) {
+TEST(SimulatorTrain, ReanchorInPastClampsToNow) {
   Simulator sim;
   Trains trains(&sim);
   std::vector<Tick> fires;
-  auto id = trains.Schedule(100, [&] {
+  trains.Schedule(100, [&] {
     fires.push_back(sim.now());
-    return fires.size() == 1 ? Simulator::TrainStep::Park()
+    return fires.size() == 1 ? Simulator::TrainStep::At(50)  // in the past
                              : Simulator::TrainStep::Done();
   });
-  sim.RunUntil(1000);
   auto* clamped = sim.metrics().GetCounter("sim.schedule_past_clamped");
   std::uint64_t before = clamped->value();
-  EXPECT_TRUE(sim.ResumeTrain(id, 500));  // in the past
   sim.Run();
-  EXPECT_EQ(fires, (std::vector<Tick>{100, 1000}));
+  EXPECT_EQ(fires, (std::vector<Tick>{100, 100}));
   EXPECT_EQ(clamped->value(), before + 1);
+}
+
+// A slot is held exactly while its entry is queued or its train fires: a
+// train counts inside its own handler, a plain event does not count inside
+// its callback, and a train that returned Done() no longer counts.
+TEST(SimulatorTrain, PendingCountsQueuedAndFiringOnly) {
+  Simulator sim;
+  Trains trains(&sim);
+  std::vector<std::size_t> in_train;
+  std::size_t in_event = 99;
+  trains.Schedule(100, [&] {
+    in_train.push_back(sim.pending());
+    return in_train.size() == 1 ? Simulator::TrainStep::At(200)
+                                : Simulator::TrainStep::Done();
+  });
+  sim.ScheduleAt(150, [&] { in_event = sim.pending(); });
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.Run();
+  EXPECT_EQ(in_train, (std::vector<std::size_t>{2, 1}));  // itself counts
+  EXPECT_EQ(in_event, 1u);  // only the train, not the firing event
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_TRUE(sim.empty());
 }
 
 TEST(Simulator, InterleavedCancelAndDispatchAtSameTick) {

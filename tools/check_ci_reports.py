@@ -17,6 +17,10 @@ nonzero if any check fails.
                          same scenario, topology and seed in the COMMITTED
                          report, with equal log_hash, metrics_hash and (where
                          either carries one) adversary_hash
+  sweep CURRENT COMMITTED
+                         the protocheck sweep reports hold the same schedule
+                         ids, and each schedule has equal ok,
+                         decision_points, dropped_decisions and log_hash
   perf BENCHMARK BASE HEAD
                          paired perfbench runs (tools/perf_pairs.sh): BASE
                          and HEAD hold one <workload>.<pair>.out per run, the
@@ -24,7 +28,9 @@ nonzero if any check fails.
                          end-to-end metric BENCHMARK lists, the HEAD median is
                          no worse than the BASE median by more than the
                          metric's bound; every run is correct; and HEAD fails
-                         no larger share of its operations than BASE
+                         no larger share of its operations than BASE.  Each
+                         line also prints, for information, the median over
+                         pairs of HEAD / BASE within a pair
 
 Example:
   tools/check_ci_reports.py slo-steady slo-small3.json slo-srclan16.json
@@ -114,18 +120,50 @@ def check_fingerprints(current, committed):
     return ok
 
 
+SWEEP_FIELDS = ("ok", "decision_points", "dropped_decisions", "log_hash")
+
+
+def check_sweep(current, committed):
+    runs = {r["id"]: r for r in load(current)["runs"]}
+    baseline = {r["id"]: r for r in load(committed)["runs"]}
+    ok = True
+    for sid in sorted(baseline.keys() - runs.keys()):
+        print(f"FAIL {sid}: missing from {current}")
+        ok = False
+    for sid in sorted(runs.keys() - baseline.keys()):
+        print(f"FAIL {sid}: no such schedule in {committed}")
+        ok = False
+    for sid in sorted(runs.keys() & baseline.keys()):
+        diff = [f for f in SWEEP_FIELDS if runs[sid][f] != baseline[sid][f]]
+        if diff:
+            print(f"FAIL {sid}: {', '.join(diff)} differ from {committed}")
+            ok = False
+    print(f"checked {len(runs)} schedules of {current} against {committed}")
+    return ok
+
+
 def load_runs(side, workload):
-    """The result line (the last line of stdout) of every run of one
-    workload on one side; None for a run that printed none."""
+    """The pair number and result line (the last line of stdout) of every
+    run of one workload on one side; None for a run that printed none."""
     runs = []
     for path in sorted(glob.glob(os.path.join(side, f"{workload}.*.out"))):
+        pair = os.path.basename(path)[len(workload) + 1:-len(".out")]
         with open(path) as f:
             lines = f.read().splitlines()
         try:
-            runs.append((path, json.loads(lines[-1])))
+            runs.append((path, pair, json.loads(lines[-1])))
         except (IndexError, ValueError):
-            runs.append((path, None))
+            runs.append((path, pair, None))
     return runs
+
+
+def median_pair_ratio(base, head, name):
+    """The median over pairs run on both sides of head / base; None when no
+    pair has a nonzero base."""
+    ratios = [head[p]["metrics"][name]["value"] / b["metrics"][name]["value"]
+              for p, b in base.items()
+              if p in head and b["metrics"][name]["value"]]
+    return statistics.median(ratios) if ratios else None
 
 
 def check_perf(benchmark, base, head):
@@ -138,16 +176,16 @@ def check_perf(benchmark, base, head):
             if not runs:
                 print(f"FAIL {workload}: no {name} runs in {side}")
                 ok = False
-            for path, result in runs:
+            for path, _, result in runs:
                 if result is None or not result["correct"]:
                     why = "no result line" if result is None else "correct: false"
                     print(f"FAIL {workload}: {path}: {why}")
                     ok = False
-            sides[name] = [r for _, r in runs if r is not None]
+            sides[name] = {p: r for _, p, r in runs if r is not None}
         if not sides["base"] or not sides["head"]:
             continue
-        share = {name: sum(r["failed"] for r in rs) /
-                 max(sum(r["attempted"] for r in rs), 1)
+        share = {name: sum(r["failed"] for r in rs.values()) /
+                 max(sum(r["attempted"] for r in rs.values()), 1)
                  for name, rs in sides.items()}
         if share["head"] > share["base"]:
             print(f"FAIL {workload}: head failed {share['head']:.4%} of its "
@@ -155,8 +193,11 @@ def check_perf(benchmark, base, head):
             ok = False
         for metric in spec["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
-            b, h = (statistics.median(r["metrics"][name]["value"] for r in rs)
+            b, h = (statistics.median(r["metrics"][name]["value"]
+                                      for r in rs.values())
                     for rs in (sides["base"], sides["head"]))
+            ratio = median_pair_ratio(sides["base"], sides["head"], name)
+            ratio = "n/a" if ratio is None else f"{ratio:.3f}"
             # Relative change; from a zero base, any move counts as 100%.
             change = (h - b) / b if b else float((h > b) - (h < b))
             limit = -bound if metric["better"] == "higher" else bound
@@ -167,7 +208,7 @@ def check_perf(benchmark, base, head):
             print(f"{mark} {workload} {name}: head median {h:.6g} vs base "
                   f"{b:.6g} {metric['unit']} ({change:+.1%}, worse beyond "
                   f"{limit:+.0%}; {len(sides['head'])} vs "
-                  f"{len(sides['base'])} runs)")
+                  f"{len(sides['base'])} runs; median pair ratio {ratio})")
     return ok
 
 
@@ -181,6 +222,9 @@ def main():
     fingerprints = sub.add_parser("fingerprints")
     fingerprints.add_argument("current")
     fingerprints.add_argument("committed")
+    sweep = sub.add_parser("sweep")
+    sweep.add_argument("current")
+    sweep.add_argument("committed")
     perf = sub.add_parser("perf")
     for path in ("benchmark", "base", "head"):
         perf.add_argument(path)
@@ -191,6 +235,8 @@ def main():
         ok = check_adversary(args.report)
     elif args.check == "fingerprints":
         ok = check_fingerprints(args.current, args.committed)
+    elif args.check == "sweep":
+        ok = check_sweep(args.current, args.committed)
     elif args.check == "perf":
         ok = check_perf(args.benchmark, args.base, args.head)
     else:
