@@ -22,21 +22,7 @@ constexpr int kBlockedIntervalsToDead = 40;
 Autopilot::Autopilot(Switch* node, AutopilotConfig config)
     : node_(node),
       config_(config),
-      engine_(node->sim(), node->uid(), &config_, &node->emitter(),
-              ReconfigEngine::Callbacks{
-                  [this](PortNum p, const ReconfigMsg& m) {
-                    SendCpPacket(OneHopAddress(p), kAddrLocalCp,
-                                 PacketType::kReconfig, m.Serialize());
-                  },
-                  [this] { return GoodPorts(); },
-                  [this](PortNum p) { return monitors_[p].neighbor_uid; },
-                  [this](PortNum p) { return monitors_[p].neighbor_port; },
-                  [this] { return HostPorts(); },
-                  [this] { LoadOneHopTable(); },
-                  [this](const NetTopology& topo, int self, std::uint64_t e) {
-                    ApplyConfig(topo, self, e);
-                  },
-              }),
+      engine_(this),
       sampler_task_(node->sim(), [this] { SampleStatus(); }),
       probe_task_(node->sim(), [this] { ProbePorts(); }),
       boot_trigger_(node->sim(), [this] { engine_.Trigger("boot"); }) {
@@ -685,6 +671,11 @@ void Autopilot::OnProbeReply(PortNum p, const ConnectivityMsg& msg) {
 }
 
 // --- forwarding table management ---
+
+void Autopilot::SendReconfig(PortNum p, const ReconfigMsg& msg) {
+  SendCpPacket(OneHopAddress(p), kAddrLocalCp, PacketType::kReconfig,
+               msg.Serialize());
+}
 
 void Autopilot::LoadOneHopTable() {
   RunOnCpu(config_.cost_table_load, [this] {

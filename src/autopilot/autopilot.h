@@ -60,6 +60,7 @@ class Autopilot {
   // --- introspection (used by tests, benches, and the Network harness) ---
   PortState port_state(PortNum p) const { return monitors_[p].state; }
   Uid neighbor_uid(PortNum p) const { return monitors_[p].neighbor_uid; }
+  PortNum neighbor_port(PortNum p) const { return monitors_[p].neighbor_port; }
   std::uint64_t epoch() const { return engine_.epoch(); }
   bool reconfig_in_progress() const { return engine_.in_progress(); }
   SwitchNum switch_num() const { return switch_num_; }
@@ -100,6 +101,10 @@ class Autopilot {
   }
 
  private:
+  // The reconfiguration engine calls the table loads, port queries and
+  // SendReconfig below directly.
+  friend class ReconfigEngine;
+
   struct PortMonitor {
     PortState state = PortState::kDead;
     Tick state_since = 0;
@@ -155,6 +160,9 @@ class Autopilot {
   PortVector HostPorts() const;
   std::vector<PortNum> GoodPorts() const;
 
+  // Queues a reconfiguration message out port `p` (SendCpPacket applies
+  // the CPU's send cost).
+  void SendReconfig(PortNum p, const ReconfigMsg& msg);
   void LoadOneHopTable();
   void ApplyConfig(const NetTopology& topo, int self_index,
                    std::uint64_t epoch);

@@ -2,23 +2,22 @@
 
 #include <algorithm>
 
+#include "src/autopilot/autopilot.h"
 #include "src/routing/spanning_tree.h"
 
 namespace autonet {
 
-ReconfigEngine::ReconfigEngine(Simulator* sim, Uid self_uid,
-                               const AutopilotConfig* config,
-                               obs::Emitter* emitter, Callbacks callbacks)
-    : sim_(sim),
-      self_uid_(self_uid),
-      config_(config),
-      emit_(emitter),
-      callbacks_(std::move(callbacks)),
-      pos_root_(self_uid),
-      retransmit_task_(sim, [this] { Retransmit(); }) {
+ReconfigEngine::ReconfigEngine(Autopilot* owner)
+    : owner_(owner),
+      sim_(owner->node()->sim()),
+      self_uid_(owner->uid()),
+      config_(&owner->config()),
+      emit_(&owner->node()->emitter()),
+      pos_root_(self_uid_),
+      retransmit_task_(sim_, [this] { Retransmit(); }) {
   obs::MetricRegistry& reg = sim_->metrics();
   const std::string prefix =
-      "switch." + emitter->log().node_name() + ".reconfig.";
+      "switch." + emit_->log().node_name() + ".reconfig.";
   m_epochs_joined_ = emit_->counter(obs::FlightEventKind::kEpochJoin);
   m_triggers_ = emit_->counter(obs::FlightEventKind::kTrigger);
   m_completions_ = reg.GetCounter(prefix + "completions");
@@ -81,18 +80,18 @@ void ReconfigEngine::JoinEpoch(std::uint64_t epoch, const char* reason,
   last_join_time_ = sim_->now();
 
   // Freeze the participant set for this epoch (section 6.6.2).
-  participants_ = callbacks_.good_ports();
+  participants_ = owner_->GoodPorts();
   for (PortState& ps : ports_) {
     ps = PortState{};
   }
   for (PortNum p : participants_) {
     ports_[p].participant = true;
-    ports_[p].neighbor_uid = callbacks_.neighbor_uid(p);
-    ports_[p].neighbor_port = callbacks_.neighbor_port(p);
+    ports_[p].neighbor_uid = owner_->neighbor_uid(p);
+    ports_[p].neighbor_port = owner_->neighbor_port(p);
   }
 
   // Step 1: one-hop-only forwarding (destroys packets in the switch).
-  callbacks_.load_one_hop_table();
+  owner_->LoadOneHopTable();
 
   // Assume root; tell the neighbors.
   pos_root_ = self_uid_;
@@ -130,7 +129,7 @@ void ReconfigEngine::SendAckTo(PortNum port, std::uint32_t their_seq) {
   ack.ack_seq = their_seq;
   ack.is_parent = parent_port_ == port;
   m_messages_sent_->Increment();
-  callbacks_.send(port, ack);
+  owner_->SendReconfig(port, ack);
 }
 
 void ReconfigEngine::SendPayloadAck(PortNum port, ReconfigMsg::Kind kind,
@@ -141,7 +140,7 @@ void ReconfigEngine::SendPayloadAck(PortNum port, ReconfigMsg::Kind kind,
   ack.sender_uid = self_uid_;
   ack.payload_seq = payload_seq;
   m_messages_sent_->Increment();
-  callbacks_.send(port, ack);
+  owner_->SendReconfig(port, ack);
 }
 
 void ReconfigEngine::SendReliable(PortNum port, ReconfigMsg msg) {
@@ -153,7 +152,7 @@ void ReconfigEngine::SendReliable(PortNum port, ReconfigMsg msg) {
                                  }),
                   outgoing_.end());
   m_messages_sent_->Increment();
-  callbacks_.send(port, msg);
+  owner_->SendReconfig(port, msg);
   outgoing_.push_back(Outgoing{port, std::move(msg)});
   if (!retransmit_task_.running()) {
     retransmit_task_.Start(config_->retransmit_period);
@@ -188,7 +187,7 @@ void ReconfigEngine::Retransmit() {
   for (const Outgoing& o : outgoing_) {
     m_retransmissions_->Increment();
     m_messages_sent_->Increment();
-    callbacks_.send(o.port, o.msg);
+    owner_->SendReconfig(o.port, o.msg);
   }
 }
 
@@ -627,7 +626,7 @@ void ReconfigEngine::ApplyDeltaAsRoot(const LinkDelta& delta) {
   }
   m_local_updates_applied_->Increment();
   int self_index = topo.IndexOf(self_uid_);
-  callbacks_.apply_config(topo, self_index, epoch_);
+  owner_->ApplyConfig(topo, self_index, epoch_);
 }
 
 void ReconfigEngine::ApplyMinorConfig(const ReconfigMsg& msg, PortNum from) {
@@ -656,7 +655,7 @@ void ReconfigEngine::ApplyMinorConfig(const ReconfigMsg& msg, PortNum from) {
       SendReliable(p, std::move(copy));
     }
   }
-  callbacks_.apply_config(topo, self_index, epoch_);
+  owner_->ApplyConfig(topo, self_index, epoch_);
 }
 
 void ReconfigEngine::CheckStability() {
@@ -705,7 +704,7 @@ std::vector<SwitchRecord> ReconfigEngine::BuildSubtreeRecords() const {
   SwitchRecord self;
   self.uid = self_uid_;
   self.proposed_num = proposed_num_;
-  self.host_ports = callbacks_.host_ports().bits();
+  self.host_ports = owner_->HostPorts().bits();
   for (PortNum p : participants_) {
     const PortState& ps = ports_[p];
     self.links.push_back(SwitchRecord::LinkRec{
@@ -793,7 +792,7 @@ void ReconfigEngine::Distribute(const std::vector<SwitchRecord>& records,
     m_epoch_ms_->Add(static_cast<double>(sim_->now() - last_join_time_) /
                      1e6);
   }
-  callbacks_.apply_config(topo, self_index, epoch_);
+  owner_->ApplyConfig(topo, self_index, epoch_);
 }
 
 }  // namespace autonet

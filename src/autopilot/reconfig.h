@@ -29,7 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,6 +43,8 @@
 #include "src/sim/timer.h"
 
 namespace autonet {
+
+class Autopilot;
 
 class ReconfigEngine {
  public:
@@ -69,26 +70,6 @@ class ReconfigEngine {
   // latency on a genuine multi-epoch jump.
   static constexpr std::uint64_t kEpochConfirmJump = 1;
 
-  struct Callbacks {
-    // Queue a reconfiguration message out the given port (the caller
-    // applies control-processor send costs).
-    std::function<void(PortNum, const ReconfigMsg&)> send;
-    // Current set of s.switch.good ports, frozen per epoch at join time.
-    std::function<std::vector<PortNum>()> good_ports;
-    // Neighbor identity learned by the connectivity monitor.
-    std::function<Uid(PortNum)> neighbor_uid;
-    std::function<PortNum(PortNum)> neighbor_port;
-    // Ports currently classified s.host (for the topology record).
-    std::function<PortVector()> host_ports;
-    // Step 1: load the one-hop-only forwarding table.
-    std::function<void()> load_one_hop_table;
-    // Step 5: a configuration arrived (or was produced locally at the
-    // root): compute and load the forwarding table.
-    std::function<void(const NetTopology&, int self_index,
-                       std::uint64_t epoch)>
-        apply_config;
-  };
-
   // Snapshot of the engine's registry counters plus the raw sim-time
   // marks, assembled on demand.  The live counters are the
   // `switch.<name>.reconfig.*` instruments in the simulator's metric
@@ -109,8 +90,11 @@ class ReconfigEngine {
     Tick last_termination_time = -1;  // when this switch, as root, knew
   };
 
-  ReconfigEngine(Simulator* sim, Uid self_uid, const AutopilotConfig* config,
-                 obs::Emitter* emitter, Callbacks callbacks);
+  // The engine runs inside its switch's control program and calls it
+  // directly: for the epoch's participant ports and their neighbors, the
+  // host ports, table loads (step 1: one-hop only; step 5: from an applied
+  // configuration) and sending a message out a port.
+  explicit ReconfigEngine(Autopilot* owner);
 
   // A relevant port state change was noticed: start a new epoch.
   void Trigger(const char* reason);
@@ -205,11 +189,11 @@ class ReconfigEngine {
   void ApplyDeltaAsRoot(const LinkDelta& delta);
   void ApplyMinorConfig(const ReconfigMsg& msg, PortNum from);
 
+  Autopilot* owner_;
   Simulator* sim_;
   Uid self_uid_;
   const AutopilotConfig* config_;
   obs::Emitter* emit_;  // the switch's; every protocol event goes through it
-  Callbacks callbacks_;
 
   std::uint64_t epoch_ = 0;
   bool in_progress_ = false;

@@ -1,6 +1,6 @@
 #include "src/chaos/scenario.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -20,87 +20,6 @@ Tick Scenario::ScriptEnd() const {
     }
   }
   return end;
-}
-
-namespace {
-
-std::string FormatTarget(const Action& a) {
-  if (!a.pick.empty()) {
-    return "?" + a.pick;
-  }
-  return a.target == kRandomTarget ? "random" : std::to_string(a.target);
-}
-
-std::string FormatRate(double rate) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", rate);
-  return buf;
-}
-
-}  // namespace
-
-std::string Scenario::ToText() const {
-  std::ostringstream out;
-  out << "scenario " << name << "\n";
-  if (workload.enabled()) {
-    out << "  workload " << workload.ToText() << "\n";
-  }
-  if (adversary.enabled()) {
-    out << "  adversary " << adversary.ToText() << "\n";
-  }
-  for (const Action& a : actions) {
-    out << "  ";
-    switch (a.kind) {
-      case Action::Kind::kCutCable:
-        out << "at " << FormatTime(a.at) << " cut cable " << FormatTarget(a);
-        break;
-      case Action::Kind::kRestoreCable:
-        out << "at " << FormatTime(a.at) << " restore cable "
-            << FormatTarget(a);
-        break;
-      case Action::Kind::kCrashSwitch:
-        out << "at " << FormatTime(a.at) << " crash switch "
-            << FormatTarget(a);
-        break;
-      case Action::Kind::kRestartSwitch:
-        out << "at " << FormatTime(a.at) << " restart switch "
-            << FormatTarget(a);
-        break;
-      case Action::Kind::kCutHostLink:
-        out << "at " << FormatTime(a.at) << " cut hostlink "
-            << FormatTarget(a) << (a.which == 0 ? " primary" : " alternate");
-        break;
-      case Action::Kind::kRestoreHostLink:
-        out << "at " << FormatTime(a.at) << " restore hostlink "
-            << FormatTarget(a) << (a.which == 0 ? " primary" : " alternate");
-        break;
-      case Action::Kind::kCorruptCable:
-        out << "at " << FormatTime(a.at) << " corrupt cable "
-            << FormatTarget(a) << " rate " << FormatRate(a.rate);
-        break;
-      case Action::Kind::kReflectCable:
-        out << "at " << FormatTime(a.at) << " reflect cable "
-            << FormatTarget(a) << " side " << (a.which == 0 ? "a" : "b");
-        break;
-      case Action::Kind::kFlapCable:
-        out << "flap cable " << FormatTarget(a) << " period "
-            << FormatTime(a.period) << " from " << FormatTime(a.at)
-            << " until " << FormatTime(a.until);
-        break;
-      case Action::Kind::kBurstCables:
-        out << "at " << FormatTime(a.at) << " burst cables " << a.count
-            << " until " << FormatTime(a.until);
-        break;
-      case Action::Kind::kBurstSwitches:
-        out << "at " << FormatTime(a.at) << " burst switches " << a.count;
-        if (a.until >= a.at) {
-          out << " until " << FormatTime(a.until);
-        }
-        break;
-    }
-    out << "\n";
-  }
-  return out.str();
 }
 
 // --- parser ---

@@ -77,9 +77,6 @@ struct Scenario {
   // burst restores).  The campaign runner simulates at least this far before
   // judging the run.
   Tick ScriptEnd() const;
-
-  // Round-trips through ParseScenarios.
-  std::string ToText() const;
 };
 
 // Parses a scenario corpus.  Grammar (one statement per line, '#' comments):

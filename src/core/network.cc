@@ -389,6 +389,34 @@ void Network::RefreshLinkMode(int cable) {
   cables_[cable]->SetMode(dead ? LinkMode::kCut : LinkMode::kNormal);
 }
 
+void Network::RefreshHostLinkMode(int host, int which) {
+  Link* link = host_links_[host][which].get();
+  if (link == nullptr) {
+    return;
+  }
+  const TopoSpec::HostSpec& hs = spec_.hosts[host];
+  int sw = which == 0 ? hs.primary_switch : hs.alt_switch;
+  bool dead = host_link_cut_[host][which] || !alive_[sw];
+  link->SetMode(dead ? LinkMode::kCut : LinkMode::kNormal);
+}
+
+void Network::RefreshSwitchLinks(int sw) {
+  for (std::size_t c = 0; c < spec_.cables.size(); ++c) {
+    if (spec_.cables[c].sw_a == sw || spec_.cables[c].sw_b == sw) {
+      RefreshLinkMode(static_cast<int>(c));
+    }
+  }
+  for (std::size_t h = 0; h < spec_.hosts.size(); ++h) {
+    const TopoSpec::HostSpec& hs = spec_.hosts[h];
+    if (hs.primary_switch == sw) {
+      RefreshHostLinkMode(static_cast<int>(h), 0);
+    }
+    if (hs.alt_switch == sw) {
+      RefreshHostLinkMode(static_cast<int>(h), 1);
+    }
+  }
+}
+
 void Network::CutCable(int cable) {
   ++fault_generation_;
   cable_cut_[cable] = true;
@@ -417,19 +445,13 @@ void Network::SetCableCorruptionRate(int cable, double per_byte_probability) {
 void Network::CutHostLink(int host, int which) {
   ++fault_generation_;
   host_link_cut_[host][which] = true;
-  if (host_links_[host][which] != nullptr) {
-    host_links_[host][which]->SetMode(LinkMode::kCut);
-  }
+  RefreshHostLinkMode(host, which);
 }
 
 void Network::RestoreHostLink(int host, int which) {
   ++fault_generation_;
   host_link_cut_[host][which] = false;
-  const TopoSpec::HostSpec& hs = spec_.hosts[host];
-  int sw = which == 0 ? hs.primary_switch : hs.alt_switch;
-  if (host_links_[host][which] != nullptr && sw >= 0 && alive_[sw]) {
-    host_links_[host][which]->SetMode(LinkMode::kNormal);
-  }
+  RefreshHostLinkMode(host, which);
 }
 
 void Network::CrashSwitch(int i) {
@@ -441,20 +463,7 @@ void Network::CrashSwitch(int i) {
   autopilots_[i]->Shutdown();
   // Power-off destroys all packets in the switch and silences its links.
   switches_[i]->LoadForwardingTable(ForwardingTable());
-  for (std::size_t c = 0; c < spec_.cables.size(); ++c) {
-    if (spec_.cables[c].sw_a == i || spec_.cables[c].sw_b == i) {
-      RefreshLinkMode(static_cast<int>(c));
-    }
-  }
-  for (std::size_t h = 0; h < spec_.hosts.size(); ++h) {
-    const TopoSpec::HostSpec& hs = spec_.hosts[h];
-    if (hs.primary_switch == i && host_links_[h][0] != nullptr) {
-      host_links_[h][0]->SetMode(LinkMode::kCut);
-    }
-    if (hs.alt_switch == i && host_links_[h][1] != nullptr) {
-      host_links_[h][1]->SetMode(LinkMode::kCut);
-    }
-  }
+  RefreshSwitchLinks(i);
 }
 
 void Network::RestartSwitch(int i) {
@@ -470,20 +479,7 @@ void Network::RestartSwitch(int i) {
   std::swap(autopilots_[i], fresh);
   // `fresh` now holds the old, powered-off instance; destroying it is safe
   // because its scheduled work is guarded.
-  for (std::size_t c = 0; c < spec_.cables.size(); ++c) {
-    if (spec_.cables[c].sw_a == i || spec_.cables[c].sw_b == i) {
-      RefreshLinkMode(static_cast<int>(c));
-    }
-  }
-  for (std::size_t h = 0; h < spec_.hosts.size(); ++h) {
-    const TopoSpec::HostSpec& hs = spec_.hosts[h];
-    if (hs.primary_switch == i && !host_link_cut_[h][0]) {
-      host_links_[h][0]->SetMode(LinkMode::kNormal);
-    }
-    if (hs.alt_switch == i && !host_link_cut_[h][1]) {
-      host_links_[h][1]->SetMode(LinkMode::kNormal);
-    }
-  }
+  RefreshSwitchLinks(i);
 }
 
 // --- traffic ---

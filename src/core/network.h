@@ -174,7 +174,14 @@ class Network {
   std::string DumpMetricsJson(const std::string& prefix = "") const;
 
  private:
+  // The one link-mode rule: a cable is cut while it was cut by hand or
+  // either switch is down, a host link while it was cut by hand or its
+  // switch is down.
   void RefreshLinkMode(int cable);
+  void RefreshHostLinkMode(int host, int which);
+  // Refreshes switch `sw`'s cables by index, then its host links by host,
+  // primary before alternate.
+  void RefreshSwitchLinks(int sw);
   bool ControlPlaneIdle() const;
   Tick LastControlActivity() const;
   // The client data packet SendData and SendTagged send, or nullopt if

@@ -5,19 +5,10 @@
 
 namespace autonet {
 
-Forwarder::Forwarder(Switch* owner, PortNum inport, PortVector outports,
-                     bool broadcast)
-    : owner_(owner),
-      inport_(inport),
-      outports_(outports),
-      broadcast_(broadcast) {
-  outputs_allow_ = OutputsAllowTransmit();
-  in_port_ = &owner_->port(inport_);
+Forwarder::Forwarder(Switch* owner, PortNum inport)
+    : owner_(owner), inport_(inport), in_port_(&owner->port(inport)) {
   if (inport_ >= kFirstExternalPort) {
     in_unit_ = &owner_->link_unit(inport_);
-  }
-  if (outports_.Count() == 1 && outports_.Lowest() >= kFirstExternalPort) {
-    fast_out_ = &owner_->link_unit(outports_.Lowest());
   }
 }
 
@@ -27,7 +18,19 @@ Forwarder::~Forwarder() {
   }
 }
 
-void Forwarder::Start() { SchedulePump(); }
+void Forwarder::Start(PortVector outports, bool broadcast) {
+  outports_ = outports;
+  broadcast_ = broadcast;
+  outputs_allow_ = OutputsAllowTransmit();
+  fast_out_ = nullptr;
+  if (outports_.Count() == 1 && outports_.Lowest() >= kFirstExternalPort) {
+    fast_out_ = &owner_->link_unit(outports_.Lowest());
+  }
+  begun_ = false;
+  bytes_moved_ = 0;
+  active_ = true;
+  SchedulePump();
+}
 
 bool Forwarder::OutputsAllowTransmit() const {
   bool ok = true;
@@ -55,7 +58,7 @@ bool Forwarder::StalledByFlowControl() const {
 }
 
 void Forwarder::SchedulePump() {
-  if (pump_event_.valid() || finished_) {
+  if (pump_event_.valid() || !active_) {
     return;
   }
   // One train per streaming burst: each PumpStep re-anchors the single
@@ -72,7 +75,7 @@ void Forwarder::SchedulePump() {
 
 void Forwarder::OnThrottleChange() {
   outputs_allow_ = OutputsAllowTransmit();
-  if (!finished_ && !StalledByFlowControl()) {
+  if (active_ && !StalledByFlowControl()) {
     SchedulePump();
   }
 }
@@ -96,7 +99,7 @@ Simulator::TrainStep Forwarder::PumpStop() {
 }
 
 Simulator::TrainStep Forwarder::PumpStep() {
-  if (finished_) {
+  if (!active_) {
     return PumpStop();
   }
   if (StalledByFlowControl()) {
@@ -124,7 +127,6 @@ Simulator::TrainStep Forwarder::PumpStep() {
     outports_.ForEach(
         [&](PortNum p) { owner_->port(p).SendBegin(packet); });
     begun_ = true;
-    bytes_moved_ = 0;
     return PumpAgain();
   }
   if (auto offset = fifo.PopByte()) {
@@ -140,8 +142,6 @@ Simulator::TrainStep Forwarder::PumpStep() {
   if (auto end = fifo.TryPopEnd()) {
     owner_->AfterFifoPop(inport_);
     pump_event_ = {};
-    // Finish's last action destroys this forwarder (OnForwarderDone), so
-    // nothing below may touch members.
     Finish(*end);
     return Simulator::TrainStep::Done();
   }
@@ -152,8 +152,8 @@ Simulator::TrainStep Forwarder::PumpStep() {
   return PumpStop();
 }
 
-void Forwarder::Finish(EndFlags flags) {
-  finished_ = true;
+void Forwarder::Halt() {
+  active_ = false;
   if (pump_event_.valid()) {
     owner_->sim()->Cancel(pump_event_);
     pump_event_ = {};
@@ -161,23 +161,19 @@ void Forwarder::Finish(EndFlags flags) {
   if (in_unit_ != nullptr) {
     in_unit_->RevokeDeferral();
   }
+}
+
+void Forwarder::Finish(EndFlags flags) {
+  Halt();
   outports_.ForEach([&](PortNum p) { owner_->port(p).SendEnd(flags); });
-  // Must be the last action: the owner destroys this forwarder.
   owner_->OnForwarderDone(inport_, drain_only(), bytes_moved_);
 }
 
 void Forwarder::Abort() {
-  if (finished_) {
+  if (!active_) {
     return;
   }
-  finished_ = true;
-  if (pump_event_.valid()) {
-    owner_->sim()->Cancel(pump_event_);
-    pump_event_ = {};
-  }
-  if (in_unit_ != nullptr) {
-    in_unit_->RevokeDeferral();
-  }
+  Halt();
   if (begun_) {
     // The packet loses its tail; downstream sees a truncated end.
     outports_.ForEach([&](PortNum p) {

@@ -41,6 +41,9 @@ Switch::Switch(Simulator* sim, Uid uid, std::string name, Config config)
   for (PortNum p = kFirstExternalPort; p < kPortsPerSwitch; ++p) {
     ports_[p] = std::make_unique<LinkUnit>(this, p, config_.fifo_capacity);
   }
+  for (PortNum p = 0; p < kPortsPerSwitch; ++p) {
+    forwarders_[p] = std::make_unique<Forwarder>(this, p);
+  }
   sched_.SetHooks([this] { return FreeOutputPorts(); },
                   [this](const SchedulerEngine::Request& request,
                          PortVector ports) { Grant(request, ports); });
@@ -97,24 +100,13 @@ void Switch::LoadForwardingTable(const ForwardingTable& table) {
   m_resets_->Increment();
   sched_.Clear();
   for (PortNum p = 0; p < kPortsPerSwitch; ++p) {
-    if (capture_event_[p].valid()) {
-      sim_->Cancel(capture_event_[p]);
-      capture_event_[p] = {};
-    }
-    if (forwarders_[p] != nullptr) {
-      forwarders_[p]->Abort();
-      forwarders_[p]->outports().ForEach(
-          [&](PortNum out) { ports_[out]->set_tx_busy(false); });
-      forwarders_[p].reset();
-    }
-    in_state_[p] = InState::kIdle;
+    StopInput(p);
   }
   cp_port_->Reset();
   for (PortNum p = kFirstExternalPort; p < kPortsPerSwitch; ++p) {
     ports_[p]->fifo().Clear();
     link_unit(p).UpdateOutgoingFlow();
   }
-  sched_.Kick();
 }
 
 PortVector Switch::FreeOutputPorts() const {
@@ -139,30 +131,31 @@ Switch::Stats Switch::stats() const {
 
 void Switch::OnXmitOkChange(PortNum p) {
   for (auto& fwd : forwarders_) {
-    if (fwd != nullptr && fwd->outports().Test(p)) {
+    if (fwd->active() && fwd->outports().Test(p)) {
       fwd->OnThrottleChange();
     }
   }
 }
 
-void Switch::CancelInputActivity(PortNum p) {
+void Switch::StopInput(PortNum p) {
   if (capture_event_[p].valid()) {
     sim_->Cancel(capture_event_[p]);
     capture_event_[p] = {};
   }
+  // A port has a queued request or an active forwarder, never both.
   sched_.Remove(p);
-  if (forwarders_[p] != nullptr) {
-    forwarders_[p]->Abort();
-    forwarders_[p]->outports().ForEach(
+  Forwarder& fwd = *forwarders_[p];
+  if (fwd.active()) {
+    fwd.Abort();
+    fwd.outports().ForEach(
         [&](PortNum out) { ports_[out]->set_tx_busy(false); });
-    forwarders_[p].reset();
     sched_.Kick();
   }
   in_state_[p] = InState::kIdle;
 }
 
 void Switch::OnPortReceiveReset(PortNum p) {
-  CancelInputActivity(p);
+  StopInput(p);
   MaybeCapture(p);
 }
 
@@ -203,15 +196,12 @@ void Switch::StartForwarder(PortNum inport, PortVector outports,
                             bool broadcast) {
   in_state_[inport] = InState::kForwarding;
   outports.ForEach([&](PortNum p) { ports_[p]->set_tx_busy(true); });
-  forwarders_[inport] =
-      std::make_unique<Forwarder>(this, inport, outports, broadcast);
-  forwarders_[inport]->Start();
+  forwarders_[inport]->Start(outports, broadcast);
 }
 
 void Switch::OnForwarderDone(PortNum inport, bool discarded,
                              std::size_t bytes_moved) {
-  std::unique_ptr<Forwarder> done = std::move(forwarders_[inport]);
-  done->outports().ForEach(
+  forwarders_[inport]->outports().ForEach(
       [&](PortNum out) { ports_[out]->set_tx_busy(false); });
   in_state_[inport] = InState::kIdle;
   if (discarded) {
@@ -220,11 +210,8 @@ void Switch::OnForwarderDone(PortNum inport, bool discarded,
     m_packets_forwarded_->Increment();
     m_bytes_forwarded_->Increment(bytes_moved);
   }
-  // Keep `done` alive until we return out of its call frame.
   sched_.Kick();
-  PortNum p = inport;
-  sim_->ScheduleAfter(0, [this, p, keep = std::shared_ptr<Forwarder>(
-                                       done.release())] { MaybeCapture(p); });
+  sim_->ScheduleAfter(0, [this, inport] { MaybeCapture(inport); });
 }
 
 }  // namespace autonet

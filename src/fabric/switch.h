@@ -145,7 +145,8 @@ class Switch {
   }
   void NoteCpArrivalPort(PortNum p) { cp_port_->NoteArrivalPort(p); }
   // The forwarder for `inport` completed (sent its end mark or drained a
-  // discarded packet).  The switch frees the output ports and destroys it.
+  // discarded packet).  The switch frees the output ports and looks for the
+  // port's next packet.
   void OnForwarderDone(PortNum inport, bool discarded,
                        std::size_t bytes_moved);
 
@@ -161,7 +162,9 @@ class Switch {
   void DoCapture(PortNum p);
   void Grant(const SchedulerEngine::Request& request, PortVector ports);
   void StartForwarder(PortNum inport, PortVector outports, bool broadcast);
-  void CancelInputActivity(PortNum p);
+  // Aborts whatever receive port `p` is doing (capture delay, queued
+  // request or active forwarder) and leaves it idle.
+  void StopInput(PortNum p);
 
   Simulator* sim_;
   Uid uid_;
@@ -177,6 +180,8 @@ class Switch {
 
   std::array<InState, kPortsPerSwitch> in_state_{};
   std::array<Simulator::EventId, kPortsPerSwitch> capture_event_{};
+  // One per receive port, built with the switch; active while in_state_
+  // is kForwarding.
   std::array<std::unique_ptr<Forwarder>, kPortsPerSwitch> forwarders_;
 
   // Registry instruments (owned by the simulator's registry).

@@ -82,18 +82,6 @@ TEST(AdversarySpec, DefaultIsDisabled) {
 
 // --- scenario grammar -------------------------------------------------------
 
-TEST(AdversaryScenario, GrammarRoundTrip) {
-  for (const Scenario& s : chaos::AdversaryCorpus()) {
-    std::string error;
-    std::vector<Scenario> again = ParseScenarios(s.ToText(), &error);
-    ASSERT_EQ(error, "") << s.name;
-    ASSERT_EQ(again.size(), 1u) << s.name;
-    EXPECT_EQ(again[0].name, s.name);
-    EXPECT_EQ(again[0].adversary.ToText(), s.adversary.ToText()) << s.name;
-    EXPECT_EQ(again[0].actions.size(), s.actions.size()) << s.name;
-  }
-}
-
 TEST(AdversaryScenario, CorpusCoversEveryStrategyFamily) {
   std::set<Strategy> seen;
   for (const Scenario& s : chaos::AdversaryCorpus()) {

@@ -59,24 +59,6 @@ scenario everything
   EXPECT_EQ(s.ScriptEnd(), 2 * kSecond);
 }
 
-TEST(Scenario, TextRoundTrip) {
-  std::vector<Scenario> corpus = DefaultCorpus();
-  ASSERT_GE(corpus.size(), 10u);
-  for (const Scenario& s : corpus) {
-    std::string error;
-    std::vector<Scenario> again = ParseScenarios(s.ToText(), &error);
-    ASSERT_EQ(error, "") << s.name;
-    ASSERT_EQ(again.size(), 1u) << s.name;
-    EXPECT_EQ(again[0].name, s.name);
-    ASSERT_EQ(again[0].actions.size(), s.actions.size()) << s.name;
-    for (std::size_t i = 0; i < s.actions.size(); ++i) {
-      EXPECT_EQ(again[0].actions[i].kind, s.actions[i].kind) << s.name;
-      EXPECT_EQ(again[0].actions[i].at, s.actions[i].at) << s.name;
-      EXPECT_EQ(again[0].actions[i].pick, s.actions[i].pick) << s.name;
-    }
-  }
-}
-
 TEST(Scenario, ParseErrorsNameTheLine) {
   std::string error;
   EXPECT_TRUE(ParseScenarios("scenario x\n  at 5 cut cable 0\n", &error)

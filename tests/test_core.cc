@@ -53,12 +53,23 @@ TEST(Network, SendDataFailsBeforeRegistration) {
 }
 
 TEST(Network, CrashSilencesLinksBothWays) {
-  Network net(MakeLine(2, 1));
+  TopoSpec spec = MakeLine(2, 1);
+  const int dual = spec.AddHost(0, 1);  // alternate link on switch 1
+  Network net(spec);
   net.CrashSwitch(1);
   EXPECT_EQ(net.cable_at(0).mode(), LinkMode::kCut);
+  EXPECT_EQ(net.host_link(1, 0).mode(), LinkMode::kCut);
+  EXPECT_EQ(net.host_link(dual, 1).mode(), LinkMode::kCut);
+  EXPECT_EQ(net.host_link(dual, 0).mode(), LinkMode::kNormal);
+  EXPECT_EQ(net.host_link(0, 0).mode(), LinkMode::kNormal);
   EXPECT_FALSE(net.switch_alive(1));
+  // Restoring a host link does not power its crashed switch's end.
+  net.RestoreHostLink(1, 0);
+  EXPECT_EQ(net.host_link(1, 0).mode(), LinkMode::kCut);
   net.RestartSwitch(1);
   EXPECT_EQ(net.cable_at(0).mode(), LinkMode::kNormal);
+  EXPECT_EQ(net.host_link(1, 0).mode(), LinkMode::kNormal);
+  EXPECT_EQ(net.host_link(dual, 1).mode(), LinkMode::kNormal);
   EXPECT_TRUE(net.switch_alive(1));
 }
 
@@ -72,12 +83,20 @@ TEST(Network, CrashIsIdempotent) {
 }
 
 TEST(Network, ManualCutSurvivesSwitchRestart) {
-  Network net(MakeRing(3, 1));
+  TopoSpec spec = MakeRing(3, 1);
+  const int dual = spec.AddHost(1, 0);  // alternate link on switch 0
+  Network net(spec);
   net.CutCable(0);
+  net.CutHostLink(dual, 1);
   net.CrashSwitch(0);
   net.RestartSwitch(0);
-  // The manual cut must still be in force after the restart refresh.
+  // The manual cuts must still be in force after the restart refresh; the
+  // switch's other host link comes back.
   EXPECT_EQ(net.cable_at(0).mode(), LinkMode::kCut);
+  EXPECT_EQ(net.host_link(dual, 1).mode(), LinkMode::kCut);
+  EXPECT_EQ(net.host_link(0, 0).mode(), LinkMode::kNormal);
+  net.RestoreHostLink(dual, 1);
+  EXPECT_EQ(net.host_link(dual, 1).mode(), LinkMode::kNormal);
 }
 
 TEST(Network, InboxLimitCapsDeliveries) {

@@ -517,6 +517,29 @@ TEST_F(MiniNetTest, TableLoadAtReceivingSwitchMidStream) {
   EXPECT_EQ(h2_rx_[0].delivered_at, 200102);
 }
 
+TEST_F(MiniNetTest, AbortedPortForwardsTheNextPacketIntact) {
+  // A table load aborts swB's trunk forwarder mid-packet; the same port
+  // must then carry the next packet whole and count only it.
+  h1_->Send(DataPacket(AddrH2(), AddrH1(), 4000));
+  const Tick t = kMidStream + kTrunkArrival;
+  sim_.ScheduleAt(t, [&] {
+    sw_b_->LoadForwardingTable(sw_b_->forwarding_table());
+  });
+  sim_.RunUntil(2 * kMillisecond);
+  ASSERT_EQ(h2_rx_.size(), 1u);
+  ASSERT_TRUE(h2_rx_[0].truncated);
+
+  PacketRef next = DataPacket(AddrH2(), AddrH1(), 1000);
+  ASSERT_TRUE(h1_->Send(next));
+  sim_.RunUntil(4 * kMillisecond);
+  ASSERT_EQ(h2_rx_.size(), 2u);
+  EXPECT_EQ(h2_rx_[1].packet->id, next->id);
+  EXPECT_TRUE(h2_rx_[1].intact());
+  Switch::Stats b = sw_b_->stats();
+  EXPECT_EQ(b.packets_forwarded, 1u);
+  EXPECT_EQ(b.bytes_forwarded, next->WireSize());
+}
+
 TEST_F(MiniNetTest, TieChooserInstalledMidStream) {
   h1_->Send(DataPacket(AddrH2(), AddrH1(), 4000));
   const Tick t = kMidStream + kTrunkArrival;

@@ -71,13 +71,6 @@ TEST(Spec, ScenarioCarriesAWorkloadLine) {
   ASSERT_TRUE(scenarios[0].workload.enabled());
   EXPECT_EQ(scenarios[0].workload.kind, Kind::kRpc);
   EXPECT_EQ(scenarios[0].workload.window, 2);
-
-  // And it round-trips through ToText.
-  std::string text = scenarios[0].ToText();
-  EXPECT_NE(text.find("workload rpc"), std::string::npos);
-  auto again = chaos::ParseScenarios(text, &error);
-  ASSERT_EQ(again.size(), 1u) << error;
-  EXPECT_EQ(again[0].ToText(), text);
 }
 
 // --- per-flow SLO accounting ------------------------------------------------
