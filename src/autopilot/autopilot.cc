@@ -1,8 +1,6 @@
 #include "src/autopilot/autopilot.h"
 
 #include <algorithm>
-#include <cstring>
-#include <string_view>
 
 #include "src/common/serialize.h"
 #include "src/routing/spanning_tree.h"
@@ -225,27 +223,29 @@ void Autopilot::HandleSrp(const Delivery& d) {
   // recorded reverse path.
   SrpMsg reply;
   reply.request_id = msg->request_id;
-  ByteWriter body;
   switch (msg->op) {
     case SrpMsg::Op::kEcho:
-      body.Bytes(msg->body.data(), msg->body.size());
+      reply.body = std::move(msg->body);
       break;
     case SrpMsg::Op::kGetState: {
-      body.U64(engine_.epoch());
-      body.U16(switch_num_);
-      body.WriteUid(node_->uid());
-      body.U8(engine_.in_progress() ? 1 : 0);
+      SrpState state;
+      state.epoch = engine_.epoch();
+      state.switch_num = switch_num_;
+      state.uid = node_->uid();
+      state.reconfig_in_progress = engine_.in_progress();
       for (PortNum p = kFirstExternalPort; p < kPortsPerSwitch; ++p) {
-        body.U8(static_cast<std::uint8_t>(monitors_[p].state));
+        state.port_states[p - kFirstExternalPort] =
+            static_cast<std::uint8_t>(monitors_[p].state);
       }
+      reply.body = Encode(state);
       break;
     }
     case SrpMsg::Op::kGetTopology: {
-      std::vector<SwitchRecord> records;
+      SrpTopology topo;
       if (topology_.has_value()) {
-        records = TopologyToRecords(*topology_);
+        topo.records = TopologyToRecords(*topology_);
       }
-      SerializeSwitchRecords(body, records);
+      reply.body = Encode(topo);
       break;
     }
     case SrpMsg::Op::kGetLog: {
@@ -259,87 +259,56 @@ void Autopilot::HandleSrp(const Delivery& d) {
           break;
         }
       }
-      body.Bytes(reinterpret_cast<const std::uint8_t*>(text.data()),
-                 text.size());
+      reply.body.assign(text.begin(), text.end());
       break;
     }
     case SrpMsg::Op::kGetStats: {
       // Serves this switch's slice of the metric registry: every instrument
       // under `switch.<name>.`, with that prefix stripped so the reply
       // carries only the local part.  The request body optionally holds a
-      // substring filter.  Entry: u8 kind, u16 name length, name bytes,
-      // then kind-dependent payload (f64 transported as its bit pattern).
-      // The reply is capped near the GetLog limit so it stays one packet.
+      // substring filter.  The reply is capped near the GetLog limit so it
+      // stays one packet: no entry is added once the entries so far take
+      // more than 900 bytes.
       const std::string filter(msg->body.begin(), msg->body.end());
       const std::string prefix = "switch." + node_->name() + ".";
-      std::uint16_t count = 0;
-      ByteWriter entries;
-      node_->sim()->metrics().Visit(prefix, [&](const obs::MetricRegistry::
-                                                    Entry& e) {
-        if (entries.size() > 900) {
+      SrpStats stats;
+      ByteWriter taken;  // the entries so far, encoded, for the cap
+      auto add = [&](SrpStat s) {
+        if (taken.size() > 900 ||
+            (!filter.empty() && s.name.find(filter) == std::string::npos)) {
           return;
         }
-        std::string name = e.name.substr(prefix.size());
-        if (!filter.empty() && name.find(filter) == std::string::npos) {
-          return;
-        }
-        entries.U8(static_cast<std::uint8_t>(e.kind));
-        entries.U16(static_cast<std::uint16_t>(name.size()));
-        entries.Bytes(reinterpret_cast<const std::uint8_t*>(name.data()),
-                      name.size());
-        auto f64bits = [](double v) {
-          std::uint64_t bits;
-          std::memcpy(&bits, &v, sizeof bits);
-          return bits;
-        };
-        switch (e.kind) {
-          case obs::MetricKind::kCounter:
-            entries.U64(e.counter.value());
-            break;
-          case obs::MetricKind::kGauge:
-            entries.U64(f64bits(e.gauge.value()));
-            break;
-          case obs::MetricKind::kHistogram:
-            entries.U64(e.histogram.count());
-            entries.U64(f64bits(e.histogram.Min()));
-            entries.U64(f64bits(e.histogram.Max()));
-            entries.U64(f64bits(e.histogram.Mean()));
-            break;
-        }
-        ++count;
-      });
+        SrpStat::Walk(taken, s);
+        stats.entries.push_back(std::move(s));
+      };
+      node_->sim()->metrics().Visit(
+          prefix, [&](const obs::MetricRegistry::Entry& e) {
+            SrpStat s;
+            s.kind = e.kind;
+            s.name = e.name.substr(prefix.size());
+            s.counter = e.counter.value();
+            s.gauge = e.gauge.value();
+            s.hist_count = e.histogram.count();
+            s.hist_min = e.histogram.Min();
+            s.hist_max = e.histogram.Max();
+            s.hist_mean = e.histogram.Mean();
+            add(std::move(s));
+          });
       // Two synthetic counters expose the flight recorder's ring occupancy
       // and wrap-loss so an operator can tell from netmon alone whether a
       // post-mortem timeline is complete or the ring overwrote its tail.
       // They live outside the metric registry (the recorder is not a
       // metric), so they are appended here under the same filter and cap.
-      auto synthetic = [&](const char* name, std::uint64_t value) {
-        if (entries.size() > 900) {
-          return;
-        }
-        std::string_view n(name);
-        if (!filter.empty() && n.find(filter) == std::string_view::npos) {
-          return;
-        }
-        entries.U8(static_cast<std::uint8_t>(obs::MetricKind::kCounter));
-        entries.U16(static_cast<std::uint16_t>(n.size()));
-        entries.Bytes(reinterpret_cast<const std::uint8_t*>(n.data()),
-                      n.size());
-        entries.U64(value);
-        ++count;
-      };
       const obs::FlightRing& ring = node_->emitter().ring();
-      synthetic("flight.depth", ring.depth());
-      synthetic("flight.truncated", ring.truncated());
-      body.U16(count);
-      body.Bytes(entries.bytes().data(), entries.size());
+      add({.name = "flight.depth", .counter = ring.depth()});
+      add({.name = "flight.truncated", .counter = ring.truncated()});
+      reply.body = Encode(stats);
       break;
     }
     case SrpMsg::Op::kReply:
       return;
   }
   reply.op = SrpMsg::Op::kReply;
-  reply.body = body.Take();
   reply.route.assign(msg->reverse_route.rbegin(), msg->reverse_route.rend());
   reply.position = 1;  // the first reverse hop is taken by this send
   SendCpPacket(OneHopAddress(reply.route[0]), kAddrLocalCp, PacketType::kSrp,

@@ -2,195 +2,24 @@
 
 #include <map>
 
-#include "src/common/serialize.h"
-
 namespace autonet {
 
-// --- ConnectivityMsg ---
-
 std::vector<std::uint8_t> ConnectivityMsg::Serialize() const {
-  ByteWriter w;
-  w.U8(static_cast<std::uint8_t>(kind));
-  w.U64(seq);
-  w.WriteUid(sender_uid);
-  w.U8(sender_port);
-  w.WriteUid(echo_uid);
-  w.U8(echo_port);
-  w.U64(echo_seq);
-  return w.Take();
+  return Encode(*this);
 }
 
 std::optional<ConnectivityMsg> ConnectivityMsg::Parse(
     const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
-  ConnectivityMsg m;
-  m.kind = static_cast<Kind>(r.U8());
-  m.seq = r.U64();
-  m.sender_uid = r.ReadUid();
-  m.sender_port = r.U8();
-  m.echo_uid = r.ReadUid();
-  m.echo_port = r.U8();
-  m.echo_seq = r.U64();
-  if (!r.ok() || !r.AtEnd() ||
-      (m.kind != Kind::kProbe && m.kind != Kind::kReply)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-// Wire bools must be canonical (0 or 1): any other value would be accepted,
-// then re-serialize differently from what was received — the corruption
-// would survive the parse undetected.
-namespace {
-bool ReadBool(ByteReader& r, bool* out) {
-  std::uint8_t v = r.U8();
-  *out = v != 0;
-  return v <= 1;
-}
-}  // namespace
-
-// --- ReconfigMsg ---
-
-void SerializeSwitchRecords(ByteWriter& w,
-                            const std::vector<SwitchRecord>& records) {
-  w.U16(static_cast<std::uint16_t>(records.size()));
-  for (const SwitchRecord& rec : records) {
-    w.WriteUid(rec.uid);
-    w.U16(rec.proposed_num);
-    w.U16(rec.assigned_num);
-    w.U16(rec.host_ports);
-    w.U8(static_cast<std::uint8_t>(rec.links.size()));
-    for (const SwitchRecord::LinkRec& link : rec.links) {
-      w.U8(link.local_port);
-      w.WriteUid(link.remote_uid);
-      w.U8(link.remote_port);
-    }
-  }
-}
-
-bool ParseSwitchRecords(ByteReader& r, std::vector<SwitchRecord>* records) {
-  std::uint16_t n = r.U16();
-  if (n > 512) {
-    return false;
-  }
-  records->reserve(n);
-  for (int i = 0; i < n; ++i) {
-    SwitchRecord rec;
-    rec.uid = r.ReadUid();
-    rec.proposed_num = r.U16();
-    rec.assigned_num = r.U16();
-    rec.host_ports = r.U16();
-    std::uint8_t nlinks = r.U8();
-    if (nlinks > kPortsPerSwitch) {
-      return false;
-    }
-    for (int j = 0; j < nlinks; ++j) {
-      SwitchRecord::LinkRec link;
-      link.local_port = r.U8();
-      link.remote_uid = r.ReadUid();
-      link.remote_port = r.U8();
-      rec.links.push_back(link);
-    }
-    records->push_back(std::move(rec));
-  }
-  return r.ok();
+  return Decode<ConnectivityMsg>(payload);
 }
 
 std::vector<std::uint8_t> ReconfigMsg::Serialize() const {
-  ByteWriter w;
-  w.U8(static_cast<std::uint8_t>(kind));
-  w.U64(epoch);
-  w.WriteUid(sender_uid);
-  switch (kind) {
-    case Kind::kPosition:
-      w.WriteUid(root_uid);
-      w.U16(level);
-      w.U32(pos_seq);
-      break;
-    case Kind::kPosAck:
-      w.U32(ack_seq);
-      w.U8(is_parent ? 1 : 0);
-      break;
-    case Kind::kReport:
-    case Kind::kConfig:
-      w.U32(payload_seq);
-      SerializeSwitchRecords(w, records);
-      break;
-    case Kind::kMinorConfig:
-      w.U32(payload_seq);
-      w.U32(config_version);
-      SerializeSwitchRecords(w, records);
-      break;
-    case Kind::kDelta:
-      w.U32(payload_seq);
-      w.U8(delta_add ? 1 : 0);
-      w.WriteUid(delta_a_uid);
-      w.U8(delta_a_port);
-      w.WriteUid(delta_b_uid);
-      w.U8(delta_b_port);
-      break;
-    case Kind::kReportAck:
-    case Kind::kConfigAck:
-      w.U32(payload_seq);
-      break;
-  }
-  return w.Take();
+  return Encode(*this);
 }
 
 std::optional<ReconfigMsg> ReconfigMsg::Parse(
     const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
-  ReconfigMsg m;
-  m.kind = static_cast<Kind>(r.U8());
-  m.epoch = r.U64();
-  m.sender_uid = r.ReadUid();
-  switch (m.kind) {
-    case Kind::kPosition:
-      m.root_uid = r.ReadUid();
-      m.level = r.U16();
-      m.pos_seq = r.U32();
-      break;
-    case Kind::kPosAck:
-      m.ack_seq = r.U32();
-      if (!ReadBool(r, &m.is_parent)) {
-        return std::nullopt;
-      }
-      break;
-    case Kind::kReport:
-    case Kind::kConfig:
-      m.payload_seq = r.U32();
-      if (!ParseSwitchRecords(r, &m.records)) {
-        return std::nullopt;
-      }
-      break;
-    case Kind::kMinorConfig:
-      m.payload_seq = r.U32();
-      m.config_version = r.U32();
-      if (!ParseSwitchRecords(r, &m.records)) {
-        return std::nullopt;
-      }
-      break;
-    case Kind::kDelta:
-      m.payload_seq = r.U32();
-      if (!ReadBool(r, &m.delta_add)) {
-        return std::nullopt;
-      }
-      m.delta_a_uid = r.ReadUid();
-      m.delta_a_port = r.U8();
-      m.delta_b_uid = r.ReadUid();
-      m.delta_b_port = r.U8();
-      break;
-    case Kind::kReportAck:
-    case Kind::kConfigAck:
-      m.payload_seq = r.U32();
-      break;
-    default:
-      return std::nullopt;
-  }
-  if (!r.ok() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return Decode<ReconfigMsg>(payload);
 }
 
 const char* ReconfigMsg::KindName() const {
@@ -269,86 +98,19 @@ std::vector<SwitchRecord> TopologyToRecords(const NetTopology& topology) {
   return records;
 }
 
-// --- HostAddressMsg ---
-
 std::vector<std::uint8_t> HostAddressMsg::Serialize() const {
-  ByteWriter w;
-  w.U8(static_cast<std::uint8_t>(kind));
-  w.WriteUid(host_uid);
-  w.WriteUid(switch_uid);
-  w.U16(short_address);
-  w.U64(epoch);
-  return w.Take();
+  return Encode(*this);
 }
 
 std::optional<HostAddressMsg> HostAddressMsg::Parse(
     const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
-  HostAddressMsg m;
-  m.kind = static_cast<Kind>(r.U8());
-  m.host_uid = r.ReadUid();
-  m.switch_uid = r.ReadUid();
-  m.short_address = r.U16();
-  m.epoch = r.U64();
-  if (!r.ok() || !r.AtEnd() ||
-      (m.kind != Kind::kRequest && m.kind != Kind::kReply)) {
-    return std::nullopt;
-  }
-  return m;
+  return Decode<HostAddressMsg>(payload);
 }
 
-// --- SrpMsg ---
-
-std::vector<std::uint8_t> SrpMsg::Serialize() const {
-  ByteWriter w;
-  w.U8(static_cast<std::uint8_t>(op));
-  w.U64(request_id);
-  w.U8(static_cast<std::uint8_t>(route.size()));
-  w.Bytes(route.data(), route.size());
-  w.U8(position);
-  w.U8(static_cast<std::uint8_t>(reverse_route.size()));
-  w.Bytes(reverse_route.data(), reverse_route.size());
-  w.U16(static_cast<std::uint16_t>(body.size()));
-  w.Bytes(body.data(), body.size());
-  return w.Take();
-}
+std::vector<std::uint8_t> SrpMsg::Serialize() const { return Encode(*this); }
 
 std::optional<SrpMsg> SrpMsg::Parse(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
-  SrpMsg m;
-  m.op = static_cast<Op>(r.U8());
-  m.request_id = r.U64();
-  std::uint8_t nroute = r.U8();
-  for (int i = 0; i < nroute; ++i) {
-    m.route.push_back(r.U8());
-  }
-  m.position = r.U8();
-  std::uint8_t nreverse = r.U8();
-  for (int i = 0; i < nreverse; ++i) {
-    m.reverse_route.push_back(r.U8());
-  }
-  std::uint16_t nbody = r.U16();
-  if (nbody > 4096) {
-    return std::nullopt;
-  }
-  for (int i = 0; i < nbody; ++i) {
-    m.body.push_back(r.U8());
-  }
-  switch (m.op) {
-    case Op::kEcho:
-    case Op::kGetState:
-    case Op::kGetTopology:
-    case Op::kGetLog:
-    case Op::kGetStats:
-    case Op::kReply:
-      break;
-    default:
-      return std::nullopt;  // unknown op: likely a corrupted byte
-  }
-  if (!r.ok() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
+  return Decode<SrpMsg>(payload);
 }
 
 }  // namespace autonet

@@ -114,7 +114,6 @@ class ReconfigEngine {
   // Stops retransmission (switch power-off).
   void Shutdown();
   SwitchNum proposed_num() const { return proposed_num_; }
-  void set_proposed_num(SwitchNum num) { proposed_num_ = num; }
   Stats stats() const;
 
   // This switch's tree position in the current epoch (for tests).

@@ -61,17 +61,12 @@ Network::Network(TopoSpec spec, NetworkConfig config)
                                            Link::Side::kB);
     }
     drivers_[h]->SetReceiveHandler([this, h](Delivery d) {
-      // (time, host, size, intact, tag): the tag is the first 8 payload
-      // bytes, as SendTagged writes it.
+      // (time, host, size, intact, tag).
       const Packet& p = *d.packet;
-      std::uint64_t tag = 0;
-      for (std::size_t i = 0; i < 8 && i < p.payload.size(); ++i) {
-        tag = tag << 8 | p.payload[i];
-      }
       sim_.MixDataDigest(static_cast<std::uint64_t>(d.delivered_at));
       sim_.MixDataDigest(static_cast<std::uint64_t>(h) << 32 |
                          p.WireSize() << 1 | (d.intact() ? 1 : 0));
-      sim_.MixDataDigest(tag);
+      sim_.MixDataDigest(DataTag::Of(p.payload));
       if (delivery_hook_) {
         delivery_hook_(h, d);
       }
@@ -517,10 +512,8 @@ bool Network::SendTagged(int src_host, int dst_host, std::size_t data_bytes,
   if (!p) {
     return false;
   }
-  for (int i = 0; i < 8; ++i) {
-    p->payload[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(tag >> (56 - 8 * i));
-  }
+  std::vector<std::uint8_t> head = Encode(DataTag{tag});
+  std::copy(head.begin(), head.end(), p->payload.begin());
   return drivers_[src_host]->Send(std::move(*p));
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/autopilot/autopilot.h"
+#include "src/common/serialize.h"
 #include "src/fabric/switch.h"
 #include "src/host/controller.h"
 #include "src/host/driver.h"
@@ -32,6 +33,25 @@ namespace autonet {
 // and oracles read from the inboxes.  (The workload engine sends under this
 // type; see src/workload/engine.h.)
 inline constexpr std::uint16_t kHookOnlyEtherType = 0xAE70;
+
+// The tag Network::SendTagged writes at the head of a client payload: 8
+// bytes, big-endian.  The layout is public: perfbench decodes it itself.
+struct DataTag {
+  std::uint64_t value = 0;
+
+  template <class Io, class M>
+  static void Walk(Io& io, M& m) {
+    io.U64BE(m.value);
+  }
+  // The tag at the head of `payload`.  A payload shorter than 8 bytes reads
+  // as the big-endian value of the bytes it has.
+  static std::uint64_t Of(const std::vector<std::uint8_t>& payload) {
+    ByteReader r(payload);
+    DataTag tag;
+    Walk(r, tag);
+    return tag.value;
+  }
+};
 
 struct NetworkConfig {
   AutopilotConfig autopilot;       // defaults to the tuned generation

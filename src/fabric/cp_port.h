@@ -44,7 +44,6 @@ class CpPort final : public Port {
   // arrived").
   void NoteArrivalPort(PortNum port) { arrival_port_ = port; }
 
-  std::size_t pending_injections() const { return pending_.size(); }
 
   // --- Port (output side: crossbar -> control processor memory) ---
   bool CanTransmitNow() const override { return true; }

@@ -100,7 +100,6 @@ class LinkUnit final : public LinkEndpoint, public Port {
   // While a port is classified s.dead, Autopilot forces it to send idhy in
   // place of normal flow control (section 6.5.3).
   void SetForceIdhy(bool force);
-  bool force_idhy() const { return force_idhy_; }
   // Sends a momentary panic directive to reset the remote link unit.
   void SendPanicPulse();
 

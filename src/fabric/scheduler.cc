@@ -8,7 +8,7 @@ namespace autonet {
 void SchedulerEngine::Enqueue(PortNum inport, PortVector want,
                               bool broadcast) {
   assert(!HasRequest(inport) && "one outstanding request per receive port");
-  queue_.push_back(Request{inport, want, broadcast, sim_->now(), PortVector()});
+  queue_.push_back(Request{inport, want, broadcast, PortVector()});
   EnsureCycleScheduled();
 }
 
@@ -90,7 +90,6 @@ void SchedulerEngine::RunCycle() {
     reserved_total_ &= ~granted.reserved;
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(grant_index));
     ++grants_;
-    total_wait_ns_ += sim_->now() - granted.enqueued_at;
     if (grants_metric_ != nullptr) {
       grants_metric_->Increment();
     }

@@ -37,7 +37,6 @@ class SchedulerEngine {
     PortNum inport = -1;
     PortVector want;
     bool broadcast = false;
-    Tick enqueued_at = 0;
     PortVector reserved;  // broadcast accumulation (internal)
   };
 
@@ -74,8 +73,6 @@ class SchedulerEngine {
   }
 
   std::uint64_t grants() const { return grants_; }
-  std::size_t queue_length() const { return queue_.size(); }
-  Tick total_wait_ns() const { return total_wait_ns_; }
 
  private:
   void EnsureCycleScheduled();
@@ -89,7 +86,6 @@ class SchedulerEngine {
   PortVector reserved_total_;
   bool cycle_scheduled_ = false;
   std::uint64_t grants_ = 0;
-  Tick total_wait_ns_ = 0;
   obs::Counter* grants_metric_ = nullptr;
   obs::Counter* blocked_cycles_metric_ = nullptr;
 };

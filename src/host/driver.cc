@@ -1,6 +1,7 @@
 #include "src/host/driver.h"
 
 #include "src/autopilot/messages.h"
+#include "src/common/serialize.h"
 
 namespace autonet {
 namespace {
@@ -10,6 +11,16 @@ constexpr Tick kVigorousPingPeriod = 250 * kMillisecond;
 constexpr Tick kFailThreshold = 3 * kSecond;    // silence before failing over
 constexpr Tick kAlternateRetry = 10 * kSecond;  // per-link dwell when both dead
 constexpr Tick kCheckPeriod = 100 * kMillisecond;
+
+// The loopback test packet's payload: the token, 8 bytes little-endian.
+struct LoopbackToken {
+  std::uint64_t value = 0;
+
+  template <class Io, class M>
+  static void Walk(Io& io, M& m) {
+    io.U64(m.value);
+  }
+};
 
 }  // namespace
 
@@ -49,14 +60,9 @@ void AutonetDriver::OnDelivery(Delivery d) {
   }
   if (d.packet->dest.IsLoopback()) {
     // Our own loopback test packet reflected by the local switch.
-    if (loopback_expect_ != 0 && d.packet->payload.size() == 8) {
-      std::uint64_t token = 0;
-      for (int i = 0; i < 8; ++i) {
-        token |= static_cast<std::uint64_t>(d.packet->payload[i]) << (i * 8);
-      }
-      if (token == loopback_expect_) {
-        FinishLoopback(true);
-      }
+    auto token = Decode<LoopbackToken>(d.packet->payload);
+    if (loopback_expect_ != 0 && token && token->value == loopback_expect_) {
+      FinishLoopback(true);
     }
     return;
   }
@@ -146,10 +152,7 @@ void AutonetDriver::StartLoopback(TestResult on_result, Tick timeout,
   p.dest = kAddrLoopback;
   p.src = has_address_ ? address_ : ShortAddress(0);
   p.type = PacketType::kEthernetEncap;
-  for (int i = 0; i < 8; ++i) {
-    p.payload.push_back(
-        static_cast<std::uint8_t>(loopback_expect_ >> (i * 8)));
-  }
+  p.payload = Encode(LoopbackToken{loopback_expect_});
   loopback_timer_.Start(timeout);
   if (!controller_->Send(MakePacket(std::move(p)))) {
     FinishLoopback(false);

@@ -37,7 +37,6 @@ class AutonetDriver {
 
   bool HasAddress() const { return has_address_; }
   ShortAddress short_address() const { return address_; }
-  std::uint64_t address_epoch() const { return address_epoch_; }
   const Stats& stats() const { return stats_; }
   HostController* controller() { return controller_; }
 

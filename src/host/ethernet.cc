@@ -33,7 +33,6 @@ void EthernetSegment::StartNext() {
   double bits = static_cast<double>(pending.frame.WireSize()) * 8.0;
   Tick duration = static_cast<Tick>(bits / mbps_ * 1000.0) + 9600;
   sim_->ScheduleAfter(duration, [this, pending = std::move(pending)] {
-    ++frames_carried_;
     for (EthernetStation* station : stations_) {
       if (station != pending.sender) {
         station->Deliver(pending.frame);
@@ -60,7 +59,6 @@ bool EthernetStation::SendPreservingSource(EthernetFrame frame) {
   if (frame.data.size() > kMaxBridgedData) {
     return false;  // oversize for Ethernet
   }
-  ++frames_sent_;
   segment_->Transmit(this, std::move(frame));
   return true;
 }
@@ -69,7 +67,6 @@ void EthernetStation::Deliver(const EthernetFrame& frame) {
   if (!promiscuous_ && !frame.IsBroadcast() && frame.dest_uid != uid_) {
     return;
   }
-  ++frames_received_;
   if (handler_) {
     handler_(frame);
   }

@@ -46,7 +46,6 @@ class EthernetSegment {
   // not hear its own transmission.
   void Transmit(const EthernetStation* sender, EthernetFrame frame);
 
-  std::uint64_t frames_carried() const { return frames_carried_; }
   std::size_t queue_depth() const { return queue_.size(); }
 
  private:
@@ -67,7 +66,6 @@ class EthernetSegment {
   std::vector<EthernetStation*> stations_;
   std::deque<Pending> queue_;
   bool busy_ = false;
-  std::uint64_t frames_carried_ = 0;
 };
 
 class EthernetStation {
@@ -95,9 +93,6 @@ class EthernetStation {
   }
   void SetPromiscuous(bool promiscuous) { promiscuous_ = promiscuous; }
 
-  std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t frames_received() const { return frames_received_; }
-
  private:
   friend class EthernetSegment;
   void Deliver(const EthernetFrame& frame);
@@ -107,8 +102,6 @@ class EthernetStation {
   std::string name_;
   bool promiscuous_ = false;
   ReceiveHandler handler_;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_received_ = 0;
 };
 
 }  // namespace autonet

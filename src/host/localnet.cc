@@ -8,22 +8,10 @@ namespace {
 constexpr Tick kArpFreshness = 2 * kSecond;  // section 6.8.1's two seconds
 }  // namespace
 
-std::vector<std::uint8_t> ArpBody::Serialize() const {
-  ByteWriter w;
-  w.U8(static_cast<std::uint8_t>(op));
-  w.WriteUid(target_uid);
-  return w.Take();
-}
+std::vector<std::uint8_t> ArpBody::Serialize() const { return Encode(*this); }
 
 std::optional<ArpBody> ArpBody::Parse(const std::vector<std::uint8_t>& data) {
-  ByteReader r(data);
-  ArpBody body;
-  body.op = static_cast<Op>(r.U8());
-  body.target_uid = r.ReadUid();
-  if (!r.ok() || (body.op != Op::kRequest && body.op != Op::kReply)) {
-    return std::nullopt;
-  }
-  return body;
+  return Decode<ArpBody>(data);
 }
 
 LocalNet::LocalNet(Simulator* sim, Uid host_uid, std::string name)

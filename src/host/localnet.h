@@ -60,9 +60,6 @@ class LocalNet {
   void AttachAutonet(AutonetDriver* driver);
   void AttachEthernet(EthernetStation* station);
 
-  bool autonet_available() const { return driver_ != nullptr; }
-  bool ethernet_available() const { return station_ != nullptr; }
-
   // Sends a UID-addressed datagram on the given network.
   bool Send(NetworkId net, Datagram datagram);
 
@@ -133,6 +130,11 @@ struct ArpBody {
   Op op = Op::kRequest;
   Uid target_uid;
 
+  template <class Io, class M>
+  static void Walk(Io& io, M& m) {
+    io.Enum(m.op, Op::kRequest, Op::kReply);
+    io.Id(m.target_uid);
+  }
   std::vector<std::uint8_t> Serialize() const;
   static std::optional<ArpBody> Parse(const std::vector<std::uint8_t>& data);
 };

@@ -1,9 +1,5 @@
 #include "src/host/srp_client.h"
 
-#include <cstring>
-
-#include "src/common/serialize.h"
-
 namespace autonet {
 
 SrpClient::SrpClient(AutonetDriver* driver)
@@ -62,25 +58,13 @@ std::optional<SrpMsg> SrpClient::Query(SrpMsg::Op op,
   return std::nullopt;
 }
 
-std::optional<SrpClient::SwitchState> SrpClient::GetState(
+std::optional<SrpState> SrpClient::GetState(
     const std::vector<std::uint8_t>& route, Tick timeout) {
   auto reply = Query(SrpMsg::Op::kGetState, route, timeout);
   if (!reply.has_value()) {
     return std::nullopt;
   }
-  ByteReader r(reply->body);
-  SwitchState state;
-  state.epoch = r.U64();
-  state.switch_num = r.U16();
-  state.uid = r.ReadUid();
-  state.reconfig_in_progress = r.U8() != 0;
-  for (int p = kFirstExternalPort; p < kPortsPerSwitch; ++p) {
-    state.port_states.push_back(r.U8());
-  }
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-  return state;
+  return Decode<SrpState>(reply->body);
 }
 
 std::optional<NetTopology> SrpClient::GetTopology(
@@ -89,12 +73,11 @@ std::optional<NetTopology> SrpClient::GetTopology(
   if (!reply.has_value()) {
     return std::nullopt;
   }
-  ByteReader r(reply->body);
-  std::vector<SwitchRecord> records;
-  if (!ParseSwitchRecords(r, &records)) {
+  auto topo = Decode<SrpTopology>(reply->body);
+  if (!topo.has_value()) {
     return std::nullopt;
   }
-  return RecordsToTopology(records);
+  return RecordsToTopology(topo->records);
 }
 
 std::optional<std::string> SrpClient::GetLogTail(
@@ -110,7 +93,7 @@ bool SrpClient::Echo(const std::vector<std::uint8_t>& route, Tick timeout) {
   return Query(SrpMsg::Op::kEcho, route, timeout).has_value();
 }
 
-std::optional<std::vector<SrpClient::RemoteStat>> SrpClient::GetStats(
+std::optional<std::vector<SrpStat>> SrpClient::GetStats(
     const std::vector<std::uint8_t>& route, const std::string& filter,
     Tick timeout) {
   std::vector<std::uint8_t> body(filter.begin(), filter.end());
@@ -119,45 +102,11 @@ std::optional<std::vector<SrpClient::RemoteStat>> SrpClient::GetStats(
   if (!reply.has_value()) {
     return std::nullopt;
   }
-  ByteReader r(reply->body);
-  auto f64 = [](std::uint64_t bits) {
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  };
-  std::uint16_t count = r.U16();
-  std::vector<RemoteStat> stats;
-  for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
-    RemoteStat s;
-    s.kind = static_cast<obs::MetricKind>(r.U8());
-    std::uint16_t len = r.U16();
-    for (std::uint16_t j = 0; j < len; ++j) {
-      s.name.push_back(static_cast<char>(r.U8()));
-    }
-    switch (s.kind) {
-      case obs::MetricKind::kCounter:
-        s.counter = r.U64();
-        break;
-      case obs::MetricKind::kGauge:
-        s.gauge = f64(r.U64());
-        break;
-      case obs::MetricKind::kHistogram:
-        s.hist_count = r.U64();
-        s.hist_min = f64(r.U64());
-        s.hist_max = f64(r.U64());
-        s.hist_mean = f64(r.U64());
-        break;
-      default:
-        return std::nullopt;  // damaged reply
-    }
-    if (r.ok()) {
-      stats.push_back(std::move(s));
-    }
-  }
-  if (!r.ok()) {
+  auto stats = Decode<SrpStats>(reply->body);
+  if (!stats.has_value()) {
     return std::nullopt;
   }
-  return stats;
+  return std::move(stats->entries);
 }
 
 std::vector<SrpClient::CrawlEntry> SrpClient::CrawlTopology(

@@ -20,7 +20,6 @@
 
 #include "src/autopilot/messages.h"
 #include "src/host/driver.h"
-#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace autonet {
@@ -32,14 +31,6 @@ class SrpClient {
   // client (so installing an SRP client never silences other traffic).
   explicit SrpClient(AutonetDriver* driver);
 
-  struct SwitchState {
-    std::uint64_t epoch = 0;
-    SwitchNum switch_num = 0;
-    Uid uid;
-    bool reconfig_in_progress = false;
-    std::vector<std::uint8_t> port_states;  // PortState per port 1..12
-  };
-
   // `route` lists the outbound port to take at each switch, starting from
   // the host's local switch; an empty route addresses the local switch.
   // Each call runs the simulation until the reply arrives.  `body` carries
@@ -49,8 +40,8 @@ class SrpClient {
                               Tick timeout = 5 * kSecond,
                               std::vector<std::uint8_t> body = {});
 
-  std::optional<SwitchState> GetState(const std::vector<std::uint8_t>& route,
-                                      Tick timeout = 5 * kSecond);
+  std::optional<SrpState> GetState(const std::vector<std::uint8_t>& route,
+                                   Tick timeout = 5 * kSecond);
   std::optional<NetTopology> GetTopology(
       const std::vector<std::uint8_t>& route, Tick timeout = 5 * kSecond);
   std::optional<std::string> GetLogTail(const std::vector<std::uint8_t>& route,
@@ -58,28 +49,16 @@ class SrpClient {
   bool Echo(const std::vector<std::uint8_t>& route,
             Tick timeout = 5 * kSecond);
 
-  // One instrument fetched from a remote switch's registry slice.  Names
-  // are switch-local: the serving switch strips its own
-  // `switch.<name>.` prefix.  Exactly the fields for the kind are valid.
-  struct RemoteStat {
-    obs::MetricKind kind = obs::MetricKind::kCounter;
-    std::string name;
-    std::uint64_t counter = 0;
-    double gauge = 0.0;
-    std::uint64_t hist_count = 0;
-    double hist_min = 0.0;
-    double hist_max = 0.0;
-    double hist_mean = 0.0;
-  };
   // Fetches the remote switch's metrics whose local names contain
   // `filter` (empty fetches everything that fits in one reply packet).
-  std::optional<std::vector<RemoteStat>> GetStats(
+  // Names are switch-local (see SrpStat).
+  std::optional<std::vector<SrpStat>> GetStats(
       const std::vector<std::uint8_t>& route, const std::string& filter = "",
       Tick timeout = 5 * kSecond);
 
   struct CrawlEntry {
     std::vector<std::uint8_t> route;  // from the local switch
-    SwitchState state;
+    SrpState state;
   };
   // Fetches the local topology view, then queries every reachable switch's
   // state along BFS routes.  Returns the entries in BFS order.

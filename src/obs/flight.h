@@ -217,7 +217,6 @@ class FlightRecorder {
     }
   }
 
-  std::size_t ring_count() const { return rings_.size(); }
 
  private:
   bool armed_ = false;

@@ -324,10 +324,7 @@ void WorkloadEngine::OnDelivery(int host, const Delivery& delivery) {
   if (p.payload.size() < 8) {
     return;
   }
-  std::uint64_t tag = 0;
-  for (int i = 0; i < 8; ++i) {
-    tag = tag << 8 | p.payload[static_cast<std::size_t>(i)];
-  }
+  std::uint64_t tag = DataTag::Of(p.payload);
   if (static_cast<std::uint8_t>(tag >> 56) != kTagMagic) {
     return;
   }

@@ -453,13 +453,11 @@ TEST(Srp, StateQueryAcrossTwoHops) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->op, SrpMsg::Op::kReply);
   EXPECT_EQ(reply->request_id, 99u);
-  ByteReader r(reply->body);
-  std::uint64_t epoch = r.U64();
-  std::uint16_t num = r.U16();
-  Uid uid = r.ReadUid();
-  EXPECT_EQ(epoch, net.autopilot_at(2).epoch());
-  EXPECT_EQ(num, net.autopilot_at(2).switch_num());
-  EXPECT_EQ(uid, net.autopilot_at(2).uid());
+  auto state = Decode<SrpState>(reply->body);
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->epoch, net.autopilot_at(2).epoch());
+  EXPECT_EQ(state->switch_num, net.autopilot_at(2).switch_num());
+  EXPECT_EQ(state->uid, net.autopilot_at(2).uid());
 }
 
 }  // namespace

@@ -161,16 +161,29 @@ TEST(Serialize, RoundTrip) {
   w.U16(0x3456);
   w.U32(0x789ABCDE);
   w.U64(0x1122334455667788ull);
-  w.WriteUid(Uid(0xABCDEF));
-  w.WriteShortAddress(ShortAddress(0x123));
+  w.Id(Uid(0xABCDEF));
+  w.Address(ShortAddress(0x123));
+  std::vector<std::uint8_t> bytes = w.Take();
 
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.U8(), 0x12);
-  EXPECT_EQ(r.U16(), 0x3456);
-  EXPECT_EQ(r.U32(), 0x789ABCDEu);
-  EXPECT_EQ(r.U64(), 0x1122334455667788ull);
-  EXPECT_EQ(r.ReadUid(), Uid(0xABCDEF));
-  EXPECT_EQ(r.ReadShortAddress(), ShortAddress(0x123));
+  ByteReader r(bytes);
+  std::uint8_t u8 = 0;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  Uid uid;
+  ShortAddress addr;
+  r.U8(u8);
+  r.U16(u16);
+  r.U32(u32);
+  r.U64(u64);
+  r.Id(uid);
+  r.Address(addr);
+  EXPECT_EQ(u8, 0x12);
+  EXPECT_EQ(u16, 0x3456);
+  EXPECT_EQ(u32, 0x789ABCDEu);
+  EXPECT_EQ(u64, 0x1122334455667788ull);
+  EXPECT_EQ(uid, Uid(0xABCDEF));
+  EXPECT_EQ(addr, ShortAddress(0x123));
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
 }
@@ -178,8 +191,11 @@ TEST(Serialize, RoundTrip) {
 TEST(Serialize, TruncatedReadSetsError) {
   ByteWriter w;
   w.U16(7);
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.U32(), 7u);  // reads past end: zeros
+  std::vector<std::uint8_t> bytes = w.Take();
+  ByteReader r(bytes);
+  std::uint32_t v = 0;
+  r.U32(v);
+  EXPECT_EQ(v, 7u);  // reads past end: zeros
   EXPECT_FALSE(r.ok());
 }
 
@@ -201,22 +217,29 @@ TEST(Serialize, UidWithBitsAboveTheMaskIsAnError) {
   // differently from what was received.
   ByteWriter w;
   w.U64(Uid::kMask + 1);
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.ReadUid(), Uid(0));
+  std::vector<std::uint8_t> bytes = w.Take();
+  ByteReader r(bytes);
+  Uid uid;
+  r.Id(uid);
+  EXPECT_EQ(uid, Uid(0));
   EXPECT_FALSE(r.ok());
 
   ByteWriter w2;
-  w2.WriteUid(Uid(0xABCDEF));
-  ByteReader r2(w2.bytes());
-  EXPECT_EQ(r2.ReadUid(), Uid(0xABCDEF));
+  w2.Id(Uid(0xABCDEF));
+  std::vector<std::uint8_t> bytes2 = w2.Take();
+  ByteReader r2(bytes2);
+  r2.Id(uid);
+  EXPECT_EQ(uid, Uid(0xABCDEF));
   EXPECT_TRUE(r2.ok());
 }
 
 TEST(Serialize, ShortAddressWithBitsAboveTheMaskIsAnError) {
   ByteWriter w;
   w.U16(static_cast<std::uint16_t>(ShortAddress::kMask + 1));
-  ByteReader r(w.bytes());
-  r.ReadShortAddress();
+  std::vector<std::uint8_t> bytes = w.Take();
+  ByteReader r(bytes);
+  ShortAddress addr;
+  r.Address(addr);
   EXPECT_FALSE(r.ok());
 }
 
