@@ -5,21 +5,33 @@ namespace autonet {
 SrpClient::SrpClient(AutonetDriver* driver)
     : driver_(driver),
       sim_(driver->controller()->sim()),
-      chained_(driver->receive_handler()) {
-  driver_->SetReceiveHandler([this](Delivery d) { OnDelivery(std::move(d)); });
+      chain_(std::make_shared<Chain>(Chain{this, driver->receive_handler()})) {
+  driver_->SetReceiveHandler(Hook{chain_});
+}
+
+SrpClient::~SrpClient() {
+  chain_->client = nullptr;
+  const Hook* installed = driver_->receive_handler().target<Hook>();
+  if (installed != nullptr && installed->chain == chain_) {
+    driver_->SetReceiveHandler(std::move(chain_->chained));
+  }
+}
+
+void SrpClient::Hook::operator()(Delivery d) const {
+  if (chain->client != nullptr && d.packet->type == PacketType::kSrp) {
+    chain->client->OnDelivery(std::move(d));
+    return;
+  }
+  // Not ours: pass through to the handler we displaced.  Dropping these
+  // would silence every other client on the host (found by host-side
+  // injection: the delivery oracle went dark the moment a client was
+  // installed, with the driver's address book fully intact).
+  if (chain->chained) {
+    chain->chained(std::move(d));
+  }
 }
 
 void SrpClient::OnDelivery(Delivery d) {
-  if (d.packet->type != PacketType::kSrp) {
-    // Not ours: pass through to the handler we displaced.  Dropping these
-    // would silence every other client on the host (found by host-side
-    // injection: the delivery oracle went dark the moment a client was
-    // installed, with the driver's address book fully intact).
-    if (chained_) {
-      chained_(std::move(d));
-    }
-    return;
-  }
   if (!d.intact()) {
     return;
   }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +31,13 @@ class SrpClient {
   // delivery chains through to whatever handler was installed before the
   // client (so installing an SRP client never silences other traffic).
   explicit SrpClient(AutonetDriver* driver);
+  // Puts the displaced handler back if the client's is still the installed
+  // one.  If another handler was chained over it since, the client's link
+  // in that chain outlives it and passes every delivery through.
+  ~SrpClient();
+
+  SrpClient(const SrpClient&) = delete;
+  SrpClient& operator=(const SrpClient&) = delete;
 
   // `route` lists the outbound port to take at each switch, starting from
   // the host's local switch; an empty route addresses the local switch.
@@ -65,11 +73,22 @@ class SrpClient {
   std::vector<CrawlEntry> CrawlTopology(Tick per_query_timeout = 5 * kSecond);
 
  private:
+  // The installed receive handler.  It shares `Chain` with the client, so
+  // it can tell whether the client still exists.
+  struct Chain {
+    SrpClient* client;  // nullptr once the client is destroyed
+    AutonetDriver::ReceiveHandler chained;  // handler displaced at install
+  };
+  struct Hook {
+    std::shared_ptr<Chain> chain;
+    void operator()(Delivery d) const;
+  };
+
   void OnDelivery(Delivery d);
 
   AutonetDriver* driver_;
   Simulator* sim_;
-  AutonetDriver::ReceiveHandler chained_;  // handler displaced at install
+  std::shared_ptr<Chain> chain_;
   std::uint64_t next_id_ = 0;
   std::map<std::uint64_t, SrpMsg> replies_;
 };

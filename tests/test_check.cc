@@ -364,6 +364,36 @@ TEST(Inject, SrpClientChainsClientTraffic) {
       << "installing an SRP client silenced host1's client traffic";
 }
 
+TEST(Inject, DestroyedSrpClientLeavesTheHostHandlerWorking) {
+  // Regression: a destroyed client's handler stayed installed and still
+  // pointed at it, so the next SRP reply to the host ran on a dead object
+  // (ASan: stack-use-after-scope).  Destroying a client puts the displaced
+  // handler back.
+  std::string error;
+  Network net(chaos::TopologyByName("small3", &error));
+  ASSERT_TRUE(error.empty());
+  net.Boot();
+  ASSERT_TRUE(net.WaitForConsistency(40 * kSecond));
+  ASSERT_TRUE(net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond));
+  {
+    SrpClient client(&net.driver_at(0));
+    EXPECT_TRUE(client.Echo({}));
+  }
+  // An SRP echo whose reply reaches host0 with no client left...
+  SrpMsg echo;
+  echo.request_id = 77;
+  Packet p;
+  p.dest = kAddrLocalCp;
+  p.type = PacketType::kSrp;
+  p.payload = echo.Serialize();
+  ASSERT_TRUE(net.driver_at(0).Send(std::move(p)));
+  // ...and plain data both still reach the handler the client displaced.
+  net.ClearInboxes();
+  ASSERT_TRUE(net.SendData(1, 0, 64));
+  net.Run(2 * kSecond);
+  EXPECT_FALSE(net.inbox(0).empty());
+}
+
 // --- explorer ---
 
 ExploreConfig SmallConfig() {
