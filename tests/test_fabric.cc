@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -599,11 +600,68 @@ TEST_F(MiniNetTest, FlowControlStallMidStream) {
 // One MiniNet outside the test framework, so a test can build two.
 class MiniNet : public MiniNetTest {
  public:
-  explicit MiniNet(bool per_byte_reference) {
+  explicit MiniNet(bool per_byte_reference, double trunk_km = 0.01) {
+    trunk_km_ = trunk_km;
     SetUp();
     sim_.SetPerByteReference(per_byte_reference);
   }
   void TestBody() override {}
+
+  // Two packets h1 -> h2, back to back, with every mid-stream event on a
+  // pump tick (the start of a data slot, where the forwarders and h1's
+  // transmit pump fire): status and FIFO reads on every port the stream
+  // crosses, a panic pulse from swB's trunk port and one from swA's host
+  // port, and, with `failover`, h1 moving to a second cable into swB in
+  // the middle of its first packet.  Returns everything observed.
+  std::vector<std::int64_t> TieStream(bool failover) {
+    constexpr PortNum kAltPort = 5;
+    std::unique_ptr<Link> alt;
+    if (failover) {
+      alt = std::make_unique<Link>(&sim_, 0.01);
+      h1_->AttachPort(1, alt.get(), Link::Side::kA);
+      sw_b_->AttachLink(kAltPort, alt.get(), Link::Side::kB);
+    }
+    h1_->Send(DataPacket(AddrH2(), AddrH1(), 4000));
+    h1_->Send(DataPacket(AddrH2(), AddrH1(), 3000));
+    std::vector<std::int64_t> seen;
+    auto sample = [this, &seen] {
+      for (auto [sw, port] : {std::pair{sw_a_.get(), kHostPort},
+                              std::pair{sw_a_.get(), kTrunkPort},
+                              std::pair{sw_b_.get(), kTrunkPort},
+                              std::pair{sw_b_.get(), kHostPort}}) {
+        seen.push_back(sw->link_unit(port).fifo().occupancy());
+        PortStatus s = sw->ReadAndClearStatus(port);
+        seen.insert(seen.end(),
+                    {static_cast<std::int64_t>(s.fifo_occupancy),
+                     static_cast<std::int64_t>(s.bytes_forwarded),
+                     s.bad_code, s.bad_syntax, s.underflow, s.panic_seen,
+                     s.xmit_ok});
+      }
+    };
+    for (std::int64_t slot = 1001; slot < 9000; slot += 97) {
+      EXPECT_FALSE(IsFlowSlot(slot)) << slot;
+      sim_.ScheduleAt(SlotStart(slot), sample);
+    }
+    sim_.ScheduleAt(SlotStart(2501), [this] { sw_b_->SendPanic(kTrunkPort); });
+    sim_.ScheduleAt(SlotStart(3003), [this] { sw_a_->SendPanic(kHostPort); });
+    if (failover) {
+      sim_.ScheduleAt(SlotStart(1801), [this] { h1_->SelectPort(1); });
+    }
+    sim_.RunUntil(4 * kMillisecond);
+    for (const Delivery& d : h2_rx_) {
+      seen.insert(seen.end(), {d.delivered_at, d.corrupted, d.truncated});
+    }
+    for (const char* name : {"switch.swA.link.flow_stops",
+                             "switch.swB.link.flow_stops"}) {
+      seen.push_back(sim_.metrics().GetCounter(name)->value());
+    }
+    seen.push_back(h1_->stats().packets_sent);
+    if (failover) {
+      sw_b_->DetachLink(kAltPort);
+      h1_->DetachPort(1);
+    }
+    return seen;
+  }
 
   // Streams a 4000-byte packet over a marginal trunk and, every 530 ns
   // through it, reads the receiving ports: even samples through
@@ -721,6 +779,55 @@ TEST(LazySettle, RunCrossingHalfFullIsAppliedByteByByte) {
   // Both of the first two packets latched stop once.
   EXPECT_EQ(std::get<1>(per_byte), 2u);
   EXPECT_EQ(std::get<2>(per_byte), 3001u);
+}
+
+// --- Ties between link arrivals and pump firings -------------------------
+//
+// The 10 m trunk's 51 ns delay puts every arrival between slot starts.  A
+// zero-length trunk lands each byte on the tick it was sent, and a trunk
+// whose delay is a whole number of slots lands each byte on a pump tick of
+// the receiving switch: there the order of simultaneous events decides
+// what each observer sees, and the per-byte model must agree.
+
+// The cable length whose propagation delay is exactly `slots` slots.
+double KmForSlots(int slots) {
+  double km = slots / 64.1;
+  while (PropagationDelayNs(km) < slots * kSlotNs) {
+    km = std::nextafter(km, 1e9);
+  }
+  return km;
+}
+
+void ExpectTieStreamMatchesThePerByteModel(double trunk_km, bool failover) {
+  std::vector<std::int64_t> deferred =
+      MiniNet(false, trunk_km).TieStream(failover);
+  std::vector<std::int64_t> reference =
+      MiniNet(true, trunk_km).TieStream(failover);
+  EXPECT_EQ(deferred, reference) << trunk_km << " km";
+}
+
+TEST(ReferenceDifferential, ZeroLengthTrunk) {
+  ExpectTieStreamMatchesThePerByteModel(0.0, false);
+}
+
+TEST(ReferenceDifferential, TrunkDelayOfWholeSlots) {
+  ASSERT_EQ(PropagationDelayNs(KmForSlots(10)), 10 * kSlotNs);
+  ExpectTieStreamMatchesThePerByteModel(KmForSlots(10), false);
+}
+
+TEST(ReferenceDifferential, HostFailoverMidPacket) {
+  for (double km : {0.01, 0.0, KmForSlots(10)}) {
+    ExpectTieStreamMatchesThePerByteModel(km, true);
+  }
+}
+
+TEST(ReferenceDifferential, PanicAndStatusReadsOnPumpTicks) {
+  // The stream itself: both packets arrive, whatever the panics did.
+  MiniNet net(false);
+  std::vector<std::int64_t> seen = net.TieStream(false);
+  ASSERT_FALSE(seen.empty());
+  EXPECT_EQ(seen.back(), 2);  // h1 sent both packets
+  ExpectTieStreamMatchesThePerByteModel(0.01, false);
 }
 
 // A 1 km trunk holds about 64 bytes in flight.
