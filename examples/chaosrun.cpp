@@ -59,6 +59,8 @@ int Usage(const char* argv0) {
       "  --jobs N          worker threads (default: hardware concurrency)\n"
       "  --report FILE     write the JSON campaign report\n"
       "  --compare-jobs1   also run with 1 job and record the speedup\n"
+      "  --per-byte-reference  run every link byte as an event of its own;\n"
+      "                    a test tool: its report must match a default run's\n"
       "  --list            print scenarios and topologies, run nothing\n"
       "  --dump-corpus     print the corpus text, run nothing\n",
       argv0);
@@ -80,6 +82,7 @@ int main(int argc, char** argv) {
   int jobs = 0;
   std::string report_file;
   bool compare_jobs1 = false;
+  bool per_byte_reference = false;
   bool list_only = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -139,6 +142,8 @@ int main(int argc, char** argv) {
       report_file = v;
     } else if (arg == "--compare-jobs1") {
       compare_jobs1 = true;
+    } else if (arg == "--per-byte-reference") {
+      per_byte_reference = true;
     } else if (arg == "--list") {
       list_only = true;
     } else if (arg == "--dump-corpus") {
@@ -240,6 +245,7 @@ int main(int argc, char** argv) {
   config.topologies = std::move(topologies);
   config.seeds = std::move(seeds);
   config.jobs = jobs;
+  config.per_byte_reference = per_byte_reference;
 
   std::printf("campaign: %zu scenarios x %zu topologies x %zu seeds = %zu runs\n",
               config.scenarios.size(), config.topologies.size(),

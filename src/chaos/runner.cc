@@ -472,6 +472,7 @@ std::string CampaignReport::ToJson() const {
     w.Key("reconfig_ms").Number(r.reconfig_ms);
     w.Key("log_hash").String(HexU64(r.log_hash));
     w.Key("metrics_hash").String(HexU64(r.metrics_hash));
+    w.Key("data_hash").String(HexU64(r.data_hash));
     w.Key("wall_ms").Number(r.wall_ms);
     if (!r.workload.empty()) {
       // Resolved workload + full SLO accounting, embedded per run so a

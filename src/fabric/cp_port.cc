@@ -53,6 +53,10 @@ void CpPort::SendEnd(EndFlags flags) {
         flags.truncated || rx_bytes_ != rx_packet_->WireSize();
     delivery.arrival_port = arrival_port_;
     delivery.delivered_at = owner_->now();
+    Simulator* sim = owner_->sim();
+    sim->MixDataDigest(static_cast<std::uint64_t>(delivery.delivered_at));
+    sim->MixDataDigest(owner_->uid().value() << 16 |
+                       rx_packet_->WireSize() << 1 | delivery.intact());
     handler_(std::move(delivery));
   }
   rx_packet_ = nullptr;

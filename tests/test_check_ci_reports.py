@@ -2,7 +2,8 @@
 """The CI perf gate (`tools/check_ci_reports.py perf`) on small synthetic
 perfbench results: what it passes, what it fails, that a failure names the
 workload and metric, and the median pair ratio it prints.  Then the
-protocheck sweep comparison (`sweep`) on two small reports."""
+protocheck sweep comparison (`sweep`) and the campaign fingerprint
+comparison (`fingerprints`) on two small reports."""
 import json
 import os
 import subprocess
@@ -141,6 +142,38 @@ class SweepCheck(unittest.TestCase):
         self.assertTrue(
             failures[0].startswith("FAIL small3:cut0:o1:-: log_hash differ"),
             out)
+
+
+def run(seed, data_hash=None):
+    r = {"scenario": "cable-cut", "topology": "small3", "seed": seed,
+         "log_hash": "00ff", "metrics_hash": "0a0a"}
+    if data_hash is not None:
+        r["data_hash"] = data_hash
+    return r
+
+
+class FingerprintCheck(unittest.TestCase):
+    def check(self, current, committed):
+        with tempfile.TemporaryDirectory() as d:
+            paths = []
+            for name, runs in (("current", current), ("committed", committed)):
+                paths.append(os.path.join(d, f"{name}.json"))
+                with open(paths[-1], "w") as f:
+                    json.dump({"runs": runs}, f)
+            proc = subprocess.run(
+                [sys.executable, CHECK, "fingerprints", *paths],
+                capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    def test_data_hash_is_compared_when_both_reports_carry_it(self):
+        code, out = self.check([run(0, "01"), run(1, "02")],
+                               [run(0, "01"), run(1, "03")])
+        self.assertEqual(code, 1, out)
+        self.assertIn("FAIL cable-cut small3 seed 1: data_hash differ", out)
+
+    def test_a_report_without_data_hash_still_compares(self):
+        code, out = self.check([run(0, "01")], [run(0)])
+        self.assertEqual(code, 0, out)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ nonzero if any check fails.
   fingerprints CURRENT COMMITTED
                          every run in the CURRENT report has a run with the
                          same scenario, topology and seed in the COMMITTED
-                         report, with equal log_hash, metrics_hash and (where
-                         either carries one) adversary_hash
+                         report, with equal log_hash, metrics_hash, (where
+                         either carries one) adversary_hash and (where both
+                         carry one) data_hash
   sweep CURRENT COMMITTED
                          the protocheck sweep reports hold the same schedule
                          ids, and each schedule has equal ok,
@@ -98,6 +99,8 @@ def check_perfetto(path):
 
 
 FINGERPRINTS = ("log_hash", "metrics_hash", "adversary_hash")
+# Compared only when both reports carry it (older reports predate it).
+DATA_FINGERPRINT = "data_hash"
 
 
 def check_fingerprints(current, committed):
@@ -112,7 +115,10 @@ def check_fingerprints(current, committed):
             print(f"FAIL {name}: no such run in {committed}")
             ok = False
             continue
-        diff = [f for f in FINGERPRINTS if run.get(f) != want.get(f)]
+        fields = FINGERPRINTS
+        if DATA_FINGERPRINT in run and DATA_FINGERPRINT in want:
+            fields += (DATA_FINGERPRINT,)
+        diff = [f for f in fields if run.get(f) != want.get(f)]
         if diff:
             print(f"FAIL {name}: {', '.join(diff)} differ from {committed}")
             ok = False
