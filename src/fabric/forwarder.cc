@@ -6,7 +6,10 @@
 namespace autonet {
 
 Forwarder::Forwarder(Switch* owner, PortNum inport)
-    : owner_(owner), inport_(inport), in_port_(&owner->port(inport)) {
+    : owner_(owner),
+      inport_(inport),
+      in_port_(&owner->port(inport)),
+      pump_order_(Simulator::PumpOrder(owner->sim()->NewOwner())) {
   if (inport_ >= kFirstExternalPort) {
     in_unit_ = &owner_->link_unit(inport_);
   }
@@ -66,7 +69,7 @@ void Forwarder::SchedulePump() {
   // parks.
   Tick when = NextDataSlotAfter(owner_->now());
   pump_event_ = owner_->sim()->ScheduleTrainRawAt(
-      when, 0,
+      when, pump_order_,
       [](void* self, std::uint64_t) {
         return static_cast<Forwarder*>(self)->PumpStep();
       },
@@ -85,7 +88,7 @@ Simulator::TrainStep Forwarder::PumpAgain() {
   if (in_unit_ != nullptr) {
     in_unit_->GrantDeferral(next);
   }
-  return Simulator::TrainStep::At(next);
+  return Simulator::TrainStep::At(next, pump_order_);
 }
 
 Simulator::TrainStep Forwarder::PumpStop() {

@@ -102,8 +102,9 @@ class Forwarder {
   // The pump train: one queue entry that re-anchors itself data slot by
   // data slot while the forwarder is streaming, and ends (TrainStep::Done)
   // when the forwarder waits for bytes or a throttle change, or the
-  // connection ends.
+  // connection ends.  Every firing has the forwarder's own pump order.
   Simulator::EventId pump_event_;
+  Simulator::Order pump_order_;
 };
 
 }  // namespace autonet

@@ -10,7 +10,8 @@ HostController::HostController(Simulator* sim, Uid uid, std::string name,
       uid_(uid),
       name_(std::move(name)),
       config_(config),
-      log_(name_) {
+      log_(name_),
+      pump_order_(Simulator::PumpOrder(sim->NewOwner())) {
   ports_[0].Init(this, 0);
   ports_[1].Init(this, 1);
 }
@@ -111,7 +112,7 @@ void HostController::SchedulePump() {
   // entry at each next data slot and ends it when the queue drains or flow
   // control stops us.
   pump_event_ = sim_->ScheduleTrainRawAt(
-      NextDataSlotAfter(sim_->now()), 0,
+      NextDataSlotAfter(sim_->now()), pump_order_,
       [](void* self, std::uint64_t) {
         return static_cast<HostController*>(self)->PumpStep();
       },
@@ -141,11 +142,11 @@ Simulator::TrainStep HostController::PumpStep() {
     tx_broadcast_ = packet->dest.IsBroadcast();
     tx_size_ = packet->WireSize();
     tx_offset_ = 0;
-    return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()));
+    return PumpAgain();
   }
   if (tx_offset_ < tx_size_) {
     port.link->TransmitByte(port.side, tx_offset_++);
-    return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()));
+    return PumpAgain();
   }
   port.link->TransmitEnd(port.side, EndFlags{});
   ++stats_.packets_sent;
@@ -157,7 +158,11 @@ Simulator::TrainStep HostController::PumpStep() {
     pump_event_ = {};
     return Simulator::TrainStep::Done();
   }
-  return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()));
+  return PumpAgain();
+}
+
+Simulator::TrainStep HostController::PumpAgain() {
+  return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()), pump_order_);
 }
 
 bool HostController::link_error_on_active() const {

@@ -131,6 +131,8 @@ class HostController {
   bool CanTransmitNow() const;
   void SchedulePump();
   Simulator::TrainStep PumpStep();
+  // Fires the pump again at the next data slot.
+  Simulator::TrainStep PumpAgain();
   void OnThrottleChange();
   void FinishReceive(NetPort& port, EndFlags flags);
   void DrainRxQueue();
@@ -154,6 +156,7 @@ class HostController {
   bool tx_broadcast_ = false;
   std::size_t tx_size_ = 0;
   Simulator::EventId pump_event_;
+  Simulator::Order pump_order_;  // every pump firing's
 
   // Receive side (modelled buffer + host consumption).
   std::deque<Delivery> rx_queue_;

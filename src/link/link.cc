@@ -28,6 +28,15 @@ Link::Link(Simulator* sim, double length_km, std::uint64_t corruption_seed)
       propagation_delay_(PropagationDelayNs(length_km)),
       corruption_rng_(corruption_seed) {
   sim_->AddOffQueueWork(this);
+  const std::uint32_t owner = sim_->NewOwner();
+  for (Side from : {Side::kA, Side::kB}) {
+    for (Side to : {Side::kA, Side::kB}) {
+      int index = ChannelIndex(from, to);
+      Tick delay = (from == to ? 2 : 1) * propagation_delay_;
+      channels_[index].order = Simulator::ArrivalOrder(
+          delay, 4 * owner + static_cast<std::uint32_t>(index));
+    }
+  }
 }
 
 Link::~Link() {
@@ -72,7 +81,7 @@ void Link::AnchorTrain(int index, const Flit& flit) {
     return;
   }
   ch.train = sim_->ScheduleTrainRawAt(
-      flit.arrive, flit.seq,
+      flit.arrive, ch.order,
       [](void* self, std::uint64_t index) {
         return static_cast<Link*>(self)->DeliverStep(static_cast<int>(index));
       },
@@ -94,12 +103,12 @@ void Link::Apply(Channel& ch, const Flit& f) {
   }
 }
 
-// One train firing at the channel's first undeferred flit: apply the
-// deferred bytes ahead of it (all due earlier), deliver it, then re-anchor
-// the train at the next undeferred flit's reserved (arrive, seq) position —
-// or end it if none is left.  Each flit is popped before its callback
-// runs, so an endpoint reacting by transmitting (which appends to some
-// channel) sees consistent state.
+// One train firing at the channel's first undeferred flit: deliver every
+// flit that lands by this tick, deferred bytes ahead of it included (they
+// all share this firing's position or precede it), then re-anchor the
+// train at the next undeferred flit — or end it if none is left.  Each
+// flit is popped before its callback runs, so an endpoint reacting by
+// transmitting (which appends to some channel) sees consistent state.
 Simulator::TrainStep Link::DeliverStep(int index) {
   Channel& ch = channels_[index];
   Side to = static_cast<Side>(index & 1);
@@ -108,14 +117,20 @@ Simulator::TrainStep Link::DeliverStep(int index) {
     // from its cross channel; those due before it go first.
     Settle(to);
   }
+  const Tick now = sim_->now();
   ch.firing = true;
-  ApplyDeferred(ch, /*due_only=*/false);
-  Apply(ch, ch.inflight.pop_front());
+  while (!ch.inflight.empty() && ch.inflight.front().arrive <= now) {
+    if (ch.inflight.front().deferred()) {
+      ApplyDeferred(ch, now);
+    } else {
+      Apply(ch, ch.inflight.pop_front());
+    }
+  }
   ch.firing = false;
   for (std::size_t i = 0; i < ch.inflight.size(); ++i) {
     const Flit& next = ch.inflight[i];
     if (!next.deferred()) {
-      return Simulator::TrainStep::At(next.arrive, next.seq);
+      return Simulator::TrainStep::At(next.arrive, ch.order);
     }
   }
   ch.train = Simulator::EventId{};  // the next undeferred flit starts one
@@ -126,12 +141,11 @@ Simulator::TrainStep Link::DeliverStep(int index) {
 // revoke turns every one back into a train flit), and begin and end flits
 // are never deferred, so a run of them lies inside one packet.  The run is
 // popped before the receiver's callback runs.
-void Link::ApplyDeferred(Channel& ch, bool due_only) {
+void Link::ApplyDeferred(Channel& ch, Tick limit) {
   while (ch.deferred != 0) {
     const Flit& head = ch.inflight.front();
-    // An undeferred head is the train's anchor, not yet due.
-    if (!head.deferred() ||
-        (due_only && !sim_->Passed(head.arrive, head.seq))) {
+    // An undeferred head is the train's anchor.
+    if (!head.deferred() || head.arrive > limit) {
       return;
     }
     LinkEndpoint* ep = head.ep;
@@ -140,8 +154,7 @@ void Link::ApplyDeferred(Channel& ch, bool due_only) {
     std::uint32_t corrupt = head.corrupt ? 1 : 0;
     for (; n < ch.deferred; ++n) {
       const Flit& f = ch.inflight[n];
-      if (!f.deferred() || f.offset != first + n ||
-          (due_only && !sim_->Passed(f.arrive, f.seq))) {
+      if (!f.deferred() || f.offset != first + n || f.arrive > limit) {
         break;
       }
       corrupt += f.corrupt ? 1 : 0;
@@ -157,13 +170,13 @@ void Link::RevokeDeferral(Side rx) {
   Channel& ch = channels_[index];
   ch.horizon = std::numeric_limits<Tick>::max();
   ch.headroom = 0;
-  ApplyDeferred(ch, /*due_only=*/true);
+  ApplyDeferred(ch, DueLimit(ch));
   if (ch.deferred == 0) {
     return;
   }
   // Every remaining flit is due after the dispatch position; hand them all
   // to the train.  If it is queued at a later undeferred flit, re-anchor it
-  // at the head (reserved sequences: the re-anchor claims none).
+  // at the head.
   bool queued = ch.inflight.size() != ch.deferred && !ch.firing;
   bool head_deferred = ch.inflight.front().deferred();
   for (std::size_t i = 0; i < ch.inflight.size(); ++i) {
@@ -199,7 +212,6 @@ void Link::TransmitBegin(Side from, const PacketRef& packet) {
   }
   Flit flit{};
   flit.arrive = sim_->now() + delay;
-  flit.seq = sim_->ReserveSeq();
   flit.ep = ep;
   flit.kind = Flit::Kind::kBegin;
   int index = ChannelIndex(from, rx);
@@ -220,7 +232,6 @@ void Link::TransmitEnd(Side from, EndFlags flags) {
   }
   Flit flit{};
   flit.arrive = sim_->now() + delay;
-  flit.seq = sim_->ReserveSeq();
   flit.ep = ep;
   flit.kind = Flit::Kind::kEnd;
   flit.flags = flags;

@@ -16,10 +16,11 @@
 // *train* per channel rather than one event per symbol: each transmitted
 // symbol becomes a POD flit in the channel's in-flight ring, and a single
 // queue entry re-sifts itself from arrival to arrival.  A train with no
-// flit left to deliver ends, and the next flit starts a new one at its own
-// reserved position.  Each flit's tie-break sequence is reserved at
-// transmit time, so the global firing order is identical to one event per
-// symbol.
+// flit left to deliver ends, and the next flit starts a new one.  Every
+// arrival of a channel has the channel's arrival order (Simulator::Order:
+// by transmit tick, then channel), so a flit's position among simultaneous
+// events is fixed by its arrival tick alone, and the flits of a channel
+// that land on one tick land in one firing.
 //
 // Most data bytes land where nobody is looking: a streaming forwarder's
 // FIFO, or a host port that only counts them.  A receiver may grant its
@@ -27,11 +28,12 @@
 // schedule anything; deferred bytes stay in the ring in order, the train
 // skips them, and they are applied when the receiver next looks (Settle),
 // when the next undeferred flit of the channel fires, or when the grant
-// ends (RevokeDeferral, which hands the rest back to the train at their
-// reserved positions).  A look applies exactly the deferred bytes whose
-// (arrive, seq) the simulator's dispatch position has passed, so it sees
-// what one event per symbol would have shown it; it hands them over as
-// runs, one OnDataBytes call per run of consecutive offsets.
+// ends (RevokeDeferral, which hands the rest back to the train).  A look
+// applies exactly the deferred bytes whose arrival position the
+// simulator's dispatch position has passed, so it sees what one event per
+// symbol would have shown it; it hands them over as runs, one OnDataBytes
+// call per run of consecutive offsets.  A zero-length cable grants no
+// deferral: its bytes land on the tick they are sent, behind their sender.
 //
 // Fault modes reproduce the physical behaviours the paper describes:
 //   kCut         no symbols arrive in either direction (unplugged cable)
@@ -170,19 +172,18 @@ class Link final : public Simulator::OffQueueWork {
   // kNoHorizon.  The headroom is what the receiver can absorb without
   // acting; if the symbols in flight exceed it, the grant is revoked
   // instead.  Ignored while off-queue work is not allowed (a tie chooser or
-  // the per-byte reference mode, see Simulator).
+  // the per-byte reference mode, see Simulator) and on a zero-length cable.
   static constexpr Tick kNoHorizon = -1;
   void GrantDeferral(Side rx, Tick horizon, std::size_t headroom);
   // Ends the grant: deferred bytes the dispatch position has passed are
-  // applied now, and the rest go back on the train at their reserved
-  // positions.
+  // applied now, and the rest go back on the train.
   void RevokeDeferral(Side rx);
   // Applies the deferred bytes the dispatch position has passed.  Every
   // read or write of a granting receiver starts here.
   void Settle(Side rx) {
     Channel& ch = channels_[ChannelIndex(Other(rx), rx)];
     if (ch.deferred != 0) {
-      ApplyDeferred(ch, /*due_only=*/true);
+      ApplyDeferred(ch, DueLimit(ch));
     }
   }
 
@@ -200,15 +201,13 @@ class Link final : public Simulator::OffQueueWork {
   };
 
   // One in-flight symbol of a channel: receiver and arrival time are
-  // captured at transmit time, as is `seq`, the reserved tie-break position
-  // among simultaneous events.  Deliberately trivially copyable — the ring
+  // captured at transmit time.  Deliberately trivially copyable — the ring
   // below moves these by plain stores; the packet a kBegin introduces rides
   // in the channel's `begin_packets` ring instead.
   struct Flit {
     // A deferred byte is held for the receiver's next look, not the train.
     enum class Kind : std::uint8_t { kBegin, kByte, kEnd, kDeferredByte };
     Tick arrive;
-    std::uint64_t seq;
     LinkEndpoint* ep;
     std::uint32_t offset;
     Kind kind;
@@ -236,6 +235,9 @@ class Link final : public Simulator::OffQueueWork {
     // it ends, and this is reset, when none is left.
     Simulator::EventId train;
     bool firing = false;  // DeliverStep is on the stack
+    // Every arrival's order (Simulator::ArrivalOrder), fixed at
+    // construction.
+    Simulator::Order order = 0;
   };
   // A channel holding this many flits applies its due deferred bytes before
   // growing, whatever flit is pushed: big enough to batch, small enough to
@@ -278,26 +280,29 @@ class Link final : public Simulator::OffQueueWork {
   }
   // Inline (defined below the class); the train start is out of line.
   void PushFlit(int index, const Flit& flit);
-  // Starts channel `index`'s train at `flit`, its first undeferred flit, at
-  // the flit's reserved (arrive, seq) position, unless the channel already
-  // has one: queued at an earlier flit, or firing, in which case its
-  // DeliverStep will chain to the first undeferred flit itself (the
-  // delivery callback transmitted back into the same channel, e.g. in
-  // reflect mode).
+  // Starts channel `index`'s train at `flit`, its first undeferred flit,
+  // unless the channel already has one: queued at an earlier flit, or
+  // firing, in which case its DeliverStep will chain to the first
+  // undeferred flit itself (the delivery callback transmitted back into the
+  // same channel, e.g. in reflect mode).
   void AnchorTrain(int index, const Flit& flit);
   Simulator::TrainStep DeliverStep(int index);
   // Hands a train firing's flit to its receiver.
   void Apply(Channel& ch, const Flit& f);
-  // Hands the deferred bytes at the front of the ring to their receiver,
-  // one call per run of consecutive offsets: those the dispatch position
-  // has passed (`due_only`), or all of them (a firing behind them).
-  void ApplyDeferred(Channel& ch, bool due_only);
+  // The latest arrival tick of `ch` the dispatch position has passed.
+  Tick DueLimit(const Channel& ch) const {
+    Tick now = sim_->now();
+    return sim_->Passed(now, ch.order) ? now : now - 1;
+  }
+  // Hands the deferred bytes at the front of the ring that arrive by
+  // `limit` to their receiver, one call per run of consecutive offsets.
+  void ApplyDeferred(Channel& ch, Tick limit);
   // Before a push fills the ring, applies what has landed instead of
   // growing it.
   void SettleIfFull(Channel& ch) {
     if (ch.inflight.full() && ch.inflight.size() >= kSettleBatch &&
         ch.deferred != 0) {
-      ApplyDeferred(ch, /*due_only=*/true);
+      ApplyDeferred(ch, DueLimit(ch));
     }
   }
   void SetFlowDirectiveChanged(Side from, FlowDirective directive);
@@ -321,7 +326,7 @@ class Link final : public Simulator::OffQueueWork {
 // Appends a transmitted symbol to channel `index`'s in-flight ring for the
 // train to deliver, anchoring the train here if no other undeferred flit is
 // pending.  The channel's fixed delay keeps the ring sorted by arrival, so
-// every flit fires at its captured (arrive, seq) position.  Inline so the
+// every flit fires at its arrival in transmit order.  Inline so the
 // per-byte transmit chain (endpoint -> TransmitByte -> PushFlit) compiles as
 // one unit.
 inline void Link::PushFlit(int index, const Flit& flit) {
@@ -339,7 +344,7 @@ inline void Link::PushFlit(int index, const Flit& flit) {
 
 // Inline: a streaming forwarder re-grants at every pump firing.
 inline void Link::GrantDeferral(Side rx, Tick horizon, std::size_t headroom) {
-  if (!sim_->off_queue_allowed()) {
+  if (!sim_->off_queue_allowed() || propagation_delay_ == 0) {
     return;
   }
   Channel& ch = channels_[ChannelIndex(Other(rx), rx)];
@@ -374,7 +379,6 @@ inline void Link::TransmitByte(Side from, std::uint32_t offset) {
       corruption_rate_ > 0.0 && corruption_rng_.Bernoulli(corruption_rate_);
   Flit flit{};
   flit.arrive = sim_->now() + delay;
-  flit.seq = sim_->ReserveSeq();
   flit.ep = ep;
   flit.offset = offset;
   flit.kind = Flit::Kind::kByte;

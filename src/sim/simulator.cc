@@ -9,7 +9,7 @@ namespace autonet {
 
 void Simulator::SeqOverflow() {
   std::fprintf(stderr,
-               "Simulator: event sequence space exhausted (2^40 schedules)\n");
+               "Simulator: event sequence space exhausted (2^60 schedules)\n");
   std::abort();
 }
 
@@ -61,23 +61,26 @@ Simulator::EventId Simulator::ScheduleAt(Tick when, Callback callback) {
   std::uint32_t slot = AllocSlot(seq);
   Slot& s = slots_[slot];
   s.callback = std::move(callback);
-  Enqueue(s, slot, when, seq);
+  // The creation seq doubles as the order's position (rank 0 or 3).
+  if (when < now_) {
+    when = now_;
+    NotePastClamp();
+  }
+  Enqueue(s, slot, when, (when > now_ ? kRankPlain : kRankNow) | seq);
   return EventId{seq, slot};
 }
 
-Simulator::EventId Simulator::ScheduleTrainRawAt(Tick start, std::uint64_t seq,
+Simulator::EventId Simulator::ScheduleTrainRawAt(Tick start, Order order,
                                                  TrainFn fn, void* ctx,
                                                  std::uint64_t arg) {
-  if (seq == 0) {
-    seq = NextSeq();
-  }
-  std::uint32_t slot = AllocSlot(seq);
+  std::uint64_t id = NextSeq();
+  std::uint32_t slot = AllocSlot(id);
   Slot& s = slots_[slot];
   s.fn = fn;
   s.ctx = ctx;
   s.arg = arg;
-  Enqueue(s, slot, start, seq);
-  return EventId{seq, slot};
+  Enqueue(s, slot, start, order);
+  return EventId{id, slot};
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -98,22 +101,23 @@ void Simulator::DispatchTop(QEntry entry) {
 
 void Simulator::DispatchEntry(QEntry entry) {
 #ifdef AUTONET_QUEUE_ORDER_CHECK
-  // Under a tie chooser, same-tick seq order is deliberately permuted; the
+  // Under a tie chooser, same-tick order is deliberately permuted; the
   // audit only holds for the default order.
   if (!chooser_ && (entry.when < check_last_when_ ||
                     (entry.when == check_last_when_ &&
-                     entry.seq() < check_last_seq_))) {
-    std::fprintf(stderr, "ORDER VIOLATION: (%lld,%llu) after (%lld,%llu)\n",
-                 (long long)entry.when, (unsigned long long)entry.seq(),
+                     entry.order < check_last_order_))) {
+    std::fprintf(stderr,
+                 "ORDER VIOLATION: (%lld,%#llx) after (%lld,%#llx)\n",
+                 (long long)entry.when, (unsigned long long)entry.order,
                  (long long)check_last_when_,
-                 (unsigned long long)check_last_seq_);
+                 (unsigned long long)check_last_order_);
     std::abort();
   }
   check_last_when_ = entry.when;
-  check_last_seq_ = entry.seq();
+  check_last_order_ = entry.order;
 #endif
   now_ = entry.when;
-  dispatch_seq_ = entry.seq();
+  dispatch_order_ = entry.order;
   ++events_processed_;
   std::uint32_t slot = entry.slot();
   Slot& s = slots_[slot];
@@ -140,10 +144,10 @@ void Simulator::DispatchEntry(QEntry entry) {
     FreeSlot(slot);
     return;
   }
-  // A fresh sequence lands exactly where a plain event scheduled right after
-  // the handler would have, which keeps event-chain-to-train conversions
+  // Order 0 lands exactly where a plain event scheduled right after the
+  // handler would have, which keeps event-chain-to-train conversions
   // timing-invisible.
-  Enqueue(t, slot, step.when, step.seq());
+  Enqueue(t, slot, step.when, step.order());
 }
 
 void Simulator::RemoveOffQueueWork(OffQueueWork* work) {
@@ -169,7 +173,7 @@ void Simulator::SetTieChooser(TieChooser chooser) {
   chooser_ = std::move(chooser);
   if (!chooser_ && !ready_batch_.empty()) {
     // Return batched entries to the queue; they are live, at the current
-    // tick, and seq-sorted, so default order resumes exactly.
+    // tick, and in order, so default order resumes exactly.
     for (const QEntry& e : ready_batch_) {
       queue_.push(e, now_);
     }
@@ -178,7 +182,7 @@ void Simulator::SetTieChooser(TieChooser chooser) {
 #ifdef AUTONET_QUEUE_ORDER_CHECK
   // Entries the chooser already permuted past may legitimately fire now;
   // restart the audit at the current tick.
-  check_last_seq_ = 0;
+  check_last_order_ = 0;
 #endif
 }
 
@@ -208,7 +212,7 @@ bool Simulator::StepChosen(Tick horizon) {
       return false;  // batch anchored beyond a (smaller) later horizon
     }
     // Merge every queued entry at the batch tick: the previous dispatch may
-    // have scheduled new ones, including reserved sequences that sort
+    // have scheduled new ones, including arrivals and pumps that sort
     // before existing batch members.
     while (!queue_.empty()) {
       const QEntry entry = queue_.top(now_);
@@ -221,13 +225,8 @@ bool Simulator::StepChosen(Tick horizon) {
       }
       queue_.pop();
       auto it = ready_batch_.end();
-      while (it != ready_batch_.begin() && (it - 1)->seq() > entry.seq()) {
+      while (it != ready_batch_.begin() && (it - 1)->order > entry.order) {
         --it;
-      }
-      if (it != ready_batch_.begin() && (it - 1)->key == entry.key) {
-        // A stale twin: a cancelled train's entry at a reserved (when, seq)
-        // that a new train in the same slot was queued at again.
-        continue;
       }
       ready_batch_.insert(it, entry);
     }
@@ -288,7 +287,7 @@ std::uint64_t Simulator::RunUntil(Tick t) {
   }
   if (now_ <= t) {
     now_ = t;
-    dispatch_seq_ = std::numeric_limits<std::uint64_t>::max();
+    dispatch_order_ = std::numeric_limits<Order>::max();
   }
   return processed;
 }

@@ -3,9 +3,12 @@
 // as events on one simulator instance, so the data plane and the control
 // plane share a single clock, as they do in the real Autonet.
 //
-// Determinism: events fire in (time, insertion sequence) order, and all
-// randomness flows through seeded Rng instances, so every run is exactly
-// reproducible.
+// Determinism: events fire in (time, order) order, and all randomness
+// flows through seeded Rng instances, so every run is exactly reproducible.
+// An entry's order ranks it among the entries of its tick by class, then
+// by a position within the class that its owner can compute ahead of time
+// (see Order below), so a component may commit a run of future firings
+// without drawing anything from a global counter.
 //
 // Hot-path layout: the event queue holds 16-byte POD entries — a timing
 // wheel for the near-future slot grid over a 4-ary overflow heap for far
@@ -13,9 +16,9 @@
 // entries, so queue moves never touch a std::function and the
 // never-cancelled event touches no hash table.  Plain events and trains
 // share one slot pool and one liveness rule: a queue entry is live exactly
-// when its seq is its slot's `queued` seq.  `Cancel` frees the slot at
-// once, and the stale queue entry is discarded when it surfaces; events
-// that are never cancelled pay nothing.
+// when its generation is its slot's `queued` generation.  `Cancel` frees
+// the slot at once, and the stale queue entry is discarded when it
+// surfaces; events that are never cancelled pay nothing.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -37,33 +40,69 @@ class Simulator {
   using Callback = std::function<void()>;
 
   // Identifies a scheduled event or train for cancellation.  `seq` is the
-  // creation sequence number (a generation tag: pool slots are recycled,
-  // sequence numbers never are), `slot` locates the pool slot.  Default-
-  // constructed ids are invalid.
+  // creation sequence number (a tag: pool slots are recycled, sequence
+  // numbers never are), `slot` locates the pool slot.  Default-constructed
+  // ids are invalid.
   struct EventId {
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
     bool valid() const { return seq != 0; }
   };
 
+  // --- the order of simultaneous entries --------------------------------
+  //
+  // Entries of one tick fire in order of (rank, position):
+  //   rank 0  plain events scheduled for a later tick, by global sequence
+  //   rank 1  link arrivals, by transmit tick, then channel
+  //   rank 2  pump firings, by owner
+  //   rank 3  events scheduled for the current tick, by global sequence
+  // Only ranks 0 and 3 draw from the global sequence, and they draw it when
+  // they are scheduled.  An arrival's or a pump's order is fixed by what it
+  // is, so a component can name the position of a firing it skips (a link
+  // applies a landed byte when its receiver looks; a pump commits a run of
+  // future pops).  Each channel and each pump has at most one live entry,
+  // so positions are unique among live entries.  An entry whose (when,
+  // order) would not lie after the dispatch position is scheduled for the
+  // current tick instead (rank 3), as a plain event there would be.
+  using Order = std::uint64_t;
+  static constexpr int kRankShift = 60;
+  static constexpr Order kRankPlain = 0;
+  static constexpr Order kRankArrival = Order{1} << kRankShift;
+  static constexpr Order kRankPump = Order{2} << kRankShift;
+  static constexpr Order kRankNow = Order{3} << kRankShift;
+  // Channel delays up to 2^28 ns (a cable of some 50,000 km).
+  static constexpr Tick kMaxChannelDelay = (Tick{1} << 28) - 1;
+  // The order of an arrival over a channel of fixed `delay`: at one tick,
+  // a longer delay means an earlier transmit tick.
+  static constexpr Order ArrivalOrder(Tick delay, std::uint32_t channel) {
+    return kRankArrival |
+           static_cast<Order>(kMaxChannelDelay - delay) << 32 | channel;
+  }
+  static constexpr Order PumpOrder(std::uint32_t owner) {
+    return kRankPump | owner;
+  }
+  // A stable id for a component that owns a pump or a link channel;
+  // components built in the same order get the same ids.
+  std::uint32_t NewOwner() { return next_owner_++; }
+
   // What a train handler wants to happen after the firing it just served:
-  // end the train, or re-anchor it to an explicit time (optionally with a
-  // tie-break sequence reserved earlier, see ReserveSeq()).
-  // 16 bytes (kind shares a word with the 40-bit seq) so handlers return it
-  // in a register pair instead of through a hidden sret pointer — the return
-  // crosses an indirect-call boundary once per train firing.
+  // end the train, or re-anchor it to an explicit time, at an arrival or
+  // pump order, or (order 0) as a plain event scheduled now would be.
+  // 16 bytes (kind shares a word with the 62-bit order) so handlers return
+  // it in a register pair instead of through a hidden sret pointer — the
+  // return crosses an indirect-call boundary once per train firing.
   struct TrainStep {
     enum class Kind : std::uint8_t { kDone, kAt };
     Tick when = 0;
-    std::uint64_t seq_kind = 0;  // seq << 1 | kind
+    std::uint64_t order_kind = 0;  // order << 1 | kind
 
-    Kind kind() const { return static_cast<Kind>(seq_kind & 1); }
-    std::uint64_t seq() const { return seq_kind >> 1; }
+    Kind kind() const { return static_cast<Kind>(order_kind & 1); }
+    Order order() const { return order_kind >> 1; }
 
     static TrainStep Done() { return TrainStep{}; }
-    static TrainStep At(Tick when, std::uint64_t seq = 0) {
+    static TrainStep At(Tick when, Order order = 0) {
       return TrainStep{when,
-                       seq << 1 | static_cast<std::uint8_t>(Kind::kAt)};
+                       order << 1 | static_cast<std::uint8_t>(Kind::kAt)};
     }
   };
   // A train's handler: a free function plus two context words.  Trains run
@@ -91,31 +130,29 @@ class Simulator {
   // freed.  A packet's worth of byte deliveries costs one pool slot and one
   // live queue entry — versus one of each per byte with plain events.
   //
-  // Determinism contract: simultaneous events fire in sequence order, and a
-  // re-sift takes a fresh sequence number exactly where a plain event would
-  // have been scheduled (right after the handler returns), so converting an
-  // event-per-firing chain to a train is timing-invisible.  When the
-  // tie-break position must be claimed *earlier* than the re-sift (the link
-  // reserves a byte's delivery order at transmit time), reserve a sequence
-  // with ReserveSeq() and pass it via TrainStep::At / ScheduleTrainRawAt.
+  // Determinism contract: a re-sift with order 0 takes a fresh sequence
+  // number exactly where a plain event would have been scheduled (right
+  // after the handler returns), so converting an event-per-firing chain to
+  // a train is timing-invisible.  Link channels and pumps re-sift at their
+  // own arrival or pump order instead (see Order).
 
   // Fires fn(ctx, arg) at `start`, then wherever each firing's TrainStep
-  // says, until one returns Done().  `seq` (0: take the next) is the first
-  // firing's tie-break sequence.
-  EventId ScheduleTrainRawAt(Tick start, std::uint64_t seq, TrainFn fn,
-                             void* ctx, std::uint64_t arg);
+  // says, until one returns Done().  `order` (0: as a plain event) is the
+  // first firing's order.
+  EventId ScheduleTrainRawAt(Tick start, Order order, TrainFn fn, void* ctx,
+                             std::uint64_t arg);
 
-  // The dispatch position: (now(), seq) of the entry being dispatched or
+  // The dispatch position: (now(), order) of the entry being dispatched or
   // last dispatched, or (t, infinity) once RunUntil(t) has run everything
-  // up to t.  Passed(when, seq) is true if an entry at (when, seq) would
-  // already have fired.  A component that applies work lazily, outside the
-  // queue (Link's deferred byte deliveries), uses it to apply exactly the
-  // work that is due when someone looks.
-  bool Passed(Tick when, std::uint64_t seq) const {
-    return when < now_ || (when == now_ && seq < dispatch_seq_);
+  // up to t.  Passed(when, order) is true if an entry at (when, order)
+  // would already have fired.  A component that applies work lazily,
+  // outside the queue (Link's deferred byte deliveries, a pump's committed
+  // run), uses it to apply exactly the work that is due when someone looks.
+  bool Passed(Tick when, Order order) const {
+    return when < now_ || (when == now_ && order < dispatch_order_);
   }
 
-  // Work that is due at reserved (when, seq) positions but held outside the
+  // Work that is due at known (when, order) positions but held outside the
   // queue registers here.  A tie chooser must see every firing of a tick, so
   // installing one first asks each holder to put its work back on the queue.
   class OffQueueWork {
@@ -128,28 +165,21 @@ class Simulator {
   void AddOffQueueWork(OffQueueWork* work) { off_queue_.push_back(work); }
   void RemoveOffQueueWork(OffQueueWork* work);
 
-  // Claims the next insertion sequence number without scheduling anything.
-  // Two events at the same tick fire in sequence order, so a component that
-  // knows *now* that a firing will be needed later can fix its tie-break
-  // position now (Link reserves each symbol's delivery position at transmit
-  // time and hands it to its channel's train).
-  std::uint64_t ReserveSeq() { return NextSeq(); }
-
   // Returns true if the event (or train) existed and had not yet fired (for
   // trains: not yet ended).  O(1), touches only the named pool slot.
   bool Cancel(EventId id);
 
   // --- interleaving exploration hook ------------------------------------
   //
-  // The (when, seq) total order makes every run reproducible, but it also
+  // The (when, order) total order makes every run reproducible, but it also
   // means only ONE of the n! orderings of n same-tick events is ever
   // observed.  A tie-break chooser turns the dispatch loop into a guided
   // scheduler for exploring the others: before each dispatch, every live
   // entry at the earliest pending tick is collected into a ready batch (in
-  // seq order) and chooser(now, n) picks which of the n fires next.  Events
-  // a dispatch schedules at the same tick join the batch before the next
-  // choice, and a choice of 0 every time reproduces the default (when, seq)
-  // order exactly — so a schedule is replayed by replaying the choice
+  // order) and chooser(now, n) picks which of the n fires next.  Events a
+  // dispatch schedules at the same tick join the batch before the next
+  // choice, and a choice of 0 every time reproduces the default (when,
+  // order) order exactly — so a schedule is replayed by replaying the choice
   // sequence.  The chooser is only consulted when n >= 2; out-of-range
   // picks clamp to 0.  Passing nullptr restores default order (any batched
   // entries return to the queue unharmed).  May be installed or removed
@@ -204,35 +234,34 @@ class Simulator {
   const obs::FlightRecorder& flight() const { return flight_; }
 
  private:
-  // Sequence numbers and pool-slot indices share one word in the heap entry
-  // (seq in the high bits so key order == seq order among equal times).
-  // 40 bits of sequence bound a run at ~1.1e12 schedules and 24 bits of
-  // slot bound the pool at ~16.7M concurrently-live events — both checked
-  // where they could first overflow.
+  // The global sequence of ranks 0 and 3 fills an order's 60-bit position
+  // (~1.2e18 schedules).  A queue entry's tag holds its slot's generation
+  // above the pool-slot index: 24 bits of slot bound the pool at ~16.7M
+  // concurrently-live events, checked where it could first overflow.
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kMaxSeq =
-      (std::uint64_t{1} << (64 - kSlotBits)) - 1;
+      (std::uint64_t{1} << kRankShift) - 1;
   static constexpr std::uint32_t kMaxSlot =
       (std::uint32_t{1} << kSlotBits) - 1;
 
-  // One heap entry, 16 bytes so a 4-ary level's children share one cache
-  // line.  Trivially copyable: sifts move plain words, never a
+  // One queue entry.  Trivially copyable: sifts move plain words, never a
   // std::function, and top() is read without const_cast tricks.
   struct QEntry {
     Tick when;
-    std::uint64_t key;  // seq << 24 | slot
+    Order order;
+    std::uint64_t tag;  // generation << 24 | slot
 
-    std::uint64_t seq() const { return key >> kSlotBits; }
+    std::uint64_t gen() const { return tag >> kSlotBits; }
     std::uint32_t slot() const {
-      return static_cast<std::uint32_t>(key) & kMaxSlot;
+      return static_cast<std::uint32_t>(tag) & kMaxSlot;
     }
   };
   // 4-ary min-heap over QEntry.  Used as the *overflow* tier of the
   // two-tier EventQueue below: only events beyond the timing wheel's window
   // (millisecond-scale timers) live here, so its operations are off the
   // per-byte hot path.  Arity 4 halves the depth versus a binary heap and
-  // keeps each level's four children inside 1.5 cache lines; dispatch order
-  // is arity-independent because (when, seq) is a total order.
+  // keeps each level's children close; dispatch order is arity-independent
+  // because (when, order) is a total order among live entries.
   class EventHeap {
    public:
     bool empty() const { return heap_.empty(); }
@@ -292,16 +321,15 @@ class Simulator {
       heap_[i] = last;
     }
 
-    // (when, key) lexicographic order as ONE branchless 128-bit compare —
+    // (when, order) lexicographic order as ONE branchless 128-bit compare —
     // the sift loops scan 4 children per level, and data-dependent branches
     // there are unpredictable.  `when` is never negative (schedules are
-    // clamped to now), so unsigned order equals signed order; seq occupies
-    // the key's high bits and is unique among live entries, so key order is
-    // seq order.
+    // clamped to now), so unsigned order equals signed order.  Only a
+    // stale entry can share a live one's (when, order).
     static bool Before(const QEntry& a, const QEntry& b) {
       using U128 = unsigned __int128;
-      U128 ka = (U128{static_cast<std::uint64_t>(a.when)} << 64) | a.key;
-      U128 kb = (U128{static_cast<std::uint64_t>(b.when)} << 64) | b.key;
+      U128 ka = (U128{static_cast<std::uint64_t>(a.when)} << 64) | a.order;
+      U128 kb = (U128{static_cast<std::uint64_t>(b.when)} << 64) | b.order;
       return ka < kb;
     }
 
@@ -319,13 +347,12 @@ class Simulator {
   // Autopilot timers) takes the heap path, and it migrates into the wheel
   // as the clock approaches.
   //
-  // Exactness: dispatch order is the same total (when, seq) order the heap
-  // alone gave.  Buckets are visited in time order; within a bucket the
-  // vector is kept sorted on insert.  The tail append is already in order
-  // for all but two rare cases — a reserved sequence (claimed at transmit
-  // time) entering after a later-reserved same-when entry, and a heap
-  // migration landing behind fresh pushes — which pay a bounded backward
-  // insertion.  The scan can start at now's quantum because every queue
+  // Exactness: dispatch order is the same total (when, order) order the
+  // heap alone gave.  Buckets are visited in time order; within a bucket the
+  // vector is kept sorted on insert.  The tail append is in order for most
+  // pushes; an arrival or pump entering behind a later-ranked entry of its
+  // quantum, and a heap migration landing behind fresh pushes, pay a bounded
+  // backward insertion.  The scan can start at now's quantum because every queue
   // entry, live or stale, satisfies when >= now: the dispatch loop never
   // advances the clock past an undrained entry (stale heads are popped as
   // they surface, even past a RunUntil horizon).  That same invariant
@@ -336,7 +363,7 @@ class Simulator {
     bool empty() const { return wheel_size_ == 0 && far_.empty(); }
     std::size_t size() const { return wheel_size_ + far_.size(); }
 
-    // Returns the (when, seq)-minimal entry.  Far-heap entries migrate into
+    // Returns the (when, order)-minimal entry.  Far-heap entries migrate into
     // the wheel only once their quantum enters the scan window — never
     // beyond it, which is what keeps every wheel entry inside
     // [quantum(now), quantum(now) + 256) and the ring indexing alias-free.
@@ -404,7 +431,7 @@ class Simulator {
       return static_cast<std::uint64_t>(when) >> kQuantumBits;
     }
 
-    // Append keeping the bucket sorted by (when, key); see the class
+    // Append keeping the bucket sorted by (when, order); see the class
     // comment for why the tail check nearly always passes.  A backward
     // insertion never moves below `head`: entries there already fired, and
     // an entry sorting before them would also have fired had it been
@@ -432,14 +459,16 @@ class Simulator {
 
   // A scheduled plain event (fn == nullptr: `callback`) or train (fn with
   // its ctx/arg context).  Both obey one liveness rule: a queue entry is
-  // live exactly when its seq equals its slot's `queued`.  A slot is
-  // allocated exactly while its entry is queued, batched by the tie chooser
-  // or firing a train's handler (a plain event's slot is freed before its
-  // callback runs).  Cancel frees the slot at once, so an entry left in the
-  // queue goes stale by itself.
+  // live exactly when its generation equals its slot's `queued`.  A slot
+  // is allocated exactly while its entry is queued, batched by the tie
+  // chooser or firing a train's handler (a plain event's slot is freed
+  // before its callback runs).  Cancel frees the slot at once, so an entry
+  // left in the queue goes stale by itself.  Generations count a slot's
+  // enqueues and are never reused while an old entry can still surface.
   struct Slot {
     std::uint64_t id = 0;      // creation seq (EventId tag); 0 = free
-    std::uint64_t queued = 0;  // seq of the live or firing entry; 0 = free
+    std::uint64_t queued = 0;  // generation of the live or firing entry
+    std::uint64_t gen = 0;     // the slot's last generation
     TrainFn fn = nullptr;
     void* ctx = nullptr;
     std::uint64_t arg = 0;
@@ -447,7 +476,7 @@ class Simulator {
   };
 
   // Allocates the next sequence number, halting (deterministically, with a
-  // diagnostic) if the 40-bit heap-key field would overflow.
+  // diagnostic) if the order's 60-bit position would overflow.
   std::uint64_t NextSeq() {
     if (next_seq_ > kMaxSeq) {
       SeqOverflow();
@@ -460,21 +489,28 @@ class Simulator {
   // Returns a free slot with `id` set.
   std::uint32_t AllocSlot(std::uint64_t id);
   void FreeSlot(std::uint32_t slot);
-  // Pushes slot `index`'s one live queue entry at (when, seq).  A `when` in
-  // the past is clamped to now and counted; `seq` 0 takes the next one.
-  void Enqueue(Slot& s, std::uint32_t index, Tick when, std::uint64_t seq) {
+  // Pushes slot `index`'s one live queue entry at (when, order).  A `when`
+  // in the past is clamped to now and counted.  Order 0 is a plain event's:
+  // rank 0 for a later tick, rank 3 for this one; so is any order that
+  // would not lie after the dispatch position.
+  void Enqueue(Slot& s, std::uint32_t index, Tick when, Order order) {
     if (when < now_) {
       when = now_;
       NotePastClamp();
     }
-    if (seq == 0) {
-      seq = NextSeq();
+    if (when == now_ && order <= dispatch_order_) {
+      order = kRankNow | NextSeq();
+    } else if (order == 0) {
+      order = NextSeq();  // rank 0
     }
-    s.queued = seq;
-    queue_.push(QEntry{when, seq << kSlotBits | index}, now_);
+    s.gen = (s.gen + 1) & kMaxGen;
+    s.queued = s.gen;
+    queue_.push(QEntry{when, order, s.gen << kSlotBits | index}, now_);
   }
+  static constexpr std::uint64_t kMaxGen =
+      (std::uint64_t{1} << (64 - kSlotBits)) - 1;
   bool EntryLive(const QEntry& entry) const {
-    return slots_[entry.slot()].queued == entry.seq();
+    return slots_[entry.slot()].queued == entry.gen();
   }
   // `entry` is the caller's copy of queue_.top() — passed in (two registers)
   // so the dispatch loop reads the heap root exactly once per event.
@@ -495,8 +531,9 @@ class Simulator {
   void SetOffQueueAllowed(bool allowed);
 
   Tick now_ = 0;
-  std::uint64_t dispatch_seq_ = 0;  // with now_, the dispatch position
+  Order dispatch_order_ = 0;  // with now_, the dispatch position
   std::uint64_t next_seq_ = 1;
+  std::uint32_t next_owner_ = 0;
   std::uint64_t events_processed_ = 0;
   EventQueue queue_;
   TieChooser chooser_;
@@ -504,14 +541,14 @@ class Simulator {
   bool per_byte_reference_ = false;
   bool off_queue_allowed_ = true;  // neither of the two above
   std::uint64_t data_digest_ = kFnvOffset;
-  // Live same-tick entries pulled out of the queue for the chooser,
-  // seq-sorted; empty whenever chooser_ is unset.
+  // Live same-tick entries pulled out of the queue for the chooser, in
+  // order; empty whenever chooser_ is unset.
   std::vector<QEntry> ready_batch_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 #ifdef AUTONET_QUEUE_ORDER_CHECK
-  Tick check_last_when_ = 0;          // dispatch-order audit (debug builds)
-  std::uint64_t check_last_seq_ = 0;
+  Tick check_last_when_ = 0;  // dispatch-order audit (debug builds)
+  Order check_last_order_ = 0;
 #endif
   obs::Counter* past_clamped_ = nullptr;  // created on first clamp
   obs::MetricRegistry metrics_;

@@ -492,11 +492,12 @@ TEST(Link, RevokedGrantDeliversEachRemainingByteAtItsReservedArrival) {
     applied_before_revoke = DataSymbols(b).size();
     link.RevokeDeferral(Link::Side::kB);
   });
-  // Two looks on the tick byte 50 lands: one scheduled before the byte was
-  // sent (an earlier tie-break sequence) and one after.
+  // Two looks on the tick byte 50 lands: one scheduled earlier for that
+  // tick, which ranks before arrivals, and one scheduled on the tick
+  // itself, which ranks after them.
   std::size_t seen_before = 0, seen_after = 0;
-  sim.ScheduleAt(arrival(50), [&] { seen_before = DataSymbols(b).size(); });
-  sim.ScheduleAt(2 * kSlotNs + 50 * kSlotNs, [&] {
+  sim.ScheduleAt(arrival(50), [&] {
+    seen_before = DataSymbols(b).size();
     sim.ScheduleAt(arrival(50), [&] { seen_after = DataSymbols(b).size(); });
   });
   sim.Run();

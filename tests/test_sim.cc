@@ -22,12 +22,12 @@ class Trains {
 
   explicit Trains(Simulator* sim) : sim_(sim) {}
 
-  // `seq` 0 takes the next tie-break sequence; see Simulator::ReserveSeq.
+  // `order` 0 fires like a plain event; see Simulator::Order.
   Simulator::EventId Schedule(Tick start, Handler handler,
-                              std::uint64_t seq = 0) {
+                              Simulator::Order order = 0) {
     handlers_.push_back(std::make_unique<Handler>(std::move(handler)));
     return sim_->ScheduleTrainRawAt(
-        start, seq,
+        start, order,
         [](void* ctx, std::uint64_t) {
           return (*static_cast<Handler*>(ctx))();
         },
@@ -197,23 +197,55 @@ TEST(SimulatorTrain, ConversionIsTimingInvisible) {
   EXPECT_EQ(train_order, chain_order);
 }
 
-TEST(SimulatorTrain, ReservedSeqFixesTieBreakPosition) {
-  // A sequence reserved before a later schedule claims the earlier tie-break
-  // slot even though the train is pushed afterwards.
+TEST(SimulatorTrain, OrderRanksSimultaneousEntries) {
+  // At one tick: plain events scheduled earlier, then arrivals (by transmit
+  // tick, then channel), then pumps (by owner), then events scheduled for
+  // that tick while it runs — whatever order they were scheduled in.
   Simulator sim;
   Trains trains(&sim);
   std::vector<int> order;
-  std::uint64_t train_seq = sim.ReserveSeq();
-  sim.ScheduleAt(100, [&] { order.push_back(2); });
+  auto once = [&](int tag) {
+    return [&order, tag] {
+      order.push_back(tag);
+      return Simulator::TrainStep::Done();
+    };
+  };
+  trains.Schedule(100, once(5), Simulator::PumpOrder(2));
+  trains.Schedule(100, once(4), Simulator::PumpOrder(1));
+  trains.Schedule(100, once(3), Simulator::ArrivalOrder(50, 0));
+  trains.Schedule(100, once(2), Simulator::ArrivalOrder(90, 7));
+  sim.ScheduleAt(100, [&] {
+    order.push_back(1);
+    sim.ScheduleAt(100, [&] { order.push_back(6); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(SimulatorTrain, OrderAtOrBeforeTheDispatchPositionRunsNow) {
+  // A pump anchoring an arrival on its own tick (a zero-length cable) puts
+  // it behind itself, with the events scheduled for that tick.
+  Simulator sim;
+  Trains trains(&sim);
+  std::vector<int> order;
   trains.Schedule(
       100,
       [&] {
         order.push_back(1);
+        sim.ScheduleAt(100, [&] { order.push_back(2); });
+        trains.Schedule(
+            100,
+            [&] {
+              order.push_back(3);
+              return Simulator::TrainStep::Done();
+            },
+            Simulator::ArrivalOrder(0, 0));
         return Simulator::TrainStep::Done();
       },
-      train_seq);
+      Simulator::PumpOrder(0));
   sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(sim.Passed(100, Simulator::kRankNow));
 }
 
 TEST(SimulatorTrain, CancelStopsRemainingFirings) {
@@ -546,22 +578,22 @@ TEST(SimulatorTieChooser, TrainFiringsJoinTheTiePool) {
   EXPECT_EQ(order, (std::vector<int>{100, 1, 0, 101}));
 }
 
-// A train cancelled while queued at a reserved (when, seq), whose slot a
-// new train takes over and re-queues at that same position: the old entry is
-// an exact twin of the new one and must not count as a second tie member.
+// A pump train cancelled while queued, whose slot a new train takes over and
+// re-queues at the same (when, order): the old entry is a twin of the new
+// one and must not count as a second tie member.
 TEST(SimulatorTieChooser, CancelledTrainsTwinIsNotATieMember) {
   Simulator sim;
   Trains trains(&sim);
-  std::uint64_t reserved = sim.ReserveSeq();
+  const Simulator::Order pump = Simulator::PumpOrder(7);
   auto first = trains.Schedule(
-      200, [] { return Simulator::TrainStep::Done(); }, reserved);
+      200, [] { return Simulator::TrainStep::Done(); }, pump);
   std::vector<int> order;
   sim.ScheduleAt(100, [&] {
     EXPECT_TRUE(sim.Cancel(first));
     int k = 0;
     trains.Schedule(150, [&, k]() mutable {
       order.push_back(100 + k);
-      return k++ == 0 ? Simulator::TrainStep::At(200, reserved)
+      return k++ == 0 ? Simulator::TrainStep::At(200, pump)
                       : Simulator::TrainStep::Done();
     });
   });
@@ -577,7 +609,8 @@ TEST(SimulatorTieChooser, CancelledTrainsTwinIsNotATieMember) {
   sim.Run();
   EXPECT_EQ(choices,
             (std::vector<std::pair<Tick, std::uint32_t>>{{200, 2}}));
-  EXPECT_EQ(order, (std::vector<int>{100, 1, 101, 0}));
+  // Choice 0 at 200 is the plain event: it ranks before a pump.
+  EXPECT_EQ(order, (std::vector<int>{100, 1, 0, 101}));
   EXPECT_TRUE(sim.empty());
 }
 
