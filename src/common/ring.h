@@ -31,8 +31,9 @@ class Ring {
   }
   // Moves the front element out, so a slot keeps no resource it held.
   T pop_front() { return std::move(buf_[head_++ & (buf_.size() - 1)]); }
-  // Discards the first n elements (trivially copyable T only).
+  // Discards the first or last n elements (trivially copyable T only).
   void drop_front(std::size_t n) { head_ += n; }
+  void drop_back(std::size_t n) { tail_ -= n; }
   void clear() {
     while (!empty()) {
       pop_front();
@@ -40,6 +41,9 @@ class Ring {
   }
   // The i-th element from the front.
   T& operator[](std::size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
+  const T& operator[](std::size_t i) const {
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
 
  private:
   static constexpr std::size_t kInitialCapacity = 4;

@@ -1,5 +1,8 @@
 #include "src/fabric/forwarder.h"
 
+#include <algorithm>
+#include <cassert>
+
 #include "src/fabric/switch.h"
 #include "src/link/slots.h"
 
@@ -12,6 +15,7 @@ Forwarder::Forwarder(Switch* owner, PortNum inport)
       pump_order_(Simulator::PumpOrder(owner->sim()->NewOwner())) {
   if (inport_ >= kFirstExternalPort) {
     in_unit_ = &owner_->link_unit(inport_);
+    in_unit_->set_reader(this);
   }
 }
 
@@ -60,14 +64,16 @@ bool Forwarder::StalledByFlowControl() const {
   return !outputs_allow_;
 }
 
-void Forwarder::SchedulePump() {
+void Forwarder::SchedulePump(Tick when) {
   if (pump_event_.valid() || !active_) {
     return;
   }
   // One train per streaming burst: each PumpStep re-anchors the single
-  // queue entry at the next data slot and ends the train when the forwarder
+  // queue entry at its next firing and ends the train when the forwarder
   // parks.
-  Tick when = NextDataSlotAfter(owner_->now());
+  if (when == 0) {
+    when = NextDataSlotAfter(owner_->now());
+  }
   pump_event_ = owner_->sim()->ScheduleTrainRawAt(
       when, pump_order_,
       [](void* self, std::uint64_t) {
@@ -77,16 +83,16 @@ void Forwarder::SchedulePump() {
 }
 
 void Forwarder::OnThrottleChange() {
+  CutRun();
   outputs_allow_ = OutputsAllowTransmit();
   if (active_ && !StalledByFlowControl()) {
     SchedulePump();
   }
 }
 
-Simulator::TrainStep Forwarder::PumpAgain() {
-  Tick next = NextDataSlotAfter(owner_->now());
+Simulator::TrainStep Forwarder::PumpAgain(Tick next) {
   if (in_unit_ != nullptr) {
-    in_unit_->GrantDeferral(next);
+    in_unit_->GrantDeferral(next, run_slot_, run_left_);
   }
   return Simulator::TrainStep::At(next, pump_order_);
 }
@@ -101,7 +107,106 @@ Simulator::TrainStep Forwarder::PumpStop() {
   return Simulator::TrainStep::Done();
 }
 
+std::uint32_t Forwarder::CountPassedPops() const {
+  const Simulator* sim = owner_->sim();
+  const Tick now = sim->now();
+  const std::int64_t ahead = FirstSlotAfter(now, sim->Passed(now, pump_order_));
+  if (ahead <= run_slot_) {
+    return 0;
+  }
+  return static_cast<std::uint32_t>(std::min<std::int64_t>(
+      run_left_, DataSlotsBetween(run_slot_, ahead)));
+}
+
+void Forwarder::ApplyPassedPops() {
+  PortFifo& fifo = in_port_->fifo();
+  // A settle of the input link may be part way through landing the bytes.
+  const std::uint32_t n =
+      std::min(CountPassedPops(), fifo.HeadBytesBuffered());
+  if (n == 0) {
+    return;
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    run_slot_ = NextDataSlotIndex(run_slot_);
+  }
+  run_left_ -= n;
+  fifo.PopBytes(n);
+  bytes_moved_ += n;
+  in_unit_->NoteBytesForwarded(n);
+  if (run_left_ == 0) {
+    run_link_->ReleaseRun(run_side_);
+  }
+}
+
+void Forwarder::CutRun() {
+  if (run_left_ == 0) {
+    return;
+  }
+  in_unit_->Settle();  // lands the bytes the passed pops take
+  SettleRun();
+  if (run_left_ == 0) {
+    return;
+  }
+  const std::uint32_t left = run_left_;
+  run_left_ = 0;
+  run_link_->WithdrawTail(run_side_, left);
+  if (active_ && pump_event_.valid()) {
+    owner_->sim()->Cancel(pump_event_);
+    pump_event_ = {};
+    SchedulePump(SlotStart(run_slot_));
+  }
+}
+
+Tick Forwarder::CommitRun(std::uint32_t offset) {
+  const Tick next = NextDataSlotAfter(owner_->now());
+  if (fast_out_ == nullptr || in_unit_ == nullptr ||
+      !in_unit_->PopsAreQuiet()) {
+    return next;
+  }
+  Link* out = fast_out_->link();
+  if (out == nullptr || !out->CanCarryRun(fast_out_->side())) {
+    return next;
+  }
+  const PortFifo& fifo = in_port_->fifo();
+  const std::uint32_t ready = fifo.HeadBytesBuffered();
+  Tick landed[Link::kMaxRun];
+  std::size_t inbound = 0;
+  if (fifo.HeadArriving()) {
+    inbound = in_unit_->link()->InboundBytes(in_unit_->side(), owner_->now(),
+                                             landed, Link::kMaxRun);
+  }
+  // Pop n + 1 of the run happens in `slot`: from the FIFO while it lasts,
+  // then the inbound bytes, each once it has landed.
+  const std::int64_t first = next / kSlotNs;
+  std::uint32_t n = 0;
+  std::int64_t slot = first;
+  while (n + 1 < Link::kMaxRun) {
+    if (n >= ready &&
+        (n - ready >= inbound || landed[n - ready] > SlotStart(slot))) {
+      break;
+    }
+    ++n;
+    slot = NextDataSlotIndex(slot);
+  }
+  if (n == 0) {
+    return next;
+  }
+  run_link_ = out;
+  run_side_ = fast_out_->side();
+  run_slot_ = first;
+  run_left_ = n;
+  out->TransmitRun(run_side_, offset + 1, n, first, this);
+  return SlotStart(slot);
+}
+
 Simulator::TrainStep Forwarder::PumpStep() {
+  // Look at the input: apply the bytes that landed before this firing, in
+  // one run, and the pops of the run that ends here.
+  if (in_unit_ != nullptr) {
+    in_unit_->Settle();
+    SettleRun();
+    assert(run_left_ == 0);
+  }
   if (!active_) {
     return PumpStop();
   }
@@ -109,15 +214,6 @@ Simulator::TrainStep Forwarder::PumpStep() {
     return PumpStop();  // resume on OnThrottleChange
   }
   PortFifo& fifo = in_port_->fifo();
-  // Look at the input link — apply the bytes that landed before this
-  // firing — only to decide begin, end or underflow, or when the head
-  // packet has no applied byte left to pop.  Popping an applied byte
-  // without looking is exact: under the grant the FIFO's true occupancy
-  // stays at or below half full, so the directive recomputed after the pop
-  // is start either way.
-  if (in_unit_ != nullptr && !(begun_ && fifo.HeadByteReady())) {
-    in_unit_->Settle();
-  }
   if (!begun_) {
     // Transmit the begin command (one slot), then stream bytes.
     if (!fifo.HasHead()) {
@@ -130,7 +226,7 @@ Simulator::TrainStep Forwarder::PumpStep() {
     outports_.ForEach(
         [&](PortNum p) { owner_->port(p).SendBegin(packet); });
     begun_ = true;
-    return PumpAgain();
+    return PumpAgain(NextDataSlotAfter(owner_->now()));
   }
   if (auto offset = fifo.PopByte()) {
     if (fast_out_ != nullptr) {
@@ -140,7 +236,7 @@ Simulator::TrainStep Forwarder::PumpStep() {
     }
     ++bytes_moved_;
     owner_->AfterFifoPop(inport_);
-    return PumpAgain();
+    return PumpAgain(CommitRun(*offset));
   }
   if (auto end = fifo.TryPopEnd()) {
     owner_->AfterFifoPop(inport_);
@@ -157,6 +253,7 @@ Simulator::TrainStep Forwarder::PumpStep() {
 
 void Forwarder::Halt() {
   active_ = false;
+  CutRun();
   if (pump_event_.valid()) {
     owner_->sim()->Cancel(pump_event_);
     pump_event_ = {};

@@ -15,6 +15,19 @@
 //     ignores stop once transmission has begun.  Config::broadcast_ignores_
 //     stop=false restores the deadlocking behaviour of Figure 9 for the E7
 //     baseline.
+//
+// Runs: a firing mid-packet that pops a byte may commit the pops of the
+// next data slots too, with their output symbols (Link::TransmitRun), and
+// sleep until the run ends.  It takes only bytes that nothing can take
+// back: bytes in the input FIFO, and bytes on the input cable sent before
+// now, each popped only in a slot it has landed by.  The pops are applied
+// to the FIFO lazily, when the dispatch position passes them (SettleRun);
+// every reader of the input port settles first (LinkUnit).  A run needs a
+// single external output that can carry it and an input whose pops leave
+// its flow directive alone (LinkUnit::PopsAreQuiet).  Anything that would
+// change what the per-byte pump does in those slots cuts the run (CutRun):
+// an abort, a throttle change, an input push past half full, a panic
+// pulse, a carrier change, or a change to the output cable.
 #ifndef SRC_FABRIC_FORWARDER_H_
 #define SRC_FABRIC_FORWARDER_H_
 
@@ -33,7 +46,7 @@ class Port;
 class PortFifo;
 class Switch;
 
-class Forwarder {
+class Forwarder final : public RunHolder {
  public:
   // The owner's ports must already exist: they outlive the forwarder.
   Forwarder(Switch* owner, PortNum inport);
@@ -55,6 +68,20 @@ class Forwarder {
   }
   // An output port's flow-control gate changed.
   void OnThrottleChange();
+  // Applies the committed pops the dispatch position has passed, as far as
+  // their bytes are in the FIFO.  Inline: a no-op without a run.
+  void SettleRun() {
+    if (run_left_ != 0) {
+      ApplyPassedPops();
+    }
+  }
+  // The committed pops the dispatch position has passed, applied or not.
+  std::uint32_t PassedPops() const {
+    return run_left_ == 0 ? 0 : CountPassedPops();
+  }
+  // RunHolder: undoes the pops the dispatch position has not passed and
+  // resumes pumping one byte per slot from the first of them.
+  void CutRun() override;
   // Switch or port reset: stop, transmitting a truncated end if
   // mid-packet.  The owner frees the output ports afterwards.
   void Abort();
@@ -66,11 +93,17 @@ class Forwarder {
  private:
   bool OutputsAllowTransmit() const;
   bool StalledByFlowControl() const;
-  void SchedulePump();
+  // Starts the pump train at `when` (default: the next data slot).
+  void SchedulePump(Tick when = 0);
   Simulator::TrainStep PumpStep();
-  // PumpStep's two outcomes: fire again at the next data slot, granting the
-  // input link deferral until then, or end the train and the grant.
-  Simulator::TrainStep PumpAgain();
+  // After a pop at now, commits the run that may follow it; returns the
+  // slot of the next firing.
+  Tick CommitRun(std::uint32_t offset);
+  void ApplyPassedPops();
+  std::uint32_t CountPassedPops() const;
+  // PumpStep's two outcomes: fire again at `next`, granting the input link
+  // deferral until then, or end the train and the grant.
+  Simulator::TrainStep PumpAgain(Tick next);
   Simulator::TrainStep PumpStop();
   // Ends the connection: cancels the pump and revokes the input grant.
   void Halt();
@@ -105,6 +138,12 @@ class Forwarder {
   // connection ends.  Every firing has the forwarder's own pump order.
   Simulator::EventId pump_event_;
   Simulator::Order pump_order_;
+  // The committed run: `run_left_` pops not yet applied, one per data slot
+  // from slot index `run_slot_` on, whose symbols are on `run_link_`.
+  std::int64_t run_slot_ = 0;
+  std::uint32_t run_left_ = 0;
+  Link* run_link_ = nullptr;
+  Link::Side run_side_ = Link::Side::kA;
 };
 
 }  // namespace autonet

@@ -24,6 +24,7 @@ void LinkUnit::AttachLink(Link* link, Link::Side side) {
 }
 
 void LinkUnit::DetachLink() {
+  reader_->CutRun();
   if (link_ != nullptr) {
     link_->RevokeDeferral(side_);
     link_->Detach(side_);
@@ -33,7 +34,7 @@ void LinkUnit::DetachLink() {
 }
 
 PortStatus LinkUnit::ReadAndClearStatus() {
-  Settle();
+  SettleAll();
   PortStatus snapshot = status_;
   snapshot.is_host = last_rx_directive_ == FlowDirective::kHost;
   snapshot.xmit_ok = DirectiveAllowsTransmit(last_rx_directive_);
@@ -68,7 +69,7 @@ void LinkUnit::SetForceIdhy(bool force) {
   if (force_idhy_ == force) {
     return;
   }
-  Settle();
+  SettleAll();
   force_idhy_ = force;
   UpdateOutgoingFlow();
 }
@@ -77,10 +78,12 @@ void LinkUnit::SendPanicPulse() {
   if (link_ == nullptr) {
     return;
   }
+  // The reader's next pop recomputes the directive, ending the pulse.
+  reader_->CutRun();
   link_->SetFlowDirective(side_, FlowDirective::kPanic);
   // Resume normal flow control after one flow-slot period.
   link_->sim()->ScheduleAfter(kFlowSlotPeriod * kSlotNs, [this] {
-    Settle();
+    SettleAll();
     UpdateOutgoingFlow();
   });
 }
@@ -104,6 +107,7 @@ void LinkUnit::SendEnd(EndFlags flags) {
 }
 
 void LinkUnit::OnPacketBegin(const PacketRef& packet) {
+  reader_->SettleRun();
   if (fifo_.receiving()) {
     // begin inside a packet: improper framing.
     ++status_.bad_syntax;
@@ -117,6 +121,7 @@ void LinkUnit::OnPacketBegin(const PacketRef& packet) {
 void LinkUnit::OnDataBytes(std::uint32_t first_offset, std::uint32_t n,
                            std::uint32_t corrupt_count) {
   (void)first_offset;
+  reader_->SettleRun();
   if (!fifo_.receiving()) {
     status_.bad_syntax += n;  // data outside a packet
     return;
@@ -125,11 +130,14 @@ void LinkUnit::OnDataBytes(std::uint32_t first_offset, std::uint32_t n,
     status_.bad_code += corrupt_count;
     fifo_.MarkIncomingCorrupt();
   }
-  if (fifo_.occupancy() + n <= QuietLimit()) {
+  // Pops the reader's run made before now count, whether or not they could
+  // be applied yet: some may take bytes of this very run.
+  if (fifo_.occupancy() + n <= QuietLimit() + reader_->PassedPops()) {
     // No byte of the run can flip the directive, move the gauge or
     // overflow, and the switch only re-checks what n single pushes would
     // have left it to find: one push, one activity call.
-    fifo_.PushBytes(n);
+    fifo_.PushQuietBytes(n);
+    reader_->SettleRun();
     owner_->OnFifoActivity(port_num_);
     return;
   }
@@ -144,6 +152,7 @@ void LinkUnit::OnDataBytes(std::uint32_t first_offset, std::uint32_t n,
 }
 
 void LinkUnit::OnPacketEnd(EndFlags flags) {
+  reader_->SettleRun();
   if (!fifo_.receiving()) {
     ++status_.bad_syntax;
     return;
@@ -155,7 +164,7 @@ void LinkUnit::OnPacketEnd(EndFlags flags) {
 }
 
 void LinkUnit::OnFlowDirective(FlowDirective directive) {
-  Settle();
+  SettleAll();
   switch (directive) {
     case FlowDirective::kStart:
     case FlowDirective::kHost:
@@ -181,8 +190,10 @@ void LinkUnit::OnFlowDirective(FlowDirective directive) {
 }
 
 void LinkUnit::OnCarrierChange(bool carrier_up) {
-  // Losing the carrier may push an end mark no grant counted on.
+  // Losing the carrier may push an end mark no grant counted on, and ends
+  // the packet the reader's run was taking bytes of.
   RevokeDeferral();
+  reader_->CutRun();
   status_.carrier = carrier_up;
   if (!carrier_up) {
     if (fifo_.receiving()) {
@@ -210,6 +221,7 @@ void LinkUnit::NoteDirectiveTransition(FlowDirective d) {
 }
 
 void LinkUnit::ResetReceiveSide() {
+  reader_->CutRun();
   fifo_.Clear();
   owner_->OnPortReceiveReset(port_num_);
   UpdateOutgoingFlow();

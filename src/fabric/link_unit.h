@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 
 #include "src/common/ids.h"
 #include "src/common/time.h"
+#include "src/fabric/forwarder.h"
 #include "src/fabric/port.h"
 #include "src/link/flow.h"
 #include "src/link/link.h"
@@ -59,12 +61,22 @@ class LinkUnit final : public LinkEndpoint, public Port {
   bool attached() const { return link_ != nullptr; }
   PortNum port_num() const { return port_num_; }
 
-  // The receive FIFO with every byte that has landed applied.  (Port::fifo()
-  // is the raw view the switch's own forwarding path uses; it settles at
-  // its pump firings.)
+  // The receive FIFO with every byte that has landed applied, and every
+  // pop its forwarder's run has made.  (Port::fifo() is the raw view the
+  // switch's own forwarding path uses; it settles at its pump firings.)
   PortFifo& fifo() {
-    Settle();
+    SettleAll();
     return fifo_;
+  }
+  // The forwarder that pops this port's FIFO; set once by the forwarder.
+  void set_reader(Forwarder* reader) { reader_ = reader; }
+  // Whether a pop leaves the outgoing directive as it is: at or below half
+  // full, with the directive the last recomputation latched still on the
+  // link (a panic pulse replaces it until the next pop).
+  bool PopsAreQuiet() const {
+    FlowDirective d = force_idhy_ ? FlowDirective::kIdhy : FlowDirective::kStart;
+    return link_ != nullptr && !fifo_.MoreThanHalfFull() &&
+           last_tx_directive_ == d && link_->flow_directive(side_) == d;
   }
 
   // --- deferred delivery (see Link::GrantDeferral) ---
@@ -73,15 +85,31 @@ class LinkUnit final : public LinkEndpoint, public Port {
   // FIFO stays at or below half full (no flow-directive change) and at or
   // below its high-water mark (no gauge change).  The forwarder grants at
   // each pump firing, up to its next one at `next_look`, and revokes when
-  // it stops.
+  // it stops; its committed pops (`drain_count` of them, one per data slot
+  // from slot index `drain_from`) make room for as many more bytes.
   // Inline: runs at every pump firing.
-  void GrantDeferral(Tick next_look) {
+  void GrantDeferral(Tick next_look, std::int64_t drain_from,
+                     std::uint32_t drain_count) {
     if (link_ == nullptr) {
       return;
     }
     std::size_t limit = QuietLimit();
     std::size_t occupancy = fifo_.occupancy();
     link_->GrantDeferral(side_, next_look,
+                         limit > occupancy ? limit - occupancy : 0,
+                         drain_from, drain_count);
+  }
+  // While the switch captures and schedules the head packet, a landing byte
+  // only fills the FIFO: the capture is under way, and nobody counts bytes
+  // until the forwarder starts, whose pump grants or revokes anew.  So the
+  // port defers up to its quiet limit, with no look promised.
+  void GrantUntilForwarding() {
+    if (link_ == nullptr) {
+      return;
+    }
+    std::size_t limit = QuietLimit();
+    std::size_t occupancy = fifo_.occupancy();
+    link_->GrantDeferral(side_, std::numeric_limits<Tick>::max(),
                          limit > occupancy ? limit - occupancy : 0);
   }
   void RevokeDeferral() {
@@ -93,6 +121,11 @@ class LinkUnit final : public LinkEndpoint, public Port {
     if (link_ != nullptr) {
       link_->Settle(side_);
     }
+  }
+  // Settle, then the reader's run: what every look at the port starts with.
+  void SettleAll() {
+    Settle();
+    reader_->SettleRun();
   }
 
   // --- control-processor interface ---
@@ -166,7 +199,12 @@ class LinkUnit final : public LinkEndpoint, public Port {
   // (An end mark that lands on exactly half full must latch stop too, or
   // every later byte sees "already above half" and the FIFO overflows
   // while its forwarder waits.)
+  // A push past half full also cuts the reader's run: from there each pop
+  // recomputes the directive again.
   void AfterPush(bool was_half) {
+    if (fifo_.MoreThanHalfFull()) {
+      reader_->CutRun();
+    }
     if (fifo_.MoreThanHalfFull() != was_half) {
       UpdateOutgoingFlow();
     }
@@ -181,6 +219,7 @@ class LinkUnit final : public LinkEndpoint, public Port {
   const std::size_t* fifo_hwm_;
   Link* link_ = nullptr;
   Link::Side side_ = Link::Side::kA;
+  Forwarder* reader_ = nullptr;
 
   bool force_idhy_ = false;
   bool tx_in_packet_ = false;

@@ -99,6 +99,28 @@ class PortFifo {
     Account(-1);
     return offset;
   }
+  // Pushes n bytes that the caller knows keep the FIFO at or below its
+  // high-water mark at their arrivals, so the mark is left alone (pops made
+  // before those arrivals may not be applied yet).
+  void PushQuietBytes(std::uint32_t n) {
+    assert(receiving_ && !records_.empty());
+    records_.back().bytes_entered += n;
+    occupancy_ += n;
+  }
+  // Pops n data bytes of the head packet; the caller has checked that they
+  // are buffered.
+  void PopBytes(std::uint32_t n) {
+    assert(!records_.empty() && records_.front().bytes_buffered() >= n);
+    records_.front().bytes_consumed += n;
+    occupancy_ -= n;
+  }
+  // Data bytes of the head packet buffered now.
+  std::uint32_t HeadBytesBuffered() const {
+    return records_.empty() ? 0 : records_.front().bytes_buffered();
+  }
+  // True when the head packet is the one still arriving, so bytes on the
+  // inbound cable are its own.
+  bool HeadArriving() const { return receiving_ && records_.size() == 1; }
   // True when the head packet has a data byte to pop.
   bool HeadByteReady() const {
     return !records_.empty() && records_.front().bytes_buffered() != 0;

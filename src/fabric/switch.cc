@@ -151,7 +151,7 @@ void Switch::StopInput(PortNum p) {
         [&](PortNum out) { ports_[out]->set_tx_busy(false); });
     sched_.Kick();
   }
-  in_state_[p] = InState::kIdle;
+  SetIdle(p);
 }
 
 void Switch::OnPortReceiveReset(PortNum p) {
@@ -168,13 +168,25 @@ void Switch::MaybeCapture(PortNum p) {
     capture_event_[p] = {};
     DoCapture(p);
   });
+  if (p >= kFirstExternalPort) {
+    // Until the forwarder starts, a landing byte only fills the FIFO.
+    link_unit(p).GrantUntilForwarding();
+  }
+}
+
+void Switch::SetIdle(PortNum p) {
+  in_state_[p] = InState::kIdle;
+  if (p >= kFirstExternalPort) {
+    // An idle port captures on its next packet's second byte.
+    link_unit(p).RevokeDeferral();
+  }
 }
 
 void Switch::DoCapture(PortNum p) {
   assert(in_state_[p] == InState::kCapturePending);
   PortFifo& fifo = ports_[p]->fifo();
   if (!fifo.HasHead()) {
-    in_state_[p] = InState::kIdle;
+    SetIdle(p);
     return;
   }
   ForwardingTable::Entry entry = table_.Lookup(p, fifo.head().capture_addr);

@@ -159,6 +159,8 @@ class Switch {
   };
 
   void MaybeCapture(PortNum p);
+  // Leaves receive port `p` idle, ending any deferral it granted.
+  void SetIdle(PortNum p);
   void DoCapture(PortNum p);
   void Grant(const SchedulerEngine::Request& request, PortVector ports);
   void StartForwarder(PortNum inport, PortVector outports, bool broadcast);

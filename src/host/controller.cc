@@ -1,5 +1,7 @@
 #include "src/host/controller.h"
 
+#include <algorithm>
+
 #include "src/link/slots.h"
 
 namespace autonet {
@@ -47,6 +49,7 @@ void HostController::SelectPort(int which) {
   if (active_ == which) {
     return;
   }
+  CutRun();
   active_ = which;
   // Abandon any packet mid-transmission on the old port: it arrives
   // truncated and the destination discards it.
@@ -104,15 +107,18 @@ bool HostController::CanTransmitNow() const {
   return DirectiveAllowsTransmit(port.last_rx_directive);
 }
 
-void HostController::SchedulePump() {
+void HostController::SchedulePump(Tick when) {
   if (pump_event_.valid() || tx_queue_.empty()) {
     return;
   }
   // One train per transmit burst: PumpStep re-anchors the single queue
-  // entry at each next data slot and ends it when the queue drains or flow
+  // entry at each next firing and ends it when the queue drains or flow
   // control stops us.
+  if (when == 0) {
+    when = NextDataSlotAfter(sim_->now());
+  }
   pump_event_ = sim_->ScheduleTrainRawAt(
-      NextDataSlotAfter(sim_->now()), pump_order_,
+      when, pump_order_,
       [](void* self, std::uint64_t) {
         return static_cast<HostController*>(self)->PumpStep();
       },
@@ -120,12 +126,44 @@ void HostController::SchedulePump() {
 }
 
 void HostController::OnThrottleChange() {
+  CutRun();
   if (!tx_queue_.empty() && CanTransmitNow()) {
     SchedulePump();
   }
 }
 
+void HostController::CutRun() {
+  if (run_left_ != 0) {
+    // Skip the bytes in slots the dispatch position has passed: they went.
+    const Tick now = sim_->now();
+    const std::int64_t ahead =
+        FirstSlotAfter(now, sim_->Passed(now, pump_order_));
+    while (run_left_ != 0 && run_slot_ < ahead) {
+      --run_left_;
+      run_slot_ = NextDataSlotIndex(run_slot_);
+    }
+  }
+  if (run_left_ == 0) {
+    if (run_link_ != nullptr) {
+      run_link_->ReleaseRun(run_side_);
+      run_link_ = nullptr;
+    }
+    return;
+  }
+  const std::uint32_t left = run_left_;
+  run_left_ = 0;
+  run_link_->WithdrawTail(run_side_, left);
+  run_link_ = nullptr;
+  tx_offset_ -= left;
+  if (pump_event_.valid()) {
+    sim_->Cancel(pump_event_);
+    pump_event_ = {};
+    SchedulePump(SlotStart(run_slot_));
+  }
+}
+
 Simulator::TrainStep HostController::PumpStep() {
+  CutRun();  // every byte of a run is due: this only ends it
   if (tx_queue_.empty()) {
     pump_event_ = {};
     return Simulator::TrainStep::Done();
@@ -146,7 +184,25 @@ Simulator::TrainStep HostController::PumpStep() {
   }
   if (tx_offset_ < tx_size_) {
     port.link->TransmitByte(port.side, tx_offset_++);
-    return PumpAgain();
+    // The rest of the packet, as a run, when the cable can carry one.
+    const Tick next = NextDataSlotAfter(sim_->now());
+    std::uint32_t n = static_cast<std::uint32_t>(std::min<std::size_t>(
+        tx_size_ - tx_offset_, Link::kMaxRun - 1));
+    if (n == 0 || !port.link->CanCarryRun(port.side)) {
+      return PumpAgain(next);
+    }
+    const std::int64_t first = next / kSlotNs;
+    port.link->TransmitRun(port.side, tx_offset_, n, first, this);
+    run_link_ = port.link;
+    run_side_ = port.side;
+    run_slot_ = first;
+    run_left_ = n;
+    tx_offset_ += n;
+    std::int64_t after = first;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      after = NextDataSlotIndex(after);
+    }
+    return PumpAgain(SlotStart(after));
   }
   port.link->TransmitEnd(port.side, EndFlags{});
   ++stats_.packets_sent;
@@ -161,8 +217,11 @@ Simulator::TrainStep HostController::PumpStep() {
   return PumpAgain();
 }
 
-Simulator::TrainStep HostController::PumpAgain() {
-  return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()), pump_order_);
+Simulator::TrainStep HostController::PumpAgain(Tick next) {
+  if (next == 0) {
+    next = NextDataSlotAfter(sim_->now());
+  }
+  return Simulator::TrainStep::At(next, pump_order_);
 }
 
 bool HostController::link_error_on_active() const {

@@ -12,6 +12,11 @@
 //   * the controller obeys `stop` from the switch, except that, like every
 //     Autonet transmitter, it ignores stop mid-packet when sending a
 //     broadcast packet (section 6.6.6).
+//
+// Mid-packet, a transmit pump firing commits the rest of the packet's bytes
+// as one run (Link::TransmitRun, at most Link::kMaxRun) and sleeps until
+// it ends; a flow directive change, a port switch or a change to the cable
+// cuts it (CutRun).
 #ifndef SRC_HOST_CONTROLLER_H_
 #define SRC_HOST_CONTROLLER_H_
 
@@ -29,7 +34,7 @@
 
 namespace autonet {
 
-class HostController {
+class HostController final : public RunHolder {
  public:
   struct Config {
     std::size_t tx_buffer_bytes = 128 * 1024;
@@ -59,6 +64,10 @@ class HostController {
 
   HostController(const HostController&) = delete;
   HostController& operator=(const HostController&) = delete;
+
+  // RunHolder: takes back the run's bytes in slots the dispatch position
+  // has not passed and resumes one byte per slot from the first of them.
+  void CutRun() override;
 
   void AttachPort(int which, Link* link, Link::Side side);
   void DetachPort(int which);
@@ -129,10 +138,11 @@ class HostController {
 
   void UpdatePortDirectives();
   bool CanTransmitNow() const;
-  void SchedulePump();
+  // Starts the pump train at `when` (default: the next data slot).
+  void SchedulePump(Tick when = 0);
   Simulator::TrainStep PumpStep();
-  // Fires the pump again at the next data slot.
-  Simulator::TrainStep PumpAgain();
+  // Fires the pump again at `next` (default: the next data slot).
+  Simulator::TrainStep PumpAgain(Tick next = 0);
   void OnThrottleChange();
   void FinishReceive(NetPort& port, EndFlags flags);
   void DrainRxQueue();
@@ -157,6 +167,13 @@ class HostController {
   std::size_t tx_size_ = 0;
   Simulator::EventId pump_event_;
   Simulator::Order pump_order_;  // every pump firing's
+  // The committed run: its last `run_left_` bytes (already counted in
+  // tx_offset_) go one per data slot from slot index `run_slot_` on, over
+  // `run_link_`.
+  std::int64_t run_slot_ = 0;
+  std::uint32_t run_left_ = 0;
+  Link* run_link_ = nullptr;
+  Link::Side run_side_ = Link::Side::kA;
 
   // Receive side (modelled buffer + host consumption).
   std::deque<Delivery> rx_queue_;

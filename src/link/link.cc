@@ -40,6 +40,7 @@ Link::Link(Simulator* sim, double length_km, std::uint64_t corruption_seed)
 }
 
 Link::~Link() {
+  CutRuns();
   sim_->RemoveOffQueueWork(this);
   // Channel trains and directive deliveries capture `this`.
   for (Channel& ch : channels_) {
@@ -51,12 +52,14 @@ Link::~Link() {
 }
 
 void Link::Attach(Side side, LinkEndpoint* endpoint) {
+  CutRuns();
   endpoints_[static_cast<int>(side)] = endpoint;
   NotifyCarrier();
   RedeliverDirectives();
 }
 
 void Link::Detach(Side side) {
+  CutRuns();
   endpoints_[static_cast<int>(side)] = nullptr;
   NotifyCarrier();
 }
@@ -170,6 +173,8 @@ void Link::RevokeDeferral(Side rx) {
   Channel& ch = channels_[index];
   ch.horizon = std::numeric_limits<Tick>::max();
   ch.headroom = 0;
+  ch.arrived = 0;
+  ch.drain_count = 0;
   ApplyDeferred(ch, DueLimit(ch));
   if (ch.deferred == 0) {
     return;
@@ -195,8 +200,67 @@ void Link::RevokeDeferral(Side rx) {
 }
 
 void Link::Requeue() {
+  CutRuns();
   RevokeDeferral(Side::kA);
   RevokeDeferral(Side::kB);
+}
+
+void Link::CutRuns() {
+  for (RunHolder*& holder : run_holder_) {
+    if (holder != nullptr) {
+      RunHolder* cut = holder;
+      holder = nullptr;
+      cut->CutRun();
+    }
+  }
+}
+
+void Link::TransmitRun(Side from, std::uint32_t first_offset, std::uint32_t n,
+                       std::int64_t first_slot, RunHolder* holder) {
+  const Side rx = Other(from);
+  run_holder_[static_cast<int>(from)] = holder;
+  Flit flit{};
+  flit.ep = EndpointAt(rx);
+  flit.kind = Flit::Kind::kByte;
+  std::int64_t slot = first_slot;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    flit.arrive = SlotStart(slot) + propagation_delay_;
+    flit.offset = first_offset + i;
+    PushByte(ChannelIndex(from, rx), flit);
+    slot = NextDataSlotIndex(slot);
+  }
+}
+
+void Link::WithdrawTail(Side from, std::size_t n) {
+  run_holder_[static_cast<int>(from)] = nullptr;
+  Channel& ch = channels_[ChannelIndex(from, Other(from))];
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ch.inflight.back().deferred()) {
+      --ch.deferred;
+    }
+    ch.inflight.drop_back(1);
+  }
+  // The train waits at the first undeferred flit; if none is left, that
+  // one was withdrawn.
+  if (ch.inflight.size() == ch.deferred && ch.train.valid() && !ch.firing) {
+    sim_->Cancel(ch.train);
+    ch.train = Simulator::EventId{};
+  }
+}
+
+std::size_t Link::InboundBytes(Side rx, Tick sent_before, Tick* arrivals,
+                               std::size_t max) const {
+  const Channel& ch = channels_[ChannelIndex(Other(rx), rx)];
+  std::size_t n = 0;
+  for (; n < max && n < ch.inflight.size(); ++n) {
+    const Flit& f = ch.inflight[n];
+    if ((f.kind != Flit::Kind::kByte && !f.deferred()) ||
+        f.arrive - propagation_delay_ >= sent_before) {
+      break;
+    }
+    arrivals[n] = f.arrive;
+  }
+  return n;
 }
 
 void Link::TransmitBegin(Side from, const PacketRef& packet) {
@@ -290,6 +354,7 @@ void Link::SetMode(LinkMode mode) {
   if (mode_ == mode) {
     return;
   }
+  CutRuns();
   mode_ = mode;
   faulted_ = faulted_ || mode != LinkMode::kNormal;
   NotifyCarrier();

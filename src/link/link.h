@@ -44,6 +44,7 @@
 #ifndef SRC_LINK_LINK_H_
 #define SRC_LINK_LINK_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -54,6 +55,7 @@
 #include "src/common/ring.h"
 #include "src/common/time.h"
 #include "src/link/flow.h"
+#include "src/link/slots.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
@@ -95,6 +97,19 @@ class LinkEndpoint {
   virtual void OnCodeViolation() {}
 };
 
+// A transmitter that commits runs of future symbols (Link::TransmitRun):
+// a streaming forwarder or a host's transmit pump.  Anything that would
+// change how the link carries them cuts the run first.
+class RunHolder {
+ public:
+  // Keeps the symbols whose slots the dispatch position has passed and
+  // takes the rest back (Link::WithdrawTail), resuming one per slot.
+  virtual void CutRun() = 0;
+
+ protected:
+  ~RunHolder() = default;
+};
+
 enum class LinkMode : std::uint8_t {
   kNormal,
   kCut,
@@ -121,6 +136,36 @@ class Link final : public Simulator::OffQueueWork {
   void TransmitByte(Side from, std::uint32_t offset);
   void TransmitEnd(Side from, EndFlags flags);
 
+  // --- runs: a pump's committed future data symbols ---
+  // The longest run a pump commits: half the settle batch, so a channel
+  // holding a run in flight and a run's worth of landed bytes stays within
+  // the ring size per-symbol delivery reaches.
+  static constexpr std::uint32_t kMaxRun = 32;
+  // Whether `from` may transmit a run: a normal, lossless cable of nonzero
+  // length (every symbol lands on a later tick, at a position it can name)
+  // while off-queue work is allowed.
+  bool CanCarryRun(Side from) const {
+    return mode_ == LinkMode::kNormal && corruption_rate_ == 0.0 &&
+           propagation_delay_ > 0 && EndpointAt(Other(from)) != nullptr &&
+           sim_->off_queue_allowed();
+  }
+  // Transmits data bytes first_offset .. first_offset + n - 1, one per data
+  // slot from slot index `first_slot` (after now) on, exactly as n
+  // TransmitByte calls in those slots would.  `holder` is cut before
+  // anything changes how this side's symbols travel.
+  void TransmitRun(Side from, std::uint32_t first_offset, std::uint32_t n,
+                   std::int64_t first_slot, RunHolder* holder);
+  // Takes back the last n symbols `from` transmitted (the unreached tail of
+  // a cut run: none has landed yet) and releases the holder.
+  void WithdrawTail(Side from, std::size_t n);
+  // Forgets this side's run holder: its run has ended.
+  void ReleaseRun(Side from) { run_holder_[static_cast<int>(from)] = nullptr; }
+  // The arrival ticks of the data bytes at the front of `rx`'s inbound
+  // cross channel that were sent before `sent_before` (so no run can take
+  // them back), up to the first non-data symbol; at most `max`.
+  std::size_t InboundBytes(Side rx, Tick sent_before, Tick* arrivals,
+                           std::size_t max) const;
+
   // Latches the directive this side sends in flow-control slots.  kNone
   // means "send only sync in flow slots" (alternate host port behaviour).
   // The remote side observes the change at the next flow slot plus the
@@ -143,6 +188,7 @@ class Link final : public Simulator::OffQueueWork {
   LinkMode mode() const { return mode_; }
   // Probability that any individual transmitted byte is damaged.
   void SetCorruptionRate(double per_byte_probability) {
+    CutRuns();  // a run's symbols drew no corruption
     corruption_rate_ = per_byte_probability;
     faulted_ = faulted_ || per_byte_probability > 0.0;
   }
@@ -165,16 +211,21 @@ class Link final : public Simulator::OffQueueWork {
   // --- deferred delivery (see the header comment), called by the endpoint
   // receiving on `rx` about its inbound cross channel ---
 
-  // Grants deferral of data bytes arriving after `horizon`, and of
-  // `headroom` more symbols arriving at or before it, counting the ones
-  // already in flight.  A receiver that looks again at `horizon` re-grants
-  // or revokes then; one that can absorb any number of bytes passes
-  // kNoHorizon.  The headroom is what the receiver can absorb without
-  // acting; if the symbols in flight exceed it, the grant is revoked
-  // instead.  Ignored while off-queue work is not allowed (a tie chooser or
-  // the per-byte reference mode, see Simulator) and on a zero-length cable.
+  // Grants deferral of data bytes arriving after `horizon`, and of those
+  // arriving at or before it while the symbols that have arrived since the
+  // grant, counting the ones already in flight, stay within `headroom`
+  // plus one for each of the receiver's `drain_count` pops, one per data
+  // slot from slot index `drain_from` on, made before the byte arrives.  A receiver
+  // that looks again at `horizon` re-grants or revokes then; one that can
+  // absorb any number of bytes passes kNoHorizon.  The headroom is what the
+  // receiver can absorb without acting; if the symbols in flight exceed it,
+  // the grant is revoked instead.  Ignored while off-queue work is not
+  // allowed (a tie chooser or the per-byte reference mode, see Simulator)
+  // and on a zero-length cable.
   static constexpr Tick kNoHorizon = -1;
-  void GrantDeferral(Side rx, Tick horizon, std::size_t headroom);
+  void GrantDeferral(Side rx, Tick horizon, std::size_t headroom,
+                     std::int64_t drain_from = 0,
+                     std::uint32_t drain_count = 0);
   // Ends the grant: deferred bytes the dispatch position has passed are
   // applied now, and the rest go back on the train.
   void RevokeDeferral(Side rx);
@@ -187,7 +238,7 @@ class Link final : public Simulator::OffQueueWork {
     }
   }
 
-  // Simulator::OffQueueWork: revokes both sides' grants.
+  // Simulator::OffQueueWork: cuts both sides' runs and revokes their grants.
   void Requeue() override;
 
  private:
@@ -228,6 +279,9 @@ class Link final : public Simulator::OffQueueWork {
     std::size_t deferred = 0;
     Tick horizon = std::numeric_limits<Tick>::max();
     std::size_t headroom = 0;
+    std::size_t arrived = 0;  // symbols landing by horizon since the grant
+    std::int64_t drain_from = 0;  // slot index
+    std::uint32_t drain_count = 0;
     // Packets of the kBegin flits in `inflight`, in order (cut-through
     // keeps this at one or two entries).
     Ring<PacketRef> begin_packets;
@@ -297,6 +351,20 @@ class Link final : public Simulator::OffQueueWork {
   // Hands the deferred bytes at the front of the ring that arrive by
   // `limit` to their receiver, one call per run of consecutive offsets.
   void ApplyDeferred(Channel& ch, Tick limit);
+  // Whether the grant covers one more symbol landing at `arrive`, at or
+  // before the horizon (see GrantDeferral).
+  static bool Covers(const Channel& ch, Tick arrive) {
+    std::size_t room = ch.headroom;
+    if (ch.drain_count != 0) {
+      // Pops in slots that start before the arrival precede it.
+      std::int64_t before = (arrive + kSlotNs - 1) / kSlotNs;
+      if (before > ch.drain_from) {
+        room += static_cast<std::size_t>(std::min<std::int64_t>(
+            ch.drain_count, DataSlotsBetween(ch.drain_from, before)));
+      }
+    }
+    return ch.arrived < room;
+  }
   // Before a push fills the ring, applies what has landed instead of
   // growing it.
   void SettleIfFull(Channel& ch) {
@@ -305,6 +373,10 @@ class Link final : public Simulator::OffQueueWork {
       ApplyDeferred(ch, DueLimit(ch));
     }
   }
+  // Cuts both sides' runs.
+  void CutRuns();
+  // Queues a data byte, deferred if the receiver's grant covers it.
+  void PushByte(int index, const Flit& flit);
   void SetFlowDirectiveChanged(Side from, FlowDirective directive);
   void ScheduleDirective(Side from, FlowDirective directive);
   void NotifyCarrier();
@@ -321,6 +393,7 @@ class Link final : public Simulator::OffQueueWork {
   std::array<TxState, 2> tx_{};
   std::array<Channel, 4> channels_{};
   std::array<bool, 2> last_carrier_{false, false};
+  std::array<RunHolder*, 2> run_holder_{};
 };
 
 // Appends a transmitted symbol to channel `index`'s in-flight ring for the
@@ -331,8 +404,8 @@ class Link final : public Simulator::OffQueueWork {
 // one unit.
 inline void Link::PushFlit(int index, const Flit& flit) {
   Channel& ch = channels_[index];
-  if (flit.arrive <= ch.horizon && ch.headroom != 0) {
-    --ch.headroom;  // it lands inside the grant's window
+  if (flit.arrive <= ch.horizon) {
+    ++ch.arrived;  // it lands inside the grant's window
   }
   SettleIfFull(ch);
   bool anchored = ch.inflight.size() != ch.deferred;
@@ -343,26 +416,32 @@ inline void Link::PushFlit(int index, const Flit& flit) {
 }
 
 // Inline: a streaming forwarder re-grants at every pump firing.
-inline void Link::GrantDeferral(Side rx, Tick horizon, std::size_t headroom) {
+inline void Link::GrantDeferral(Side rx, Tick horizon, std::size_t headroom,
+                                std::int64_t drain_from,
+                                std::uint32_t drain_count) {
   if (!sim_->off_queue_allowed() || propagation_delay_ == 0) {
     return;
   }
   Channel& ch = channels_[ChannelIndex(Other(rx), rx)];
-  // Symbols in flight landing at or before horizon, landed ones included:
-  // count the few landing after it, from the back of the arrival-ordered
-  // ring, since the front may hold a long run nobody has looked at yet.
-  std::size_t size = ch.inflight.size();
-  std::size_t later = 0;
-  while (later < size && ch.inflight[size - 1 - later].arrive > horizon) {
-    ++later;
-  }
-  std::size_t due = size - later;
-  if (due > headroom) {
-    RevokeDeferral(rx);
-    return;
-  }
   ch.horizon = horizon;
-  ch.headroom = headroom - due;
+  ch.headroom = headroom;
+  ch.drain_from = drain_from;
+  ch.drain_count = drain_count;
+  ch.arrived = 0;
+  // Symbols in flight landing at or before horizon, landed ones included,
+  // in arrival order: each must be covered.  The receiver has just looked,
+  // so few have landed.
+  for (std::size_t i = 0; i < ch.inflight.size(); ++i) {
+    const Flit& f = ch.inflight[i];
+    if (f.arrive > horizon) {
+      break;
+    }
+    if (!Covers(ch, f.arrive)) {
+      RevokeDeferral(rx);
+      return;
+    }
+    ++ch.arrived;
+  }
 }
 
 inline void Link::TransmitByte(Side from, std::uint32_t offset) {
@@ -383,15 +462,18 @@ inline void Link::TransmitByte(Side from, std::uint32_t offset) {
   flit.offset = offset;
   flit.kind = Flit::Kind::kByte;
   flit.corrupt = corrupt;
-  int index = ChannelIndex(from, rx);
+  PushByte(ChannelIndex(from, rx), flit);
+}
+
+inline void Link::PushByte(int index, const Flit& flit) {
   Channel& ch = channels_[index];
-  if (flit.arrive > ch.horizon || ch.headroom != 0) {
+  if (flit.arrive > ch.horizon || Covers(ch, flit.arrive)) {
     if (flit.arrive <= ch.horizon) {
-      --ch.headroom;
+      ++ch.arrived;
     }
     SettleIfFull(ch);  // a host port looks only at a packet's end
-    flit.kind = Flit::Kind::kDeferredByte;
     ch.inflight.push_back(flit);
+    ch.inflight.back().kind = Flit::Kind::kDeferredByte;
     ++ch.deferred;
     return;
   }

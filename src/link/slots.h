@@ -37,6 +37,27 @@ constexpr Tick NextDataSlotAt(Tick t) {
 // Start time of the first data slot strictly after t.
 constexpr Tick NextDataSlotAfter(Tick t) { return NextDataSlotAt(t + 1); }
 
+// Slot indices, for the loops that step through a pump's run slot by slot
+// without a division per step.
+constexpr std::int64_t NextDataSlotIndex(std::int64_t index) {
+  ++index;
+  return IsFlowSlot(index) ? index + 1 : index;
+}
+// The number of data slots with index in [from, to), 0 <= from <= to.
+constexpr std::int64_t DataSlotsBetween(std::int64_t from, std::int64_t to) {
+  auto flow_slots_before = [](std::int64_t i) {
+    return (i + kFlowSlotPeriod - 1) / kFlowSlotPeriod;
+  };
+  return (to - from) - (flow_slots_before(to) - flow_slots_before(from));
+}
+// The index of the first slot that starts after the dispatch position at
+// `now`: slots starting before now lie behind it, and so does the one
+// starting at now if `now_passed` (its firing's position is passed).
+constexpr std::int64_t FirstSlotAfter(Tick now, bool now_passed) {
+  std::int64_t index = (now + kSlotNs - 1) / kSlotNs;
+  return now % kSlotNs == 0 && now_passed ? index + 1 : index;
+}
+
 }  // namespace autonet
 
 #endif  // SRC_LINK_SLOTS_H_
