@@ -74,7 +74,8 @@ class LinkUnit final : public LinkEndpoint, public Port {
   // full, with the directive the last recomputation latched still on the
   // link (a panic pulse replaces it until the next pop).
   bool PopsAreQuiet() const {
-    FlowDirective d = force_idhy_ ? FlowDirective::kIdhy : FlowDirective::kStart;
+    FlowDirective d =
+        force_idhy_ ? FlowDirective::kIdhy : FlowDirective::kStart;
     return link_ != nullptr && !fifo_.MoreThanHalfFull() &&
            last_tx_directive_ == d && link_->flow_directive(side_) == d;
   }
@@ -90,27 +91,20 @@ class LinkUnit final : public LinkEndpoint, public Port {
   // Inline: runs at every pump firing.
   void GrantDeferral(Tick next_look, std::int64_t drain_from,
                      std::uint32_t drain_count) {
-    if (link_ == nullptr) {
-      return;
+    if (link_ != nullptr) {
+      link_->GrantDeferral(side_, next_look, QuietRoom(), drain_from,
+                           drain_count);
     }
-    std::size_t limit = QuietLimit();
-    std::size_t occupancy = fifo_.occupancy();
-    link_->GrantDeferral(side_, next_look,
-                         limit > occupancy ? limit - occupancy : 0,
-                         drain_from, drain_count);
   }
   // While the switch captures and schedules the head packet, a landing byte
   // only fills the FIFO: the capture is under way, and nobody counts bytes
   // until the forwarder starts, whose pump grants or revokes anew.  So the
   // port defers up to its quiet limit, with no look promised.
   void GrantUntilForwarding() {
-    if (link_ == nullptr) {
-      return;
+    if (link_ != nullptr) {
+      link_->GrantDeferral(side_, std::numeric_limits<Tick>::max(),
+                           QuietRoom());
     }
-    std::size_t limit = QuietLimit();
-    std::size_t occupancy = fifo_.occupancy();
-    link_->GrantDeferral(side_, std::numeric_limits<Tick>::max(),
-                         limit > occupancy ? limit - occupancy : 0);
   }
   void RevokeDeferral() {
     if (link_ != nullptr) {
@@ -193,6 +187,11 @@ class LinkUnit final : public LinkEndpoint, public Port {
   std::size_t QuietLimit() const {
     std::size_t half = fifo_.capacity() / 2;
     return *fifo_hwm_ < half ? *fifo_hwm_ : half;
+  }
+  // How many more bytes the FIFO takes quietly.
+  std::size_t QuietRoom() const {
+    std::size_t limit = QuietLimit();
+    return limit > fifo_.occupancy() ? limit - fifo_.occupancy() : 0;
   }
   // Every push into the FIFO — a data byte or an end mark — ends here: a
   // push that carried the FIFO across half full latches the new directive.

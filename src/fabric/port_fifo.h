@@ -121,10 +121,6 @@ class PortFifo {
   // True when the head packet is the one still arriving, so bytes on the
   // inbound cable are its own.
   bool HeadArriving() const { return receiving_ && records_.size() == 1; }
-  // True when the head packet has a data byte to pop.
-  bool HeadByteReady() const {
-    return !records_.empty() && records_.front().bytes_buffered() != 0;
-  }
   // True when the head packet's end mark is next (all bytes consumed).
   bool HeadEndReady() const {
     if (records_.empty()) {

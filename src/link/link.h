@@ -214,14 +214,14 @@ class Link final : public Simulator::OffQueueWork {
   // Grants deferral of data bytes arriving after `horizon`, and of those
   // arriving at or before it while the symbols that have arrived since the
   // grant, counting the ones already in flight, stay within `headroom`
-  // plus one for each of the receiver's `drain_count` pops, one per data
-  // slot from slot index `drain_from` on, made before the byte arrives.  A receiver
-  // that looks again at `horizon` re-grants or revokes then; one that can
-  // absorb any number of bytes passes kNoHorizon.  The headroom is what the
-  // receiver can absorb without acting; if the symbols in flight exceed it,
-  // the grant is revoked instead.  Ignored while off-queue work is not
-  // allowed (a tie chooser or the per-byte reference mode, see Simulator)
-  // and on a zero-length cable.
+  // plus one for each of the receiver's `drain_count` pops (one per data
+  // slot from slot index `drain_from` on) made before the byte arrives.  A
+  // receiver that looks again at `horizon` re-grants or revokes then; one
+  // that can absorb any number of bytes passes kNoHorizon.  The headroom is
+  // what the receiver can absorb without acting; if the symbols in flight
+  // exceed it, the grant is revoked instead.  Ignored while off-queue work
+  // is not allowed (a tie chooser or the per-byte reference mode, see
+  // Simulator) and on a zero-length cable.
   static constexpr Tick kNoHorizon = -1;
   void GrantDeferral(Side rx, Tick horizon, std::size_t headroom,
                      std::int64_t drain_from = 0,

@@ -351,13 +351,13 @@ class Simulator {
   // heap alone gave.  Buckets are visited in time order; within a bucket the
   // vector is kept sorted on insert.  The tail append is in order for most
   // pushes; an arrival or pump entering behind a later-ranked entry of its
-  // quantum, and a heap migration landing behind fresh pushes, pay a bounded
-  // backward insertion.  The scan can start at now's quantum because every queue
-  // entry, live or stale, satisfies when >= now: the dispatch loop never
-  // advances the clock past an undrained entry (stale heads are popped as
-  // they surface, even past a RunUntil horizon).  That same invariant
-  // bounds all wheel entries to [quantum(now), quantum(now) + 256), so the
-  // ring indexing never aliases two quanta.
+  // quantum, and a heap migration landing behind fresh pushes, pay a
+  // bounded backward insertion.  The scan can start at now's quantum
+  // because every queue entry, live or stale, satisfies when >= now: the
+  // dispatch loop never advances the clock past an undrained entry (stale
+  // heads are popped as they surface, even past a RunUntil horizon).  That
+  // same invariant bounds all wheel entries to [quantum(now), quantum(now)
+  // + 256), so the ring indexing never aliases two quanta.
   class EventQueue {
    public:
     bool empty() const { return wheel_size_ == 0 && far_.empty(); }
