@@ -1,5 +1,6 @@
 #include "src/fabric/cp_port.h"
 
+#include "src/fabric/forwarder.h"
 #include "src/fabric/switch.h"
 
 namespace autonet {
@@ -8,8 +9,12 @@ CpPort::CpPort(Switch* owner, std::size_t fifo_capacity)
     : Port(fifo_capacity), owner_(owner) {}
 
 void CpPort::InjectPacket(const PacketRef& packet) {
+  reader_->SettleRun();
   pending_.push_back(packet);
   TryStagePending();
+  if (!pending_.empty()) {
+    reader_->CutRun();  // each pop may stage it now
+  }
 }
 
 void CpPort::TryStagePending() {

@@ -37,6 +37,8 @@ class CpPort final : public Port {
 
   // Retry staging queued packets after the crossbar drained FIFO space.
   void PumpPending() { TryStagePending(); }
+  // Whether no packet waits for FIFO space, so a pop stages nothing.
+  bool StagingIdle() const { return pending_.empty(); }
 
   // The switch records which receive port feeds the crossbar connection to
   // port 0, so deliveries can tell the control program their arrival port
@@ -50,6 +52,11 @@ class CpPort final : public Port {
   void SendBegin(const PacketRef& packet) override;
   void SendByte(std::uint32_t offset) override;
   void SendEnd(EndFlags flags) override;
+  // A forwarder's committed run of `n` bytes after the current one, and
+  // the undone tail of a cut run: the processor only counts bytes until
+  // the packet's end.
+  void SendRun(std::uint32_t n) { rx_bytes_ += n; }
+  void WithdrawRun(std::uint32_t n) { rx_bytes_ -= n; }
 
  private:
   void TryStagePending();

@@ -13,13 +13,15 @@ Forwarder::Forwarder(Switch* owner, PortNum inport)
       inport_(inport),
       in_port_(&owner->port(inport)),
       pump_order_(Simulator::PumpOrder(owner->sim()->NewOwner())) {
+  in_port_->set_reader(this);
   if (inport_ >= kFirstExternalPort) {
     in_unit_ = &owner_->link_unit(inport_);
-    in_unit_->set_reader(this);
   }
+  owner_->sim()->AddOffQueueWork(this);
 }
 
 Forwarder::~Forwarder() {
+  owner_->sim()->RemoveOffQueueWork(this);
   if (pump_event_.valid()) {
     owner_->sim()->Cancel(pump_event_);
   }
@@ -132,8 +134,10 @@ void Forwarder::ApplyPassedPops() {
   run_left_ -= n;
   fifo.PopBytes(n);
   bytes_moved_ += n;
-  in_unit_->NoteBytesForwarded(n);
-  if (run_left_ == 0) {
+  if (in_unit_ != nullptr) {
+    in_unit_->NoteBytesForwarded(n);
+  }
+  if (run_left_ == 0 && run_link_ != nullptr) {
     run_link_->ReleaseRun(run_side_);
   }
 }
@@ -142,14 +146,20 @@ void Forwarder::CutRun() {
   if (run_left_ == 0) {
     return;
   }
-  in_unit_->Settle();  // lands the bytes the passed pops take
+  if (in_unit_ != nullptr) {
+    in_unit_->Settle();  // lands the bytes the passed pops take
+  }
   SettleRun();
   if (run_left_ == 0) {
     return;
   }
   const std::uint32_t left = run_left_;
   run_left_ = 0;
-  run_link_->WithdrawTail(run_side_, left);
+  if (run_link_ != nullptr) {
+    run_link_->WithdrawTail(run_side_, left);
+  } else {
+    owner_->cp_port().WithdrawRun(left);
+  }
   if (active_ && pump_event_.valid()) {
     owner_->sim()->Cancel(pump_event_);
     pump_event_ = {};
@@ -159,19 +169,26 @@ void Forwarder::CutRun() {
 
 Tick Forwarder::CommitRun(std::uint32_t offset) {
   const Tick next = NextDataSlotAfter(owner_->now());
-  if (fast_out_ == nullptr || in_unit_ == nullptr ||
-      !in_unit_->PopsAreQuiet()) {
+  if (!owner_->sim()->off_queue_allowed() ||
+      !(in_unit_ != nullptr ? in_unit_->PopsAreQuiet()
+                            : owner_->cp_port().StagingIdle())) {
     return next;
   }
-  Link* out = fast_out_->link();
-  if (out == nullptr || !out->CanCarryRun(fast_out_->side())) {
+  Link* out = nullptr;
+  if (fast_out_ != nullptr) {
+    out = fast_out_->link();
+    if (out == nullptr || !out->CanCarryRun(fast_out_->side())) {
+      return next;
+    }
+  } else if (outports_.Count() != 1 || !outports_.Test(kCpPort) ||
+             in_unit_ == nullptr) {
     return next;
   }
   const PortFifo& fifo = in_port_->fifo();
   const std::uint32_t ready = fifo.HeadBytesBuffered();
   Tick landed[Link::kMaxRun];
   std::size_t inbound = 0;
-  if (fifo.HeadArriving()) {
+  if (in_unit_ != nullptr && fifo.HeadArriving()) {
     inbound = in_unit_->link()->InboundBytes(in_unit_->side(), owner_->now(),
                                              landed, Link::kMaxRun);
   }
@@ -192,10 +209,14 @@ Tick Forwarder::CommitRun(std::uint32_t offset) {
     return next;
   }
   run_link_ = out;
-  run_side_ = fast_out_->side();
   run_slot_ = first;
   run_left_ = n;
-  out->TransmitRun(run_side_, offset + 1, n, first, this);
+  if (out != nullptr) {
+    run_side_ = fast_out_->side();
+    out->TransmitRun(run_side_, offset + 1, n, first, this);
+  } else {
+    owner_->cp_port().SendRun(n);
+  }
   return SlotStart(slot);
 }
 
@@ -204,9 +225,9 @@ Simulator::TrainStep Forwarder::PumpStep() {
   // one run, and the pops of the run that ends here.
   if (in_unit_ != nullptr) {
     in_unit_->Settle();
-    SettleRun();
-    assert(run_left_ == 0);
   }
+  SettleRun();
+  assert(run_left_ == 0);
   if (!active_) {
     return PumpStop();
   }

@@ -22,12 +22,16 @@
 // back: bytes in the input FIFO, and bytes on the input cable sent before
 // now, each popped only in a slot it has landed by.  The pops are applied
 // to the FIFO lazily, when the dispatch position passes them (SettleRun);
-// every reader of the input port settles first (LinkUnit).  A run needs a
-// single external output that can carry it and an input whose pops leave
-// its flow directive alone (LinkUnit::PopsAreQuiet).  Anything that would
-// change what the per-byte pump does in those slots cuts the run (CutRun):
-// an abort, a throttle change, an input push past half full, a panic
-// pulse, a carrier change, or a change to the output cable.
+// every reader of the input port settles first (LinkUnit, CpPort).  A run
+// needs one output, an external port whose cable can carry it or the
+// control processor (which only counts bytes until the end), and an input
+// whose pops change nothing else: an external port whose flow directive
+// they leave alone (LinkUnit::PopsAreQuiet), or the control processor's
+// with no packet waiting to be staged.  Anything that would change what
+// the per-byte pump does in those slots cuts the run (CutRun): an abort, a
+// throttle change, an input push past half full, a panic pulse, a carrier
+// change, a change to the output cable, a control packet that must wait
+// for FIFO space, or Requeue.
 #ifndef SRC_FABRIC_FORWARDER_H_
 #define SRC_FABRIC_FORWARDER_H_
 
@@ -46,7 +50,7 @@ class Port;
 class PortFifo;
 class Switch;
 
-class Forwarder final : public RunHolder {
+class Forwarder final : public RunHolder, public Simulator::OffQueueWork {
  public:
   // The owner's ports must already exist: they outlive the forwarder.
   Forwarder(Switch* owner, PortNum inport);
@@ -82,6 +86,8 @@ class Forwarder final : public RunHolder {
   // RunHolder: undoes the pops the dispatch position has not passed and
   // resumes pumping one byte per slot from the first of them.
   void CutRun() override;
+  // Simulator::OffQueueWork: cuts the run.
+  void Requeue() override { CutRun(); }
   // Switch or port reset: stop, transmitting a truncated end if
   // mid-packet.  The owner frees the output ports afterwards.
   void Abort();
@@ -139,7 +145,8 @@ class Forwarder final : public RunHolder {
   Simulator::EventId pump_event_;
   Simulator::Order pump_order_;
   // The committed run: `run_left_` pops not yet applied, one per data slot
-  // from slot index `run_slot_` on, whose symbols are on `run_link_`.
+  // from slot index `run_slot_` on, whose symbols are on `run_link_` (or,
+  // when it is null, counted by the control processor's port).
   std::int64_t run_slot_ = 0;
   std::uint32_t run_left_ = 0;
   Link* run_link_ = nullptr;

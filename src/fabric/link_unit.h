@@ -68,8 +68,6 @@ class LinkUnit final : public LinkEndpoint, public Port {
     SettleAll();
     return fifo_;
   }
-  // The forwarder that pops this port's FIFO; set once by the forwarder.
-  void set_reader(Forwarder* reader) { reader_ = reader; }
   // Whether a pop leaves the outgoing directive as it is: at or below half
   // full, with the directive the last recomputation latched still on the
   // link (a panic pulse replaces it until the next pop).
@@ -218,7 +216,6 @@ class LinkUnit final : public LinkEndpoint, public Port {
   const std::size_t* fifo_hwm_;
   Link* link_ = nullptr;
   Link::Side side_ = Link::Side::kA;
-  Forwarder* reader_ = nullptr;
 
   bool force_idhy_ = false;
   bool tx_in_packet_ = false;

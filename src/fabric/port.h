@@ -13,6 +13,8 @@
 
 namespace autonet {
 
+class Forwarder;
+
 class Port {
  public:
   virtual ~Port() = default;
@@ -25,6 +27,10 @@ class Port {
 
   bool tx_busy() const { return tx_busy_; }
   void set_tx_busy(bool busy) { tx_busy_ = busy; }
+
+  // The forwarder that pops this port's FIFO; set once by the forwarder.
+  // Whatever reads or pushes the FIFO settles its run first.
+  void set_reader(Forwarder* reader) { reader_ = reader; }
 
   // Flow-control gate: may the output side transmit right now?  For an
   // external port this reflects the last flow-control directive received on
@@ -46,6 +52,7 @@ class Port {
 
   PortFifo fifo_;
   bool tx_busy_ = false;
+  Forwarder* reader_ = nullptr;
 };
 
 }  // namespace autonet

@@ -617,13 +617,33 @@ class MiniNet : public MiniNetTest {
             sim_.events_processed()};
   }
 
+  // One 2000-byte packet from swA's control processor to swB's: its
+  // delivery time and the events the simulator dispatched.
+  std::pair<Tick, std::uint64_t> ControlProcessorStream() {
+    Tick delivered = -1;
+    sw_b_->SetCpHandler([&](Delivery d) {
+      EXPECT_TRUE(d.intact());
+      delivered = d.delivered_at;
+    });
+    sw_a_->CpSend(DataPacket(
+        ShortAddress::FromSwitchPort(topo_.switches[1].assigned_num, kCpPort),
+        AddrH1(), 2000));
+    sim_.RunUntil(2 * kMillisecond);
+    sw_b_->SetCpHandler(nullptr);
+    return {delivered, sim_.events_processed()};
+  }
+
   // Two packets h1 -> h2, back to back, with every mid-stream event on a
   // pump tick (the start of a data slot, where the forwarders and h1's
   // transmit pump fire): status and FIFO reads on every port the stream
   // crosses, a panic pulse from swB's trunk port and one from swA's host
-  // port, and, with `failover`, h1 moving to a second cable into swB in
-  // the middle of its first packet.  Returns everything observed.
-  std::vector<std::int64_t> TieStream(bool failover) {
+  // port, with `failover` h1 moving to a second cable into swB in the
+  // middle of its first packet, and with `stall` swB holding swA's trunk
+  // output for 30 slots.  `shift` moves the panics, the failover and the
+  // stall by that many slots, so they fall at different points of the
+  // pumps' runs.  Returns everything observed.
+  std::vector<std::int64_t> TieStream(bool failover, std::int64_t shift = 0,
+                                      bool stall = false) {
     constexpr PortNum kAltPort = 5;
     std::unique_ptr<Link> alt;
     if (failover) {
@@ -652,10 +672,18 @@ class MiniNet : public MiniNetTest {
       EXPECT_FALSE(IsFlowSlot(slot)) << slot;
       sim_.ScheduleAt(SlotStart(slot), sample);
     }
-    sim_.ScheduleAt(SlotStart(2501), [this] { sw_b_->SendPanic(kTrunkPort); });
-    sim_.ScheduleAt(SlotStart(3003), [this] { sw_a_->SendPanic(kHostPort); });
+    sim_.ScheduleAt(SlotStart(2501 + shift),
+                    [this] { sw_b_->SendPanic(kTrunkPort); });
+    sim_.ScheduleAt(SlotStart(3003 + shift),
+                    [this] { sw_a_->SendPanic(kHostPort); });
     if (failover) {
-      sim_.ScheduleAt(SlotStart(1801), [this] { h1_->SelectPort(1); });
+      sim_.ScheduleAt(SlotStart(1801 + shift), [this] { h1_->SelectPort(1); });
+    }
+    if (stall) {
+      sim_.ScheduleAt(SlotStart(1501 + shift),
+                      [this] { sw_b_->SetPortForceIdhy(kTrunkPort, true); });
+      sim_.ScheduleAt(SlotStart(1531 + shift),
+                      [this] { sw_b_->SetPortForceIdhy(kTrunkPort, false); });
     }
     sim_.RunUntil(4 * kMillisecond);
     for (const Delivery& d : h2_rx_) {
@@ -808,12 +836,16 @@ double KmForSlots(int slots) {
   return km;
 }
 
-void ExpectTieStreamMatchesThePerByteModel(double trunk_km, bool failover) {
-  std::vector<std::int64_t> deferred =
-      MiniNet(false, trunk_km).TieStream(failover);
-  std::vector<std::int64_t> reference =
-      MiniNet(true, trunk_km).TieStream(failover);
-  EXPECT_EQ(deferred, reference) << trunk_km << " km";
+void ExpectTieStreamMatchesThePerByteModel(double trunk_km, bool failover,
+                                           bool stall = false) {
+  // 52 puts both panic pulses a few slots before a flow slot.
+  for (std::int64_t shift : {0, 13, 52}) {
+    std::vector<std::int64_t> deferred =
+        MiniNet(false, trunk_km).TieStream(failover, shift, stall);
+    std::vector<std::int64_t> reference =
+        MiniNet(true, trunk_km).TieStream(failover, shift, stall);
+    EXPECT_EQ(deferred, reference) << trunk_km << " km, shift " << shift;
+  }
 }
 
 TEST(ReferenceDifferential, ZeroLengthTrunk) {
@@ -829,6 +861,12 @@ TEST(ReferenceDifferential, HostFailoverMidPacket) {
   for (double km : {0.01, 0.0, KmForSlots(10)}) {
     ExpectTieStreamMatchesThePerByteModel(km, true);
   }
+}
+
+// A 1 km trunk holds 64 bytes; a stall upstream leaves a gap among them,
+// so a run at swB may pop an inbound byte only in a slot it has landed by.
+TEST(ReferenceDifferential, StallWithBytesInFlight) {
+  ExpectTieStreamMatchesThePerByteModel(1.0, false, /*stall=*/true);
 }
 
 TEST(ReferenceDifferential, PanicAndStatusReadsOnPumpTicks) {
@@ -848,10 +886,17 @@ TEST(Runs, StreamingPumpsMoveARunPerFiring) {
   EXPECT_EQ(runs_at, per_byte_at);
   // Three pumps (h1, swA, swB) each move up to Link::kMaxRun bytes a
   // firing instead of one; per byte, the reference also fires three links.
-  std::fprintf(stderr, "events: runs %llu, per byte %llu\n",
-               static_cast<unsigned long long>(runs_events),
-               static_cast<unsigned long long>(per_byte_events));
   EXPECT_LT(runs_events * 20, per_byte_events);
+}
+
+// A run may start at the control processor's port (its FIFO holds the
+// whole packet) and end in it (it only counts bytes until the end).
+TEST(Runs, ControlProcessorPacketsMoveInRuns) {
+  auto [runs_at, runs_events] = MiniNet(false).ControlProcessorStream();
+  auto [per_byte_at, per_byte_events] = MiniNet(true).ControlProcessorStream();
+  EXPECT_GT(per_byte_at, 0);
+  EXPECT_EQ(runs_at, per_byte_at);
+  EXPECT_LT(runs_events * 10, per_byte_events);
 }
 
 // A 1 km trunk holds about 64 bytes in flight.
