@@ -10,7 +10,7 @@
 // (see Order below), so a component may commit a run of future firings
 // without drawing anything from a global counter.
 //
-// Hot-path layout: the event queue holds 16-byte POD entries — a timing
+// Hot-path layout: the event queue holds 24-byte POD entries — a timing
 // wheel for the near-future slot grid over a 4-ary overflow heap for far
 // timers; callbacks and train state live in one slab pool indexed by those
 // entries, so queue moves never touch a std::function and the
