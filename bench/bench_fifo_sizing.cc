@@ -36,11 +36,13 @@ class Stopper : public LinkEndpoint {
 
 struct Rig {
   Simulator sim;
+  // Outlives the links: the switch's teardown detaches them, which tells
+  // the far end the carrier is gone.
+  Stopper stopper;
   std::unique_ptr<Link> host_link;
   std::unique_ptr<Link> blocked_link;
   std::unique_ptr<Switch> sw;
   std::unique_ptr<HostController> host;
-  Stopper stopper;
 
   Rig(std::size_t fifo_bytes, double length_km) {
     Switch::Config config;
