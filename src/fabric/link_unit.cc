@@ -123,7 +123,9 @@ void LinkUnit::OnDataBytes(std::uint32_t first_offset, std::uint32_t n,
   (void)first_offset;
   reader_->SettleRun();
   if (!fifo_.receiving()) {
-    status_.bad_syntax += n;  // data outside a packet
+    if (!fifo_.discarding_tail()) {
+      status_.bad_syntax += n;  // data outside a packet
+    }
     return;
   }
   if (corrupt_count != 0) {
@@ -154,7 +156,9 @@ void LinkUnit::OnDataBytes(std::uint32_t first_offset, std::uint32_t n,
 void LinkUnit::OnPacketEnd(EndFlags flags) {
   reader_->SettleRun();
   if (!fifo_.receiving()) {
-    ++status_.bad_syntax;
+    if (!fifo_.EndDiscardedTail()) {
+      ++status_.bad_syntax;
+    }
     return;
   }
   bool was_half = fifo_.MoreThanHalfFull();
@@ -196,6 +200,7 @@ void LinkUnit::OnCarrierChange(bool carrier_up) {
   reader_->CutRun();
   status_.carrier = carrier_up;
   if (!carrier_up) {
+    fifo_.EndDiscardedTail();  // the rest of it went with the signal
     if (fifo_.receiving()) {
       ++status_.bad_syntax;  // packet truncated by loss of signal
       bool was_half = fifo_.MoreThanHalfFull();

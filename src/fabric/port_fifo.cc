@@ -12,6 +12,7 @@ void PortFifo::PushBegin(const PacketRef& packet) {
   record.capture_addr = packet->dest;
   records_.push_back(std::move(record));
   receiving_ = true;
+  discarding_tail_ = false;
 }
 
 void PortFifo::MarkIncomingCorrupt() {
@@ -62,6 +63,7 @@ std::optional<EndFlags> PortFifo::TryPopEnd() {
 void PortFifo::Clear() {
   records_.clear();
   occupancy_ = 0;
+  discarding_tail_ = discarding_tail_ || receiving_;
   receiving_ = false;
 }
 

@@ -13,6 +13,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "src/common/ids.h"
 #include "src/common/packet.h"
@@ -77,6 +78,12 @@ class PortFifo {
   // Carrier vanished mid-packet: terminate the incoming packet as truncated.
   void AbortIncoming();
   bool receiving() const { return receiving_; }
+  // True while the rest of a packet that Clear destroyed mid-arrival is
+  // still coming in: its bytes and end mark are dropped, not taken as
+  // framing errors.
+  bool discarding_tail() const { return discarding_tail_; }
+  // Ends the discarded tail; false when no tail was being discarded.
+  bool EndDiscardedTail() { return std::exchange(discarding_tail_, false); }
 
   // --- head side (crossbar feed) ---
   bool HasHead() const { return !records_.empty(); }
@@ -139,6 +146,8 @@ class PortFifo {
   std::uint64_t overflow_count() const { return overflow_count_; }
   bool empty() const { return records_.empty(); }
 
+  // Flushes every packet (a switch reset or a panic), the one still
+  // arriving included: the rest of it is discarded as it lands.
   void Clear();
 
  private:
@@ -155,6 +164,7 @@ class PortFifo {
   std::size_t max_occupancy_ = 0;
   std::uint64_t overflow_count_ = 0;
   bool receiving_ = false;  // a packet is currently arriving
+  bool discarding_tail_ = false;
   // Cut-through keeps this at one or two records, but its head and tail are
   // touched once per payload byte on the forwarding hot path.
   Ring<PacketRecord> records_;
