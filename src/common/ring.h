@@ -17,20 +17,20 @@ template <typename T>
 class Ring {
  public:
   bool empty() const { return head_ == tail_; }
-  bool full() const { return size() == buf_.size(); }
+  bool full() const { return size() == mask_ + 1; }
   std::size_t size() const { return tail_ - head_; }
-  T& front() { return buf_[head_ & (buf_.size() - 1)]; }
-  const T& front() const { return buf_[head_ & (buf_.size() - 1)]; }
-  T& back() { return buf_[(tail_ - 1) & (buf_.size() - 1)]; }
+  T& front() { return buf_[head_ & mask_]; }
+  const T& front() const { return buf_[head_ & mask_]; }
+  T& back() { return buf_[(tail_ - 1) & mask_]; }
   void push_back(T v) {
     if (full()) {
       Grow();
     }
-    buf_[tail_ & (buf_.size() - 1)] = std::move(v);
+    buf_[tail_ & mask_] = std::move(v);
     ++tail_;
   }
   // Moves the front element out, so a slot keeps no resource it held.
-  T pop_front() { return std::move(buf_[head_++ & (buf_.size() - 1)]); }
+  T pop_front() { return std::move(buf_[head_++ & mask_]); }
   // Discards the first or last n elements (trivially copyable T only).
   void drop_front(std::size_t n) { head_ += n; }
   void drop_back(std::size_t n) { tail_ -= n; }
@@ -40,10 +40,8 @@ class Ring {
     }
   }
   // The i-th element from the front.
-  T& operator[](std::size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
-  const T& operator[](std::size_t i) const {
-    return buf_[(head_ + i) & (buf_.size() - 1)];
-  }
+  T& operator[](std::size_t i) { return buf_[(head_ + i) & mask_]; }
+  const T& operator[](std::size_t i) const { return buf_[(head_ + i) & mask_]; }
 
  private:
   static constexpr std::size_t kInitialCapacity = 4;
@@ -52,14 +50,19 @@ class Ring {
     std::vector<T> bigger(buf_.empty() ? kInitialCapacity : buf_.size() * 2);
     std::size_t n = size();
     for (std::size_t i = 0; i < n; ++i) {
-      bigger[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+      bigger[i] = std::move(buf_[(head_ + i) & mask_]);
     }
     buf_ = std::move(bigger);
+    mask_ = buf_.size() - 1;
     head_ = 0;
     tail_ = n;
   }
 
   std::vector<T> buf_;
+  // buf_.size() - 1, kept: the vector's size() divides by sizeof(T), and
+  // every access masks.  All ones while nothing is allocated, so that an
+  // empty ring is full.
+  std::size_t mask_ = ~std::size_t{0};
   std::size_t head_ = 0;
   std::size_t tail_ = 0;
 };

@@ -128,9 +128,7 @@ void Forwarder::ApplyPassedPops() {
   if (n == 0) {
     return;
   }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    run_slot_ = NextDataSlotIndex(run_slot_);
-  }
+  run_slot_ = AdvanceDataSlots(run_slot_, n);
   run_left_ -= n;
   fifo.PopBytes(n);
   bytes_moved_ += n;
@@ -184,26 +182,15 @@ Tick Forwarder::CommitRun(std::uint32_t offset) {
              in_unit_ == nullptr) {
     return next;
   }
+  // The run pops one byte per data slot from `first` on: from the FIFO
+  // while it lasts, then the inbound bytes, each once it has landed.
   const PortFifo& fifo = in_port_->fifo();
-  const std::uint32_t ready = fifo.HeadBytesBuffered();
-  Tick landed[Link::kMaxRun];
-  std::size_t inbound = 0;
-  if (in_unit_ != nullptr && fifo.HeadArriving()) {
-    inbound = in_unit_->link()->InboundBytes(in_unit_->side(), owner_->now(),
-                                             landed, Link::kMaxRun);
-  }
-  // Pop n + 1 of the run happens in `slot`: from the FIFO while it lasts,
-  // then the inbound bytes, each once it has landed.
   const std::int64_t first = next / kSlotNs;
-  std::uint32_t n = 0;
-  std::int64_t slot = first;
-  while (n + 1 < Link::kMaxRun) {
-    if (n >= ready &&
-        (n - ready >= inbound || landed[n - ready] > SlotStart(slot))) {
-      break;
-    }
-    ++n;
-    slot = NextDataSlotIndex(slot);
+  constexpr std::uint32_t kMax = Link::kMaxRun - 1;
+  std::uint32_t n = std::min(fifo.HeadBytesBuffered(), kMax);
+  if (n < kMax && in_unit_ != nullptr && fifo.HeadArriving()) {
+    n += in_unit_->link()->InboundBytes(in_unit_->side(), owner_->now(),
+                                        AdvanceDataSlots(first, n), kMax - n);
   }
   if (n == 0) {
     return next;
@@ -217,7 +204,7 @@ Tick Forwarder::CommitRun(std::uint32_t offset) {
   } else {
     owner_->cp_port().SendRun(n);
   }
-  return SlotStart(slot);
+  return SlotStart(AdvanceDataSlots(first, n));
 }
 
 Simulator::TrainStep Forwarder::PumpStep() {

@@ -138,9 +138,11 @@ void HostController::CutRun() {
     const Tick now = sim_->now();
     const std::int64_t ahead =
         FirstSlotAfter(now, sim_->Passed(now, pump_order_));
-    while (run_left_ != 0 && run_slot_ < ahead) {
-      --run_left_;
-      run_slot_ = NextDataSlotIndex(run_slot_);
+    if (ahead > run_slot_) {
+      const auto passed = static_cast<std::uint32_t>(std::min<std::int64_t>(
+          run_left_, DataSlotsBetween(run_slot_, ahead)));
+      run_left_ -= passed;
+      run_slot_ = AdvanceDataSlots(run_slot_, passed);
     }
   }
   if (run_left_ == 0) {
@@ -198,11 +200,7 @@ Simulator::TrainStep HostController::PumpStep() {
     run_slot_ = first;
     run_left_ = n;
     tx_offset_ += n;
-    std::int64_t after = first;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      after = NextDataSlotIndex(after);
-    }
-    return PumpAgain(SlotStart(after));
+    return PumpAgain(SlotStart(AdvanceDataSlots(first, n)));
   }
   port.link->TransmitEnd(port.side, EndFlags{});
   ++stats_.packets_sent;

@@ -33,6 +33,7 @@ Link::Link(Simulator* sim, double length_km, std::uint64_t corruption_seed)
     for (Side to : {Side::kA, Side::kB}) {
       int index = ChannelIndex(from, to);
       Tick delay = (from == to ? 2 : 1) * propagation_delay_;
+      channels_[index].delay = delay;
       channels_[index].order = Simulator::ArrivalOrder(
           delay, 4 * owner + static_cast<std::uint32_t>(index));
     }
@@ -107,11 +108,13 @@ void Link::Apply(Channel& ch, const Flit& f) {
 }
 
 // One train firing at the channel's first undeferred flit: deliver every
-// flit that lands by this tick, deferred bytes ahead of it included (they
+// symbol that lands by this tick, deferred bytes ahead of it included (they
 // all share this firing's position or precede it), then re-anchor the
-// train at the next undeferred flit — or end it if none is left.  Each
-// flit is popped before its callback runs, so an endpoint reacting by
-// transmitting (which appends to some channel) sees consistent state.
+// train at the next undeferred flit — or end it if none is left.  A run
+// flit delivers its first byte and keeps the rest, whose next byte lands
+// on a later tick.  Each symbol leaves the ring before its callback runs,
+// so an endpoint reacting by transmitting (which appends to some channel)
+// sees consistent state.
 Simulator::TrainStep Link::DeliverStep(int index) {
   Channel& ch = channels_[index];
   Side to = static_cast<Side>(index & 1);
@@ -123,8 +126,13 @@ Simulator::TrainStep Link::DeliverStep(int index) {
   const Tick now = sim_->now();
   ch.firing = true;
   while (!ch.inflight.empty() && ch.inflight.front().arrive <= now) {
-    if (ch.inflight.front().deferred()) {
+    Flit& head = ch.inflight.front();
+    if (head.deferred()) {
       ApplyDeferred(ch, now);
+    } else if (head.kind == Flit::Kind::kByte && head.count > 1) {
+      Flit first = head;
+      DropBytes(ch, head, 1);
+      Apply(ch, first);
     } else {
       Apply(ch, ch.inflight.pop_front());
     }
@@ -142,8 +150,9 @@ Simulator::TrainStep Link::DeliverStep(int index) {
 
 // Deferred flits are all data bytes for the receiver holding the grant (a
 // revoke turns every one back into a train flit), and begin and end flits
-// are never deferred, so a run of them lies inside one packet.  The run is
-// popped before the receiver's callback runs.
+// are never deferred, so a run of them lies inside one packet.  The bytes
+// due are taken out of the ring (a run flit landing part way keeps its
+// later bytes) before the receiver's callback runs.
 void Link::ApplyDeferred(Channel& ch, Tick limit) {
   while (ch.deferred != 0) {
     const Flit& head = ch.inflight.front();
@@ -152,18 +161,25 @@ void Link::ApplyDeferred(Channel& ch, Tick limit) {
       return;
     }
     LinkEndpoint* ep = head.ep;
-    std::uint32_t first = head.offset;
-    std::uint32_t n = 1;
-    std::uint32_t corrupt = head.corrupt ? 1 : 0;
-    for (; n < ch.deferred; ++n) {
-      const Flit& f = ch.inflight[n];
+    const std::uint32_t first = head.offset;
+    std::uint32_t n = 0;
+    std::uint32_t corrupt = 0;
+    std::size_t whole = 0;  // flits applied entirely
+    for (; whole < ch.deferred; ++whole) {
+      Flit& f = ch.inflight[whole];
       if (!f.deferred() || f.offset != first + n || f.arrive > limit) {
         break;
       }
-      corrupt += f.corrupt ? 1 : 0;
+      const std::uint32_t due = LandedBy(ch, f, limit);
+      n += due;
+      corrupt += f.corrupt ? due : 0;
+      if (due < f.count) {
+        DropBytes(ch, f, due);
+        break;
+      }
     }
-    ch.inflight.drop_front(n);
-    ch.deferred -= n;
+    ch.inflight.drop_front(whole);
+    ch.deferred -= whole;
     ep->OnDataBytes(first, n, corrupt);
   }
 }
@@ -215,27 +231,103 @@ void Link::CutRuns() {
   }
 }
 
+std::uint32_t Link::CoveredPrefix(const Channel& ch, std::int64_t first_slot,
+                                  std::uint32_t from, std::uint32_t to) {
+  auto covered = [&](std::uint32_t i) {
+    return ch.arrived + (i - from) < Room(ch, ByteArrival(ch, first_slot, i));
+  };
+  if (covered(to - 1)) {
+    return to - from;
+  }
+  // The first byte not covered, by bisection: covered(hi) is false.
+  std::uint32_t lo = from;
+  std::uint32_t hi = to - 1;
+  while (lo < hi) {
+    std::uint32_t mid = lo + (hi - lo) / 2;
+    if (covered(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo - from;
+}
+
+bool Link::CoverRun(Channel& ch, const Flit& f) {
+  const std::int64_t first_slot = FirstSlot(ch, f);
+  const std::uint32_t n = RunLandedBy(ch, first_slot, f.count, ch.horizon);
+  for (std::uint32_t i = 0; i < n;) {
+    const std::uint32_t end = StretchEnd(first_slot, i, n);
+    if (CoveredPrefix(ch, first_slot, i, end) != end - i) {
+      return false;
+    }
+    ch.arrived += end - i;
+    i = end;
+  }
+  return true;
+}
+
 void Link::TransmitRun(Side from, std::uint32_t first_offset, std::uint32_t n,
                        std::int64_t first_slot, RunHolder* holder) {
   const Side rx = Other(from);
   run_holder_[static_cast<int>(from)] = holder;
-  Flit flit{};
-  flit.ep = EndpointAt(rx);
-  flit.kind = Flit::Kind::kByte;
-  std::int64_t slot = first_slot;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    flit.arrive = SlotStart(slot) + propagation_delay_;
-    flit.offset = first_offset + i;
-    PushByte(ChannelIndex(from, rx), flit);
-    slot = NextDataSlotIndex(slot);
+  const int index = ChannelIndex(from, rx);
+  Channel& ch = channels_[index];
+  // Bytes from `begin` on, not queued yet, are all deferred or all for the
+  // train; each change of lot queues them as one flit.
+  std::uint32_t begin = 0;
+  bool deferred = true;
+  auto flush = [&](std::uint32_t end) {
+    if (end == begin) {
+      return;
+    }
+    Flit flit{};
+    flit.arrive = ByteArrival(ch, first_slot, begin);
+    flit.ep = EndpointAt(rx);
+    flit.offset = first_offset + begin;
+    flit.count = end - begin;
+    flit.kind = Flit::Kind::kByte;
+    if (deferred) {
+      EnqueueDeferred(ch, flit);
+    } else {
+      Enqueue(index, flit);
+    }
+    begin = end;
+  };
+  auto lot = [&](std::uint32_t at, bool defer) {
+    if (defer != deferred) {
+      flush(at);
+      deferred = defer;
+    }
+  };
+  // The bytes landing by the horizon count against the grant, and each is
+  // deferred while the grant covers it; the rest are deferred.
+  const std::uint32_t by_horizon = RunLandedBy(ch, first_slot, n, ch.horizon);
+  for (std::uint32_t i = 0; i < by_horizon;) {
+    const std::uint32_t end = StretchEnd(first_slot, i, by_horizon);
+    const std::uint32_t covered = i + CoveredPrefix(ch, first_slot, i, end);
+    lot(i, true);
+    if (covered < end) {
+      lot(covered, false);
+    }
+    ch.arrived += end - i;
+    i = end;
   }
+  lot(by_horizon, true);
+  flush(n);
 }
 
-void Link::WithdrawTail(Side from, std::size_t n) {
+void Link::WithdrawTail(Side from, std::uint32_t n) {
   run_holder_[static_cast<int>(from)] = nullptr;
   Channel& ch = channels_[ChannelIndex(from, Other(from))];
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ch.inflight.back().deferred()) {
+  while (n != 0) {
+    Flit& last = ch.inflight.back();
+    if (last.count > n) {
+      last.count -= n;
+      break;
+    }
+    n -= last.count;
+    if (last.deferred()) {
       --ch.deferred;
     }
     ch.inflight.drop_back(1);
@@ -248,17 +340,46 @@ void Link::WithdrawTail(Side from, std::size_t n) {
   }
 }
 
-std::size_t Link::InboundBytes(Side rx, Tick sent_before, Tick* arrivals,
-                               std::size_t max) const {
+std::uint32_t Link::InboundBytes(Side rx, Tick sent_before,
+                                 std::int64_t first_pop,
+                                 std::uint32_t max) const {
   const Channel& ch = channels_[ChannelIndex(Other(rx), rx)];
-  std::size_t n = 0;
-  for (; n < max && n < ch.inflight.size(); ++n) {
-    const Flit& f = ch.inflight[n];
-    if ((f.kind != Flit::Kind::kByte && !f.deferred()) ||
-        f.arrive - propagation_delay_ >= sent_before) {
+  // The first slot not sent before `sent_before`.
+  const std::int64_t unsent = (sent_before + kSlotNs - 1) / kSlotNs;
+  std::int64_t pop = first_pop;
+  std::uint32_t n = 0;
+  for (std::size_t i = 0; i < ch.inflight.size() && n < max; ++i) {
+    const Flit& f = ch.inflight[i];
+    if (!f.data()) {
       break;
     }
-    arrivals[n] = f.arrive;
+    std::uint32_t take = 0;
+    if (f.count == 1) {
+      if (f.arrive - ch.delay < sent_before && f.arrive <= SlotStart(pop)) {
+        take = 1;
+        pop = AdvanceDataSlots(pop, 1);
+      }
+    } else {
+      // A run's bytes sent in time; a byte and its pop keep their slot
+      // distance until either passes a flow slot, so each stretch up to
+      // one is checked once.
+      std::int64_t slot = FirstSlot(ch, f);
+      const auto limit = static_cast<std::uint32_t>(std::min<std::int64_t>(
+          {f.count, max - n,
+           unsent > slot ? DataSlotsBetween(slot, unsent) : 0}));
+      while (take < limit && SlotStart(slot) + ch.delay <= SlotStart(pop)) {
+        const std::int64_t step = std::min<std::int64_t>(
+            {limit - take, NextFlowSlotIndex(slot) - slot,
+             NextFlowSlotIndex(pop) - pop});
+        take += static_cast<std::uint32_t>(step);
+        slot = AdvanceDataSlots(slot, step);
+        pop = AdvanceDataSlots(pop, step);
+      }
+    }
+    n += take;
+    if (take < f.count) {
+      break;
+    }
   }
   return n;
 }

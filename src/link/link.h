@@ -22,6 +22,15 @@
 // events is fixed by its arrival tick alone, and the flits of a channel
 // that land on one tick land in one firing.
 //
+// A pump's run (TransmitRun) is one *run flit*: a count of bytes at
+// consecutive offsets, sent one per data slot from a first slot on.  Byte i
+// arrives at SlotStart(AdvanceDataSlots(first_slot, i)) + delay, computed
+// whenever it is needed, never stored, so every per-byte question about a
+// run is answered in closed form: how many of its bytes land by a tick, how
+// many a grant covers, how many a pump downstream can take.  A train that
+// fires at a run flit delivers its first byte and peels it off, so the
+// train still fires once per byte of a run it carries.
+//
 // Most data bytes land where nobody is looking: a streaming forwarder's
 // FIFO, or a host port that only counts them.  A receiver may grant its
 // cross channel deferral (GrantDeferral) while applying a byte could not
@@ -32,7 +41,12 @@
 // applies exactly the deferred bytes whose arrival position the
 // simulator's dispatch position has passed, so it sees what one event per
 // symbol would have shown it; it hands them over as runs, one OnDataBytes
-// call per run of consecutive offsets.  A zero-length cable grants no
+// call per run of consecutive offsets, and keeps a run flit's bytes that
+// are not due yet.  The grant decides byte by byte, as it would for single
+// bytes, so a run flit splits where the decision changes: a covered
+// prefix, an uncovered rest, and the bytes past the horizon, with a second
+// covered stretch possible after the run skips a flow slot (a skip gives
+// the receiver's pops a slot more).  A zero-length cable grants no
 // deferral: its bytes land on the tick they are sent, behind their sender.
 //
 // Fault modes reproduce the physical behaviours the paper describes:
@@ -80,9 +94,10 @@ class LinkEndpoint {
   // `n` data bytes of the current packet, at offsets first_offset ..
   // first_offset + n - 1, all landed by now; `corrupt_count` of them carry
   // a transmission error (will surface as a CRC failure / BadCode).  A
-  // train firing delivers one byte at its arrival; a run of n > 1 comes
-  // only from a receiver's own deferral grant (Link::GrantDeferral), so an
-  // endpoint that never grants always sees n == 1.
+  // train firing delivers one byte at its arrival, a byte of a run flit
+  // too; a run of n > 1 comes only from a receiver's own deferral grant
+  // (Link::GrantDeferral), so an endpoint that never grants always sees
+  // n == 1.
   virtual void OnDataBytes(std::uint32_t first_offset, std::uint32_t n,
                            std::uint32_t corrupt_count) = 0;
   virtual void OnPacketEnd(EndFlags flags) = 0;
@@ -137,9 +152,10 @@ class Link final : public Simulator::OffQueueWork {
   void TransmitEnd(Side from, EndFlags flags);
 
   // --- runs: a pump's committed future data symbols ---
-  // The longest run a pump commits: half the settle batch, so a channel
-  // holding a run in flight and a run's worth of landed bytes stays within
-  // the ring size per-symbol delivery reaches.
+  // The longest run a pump commits.  A run is one flit whatever its length;
+  // the bound is how far ahead a pump looks, so it caps the pops a cut
+  // takes back, and it sets how often a streaming pump fires (the model's
+  // event count, which every committed fingerprint was recorded with).
   static constexpr std::uint32_t kMaxRun = 32;
   // Whether `from` may transmit a run: a normal, lossless cable of nonzero
   // length (every symbol lands on a later tick, at a position it can name)
@@ -151,20 +167,23 @@ class Link final : public Simulator::OffQueueWork {
   }
   // Transmits data bytes first_offset .. first_offset + n - 1, one per data
   // slot from slot index `first_slot` (after now) on, exactly as n
-  // TransmitByte calls in those slots would.  `holder` is cut before
-  // anything changes how this side's symbols travel.
+  // TransmitByte calls in those slots would, as one run flit (split where
+  // the receiver's grant stops or starts covering its bytes).  `holder` is
+  // cut before anything changes how this side's symbols travel.
   void TransmitRun(Side from, std::uint32_t first_offset, std::uint32_t n,
                    std::int64_t first_slot, RunHolder* holder);
-  // Takes back the last n symbols `from` transmitted (the unreached tail of
-  // a cut run: none has landed yet) and releases the holder.
-  void WithdrawTail(Side from, std::size_t n);
+  // Takes back the last n data bytes `from` transmitted (the unreached tail
+  // of a cut run: none has landed yet) and releases the holder.
+  void WithdrawTail(Side from, std::uint32_t n);
   // Forgets this side's run holder: its run has ended.
   void ReleaseRun(Side from) { run_holder_[static_cast<int>(from)] = nullptr; }
-  // The arrival ticks of the data bytes at the front of `rx`'s inbound
-  // cross channel that were sent before `sent_before` (so no run can take
-  // them back), up to the first non-data symbol; at most `max`.
-  std::size_t InboundBytes(Side rx, Tick sent_before, Tick* arrivals,
-                           std::size_t max) const;
+  // How many of the data bytes at the front of `rx`'s inbound cross
+  // channel that were sent before `sent_before` (so no run can take them
+  // back), up to the first non-data symbol, pops one per data slot from
+  // slot index `first_pop` on take in order, each in a slot that starts at
+  // or after the byte's arrival; at most `max`.
+  std::uint32_t InboundBytes(Side rx, Tick sent_before, std::int64_t first_pop,
+                             std::uint32_t max) const;
 
   // Latches the directive this side sends in flow-control slots.  kNone
   // means "send only sync in flow slots" (alternate host port behaviour).
@@ -251,21 +270,27 @@ class Link final : public Simulator::OffQueueWork {
     Simulator::EventId pending_directive;
   };
 
-  // One in-flight symbol of a channel: receiver and arrival time are
-  // captured at transmit time.  Deliberately trivially copyable — the ring
-  // below moves these by plain stores; the packet a kBegin introduces rides
-  // in the channel's `begin_packets` ring instead.
+  // One in-flight symbol of a channel, or a run of data bytes: receiver
+  // and arrival time are captured at transmit time.  A data flit carries
+  // `count` bytes at offsets offset .. offset + count - 1; when count > 1
+  // they are a run's, sent one per data slot from the first byte's on (see
+  // ByteArrival), and none is corrupt (a run needs a lossless cable).
+  // Deliberately trivially copyable — the ring below moves these by plain
+  // stores; the packet a kBegin introduces rides in the channel's
+  // `begin_packets` ring instead.
   struct Flit {
     // A deferred byte is held for the receiver's next look, not the train.
     enum class Kind : std::uint8_t { kBegin, kByte, kEnd, kDeferredByte };
-    Tick arrive;
+    Tick arrive;  // the first byte's
     LinkEndpoint* ep;
     std::uint32_t offset;
+    std::uint32_t count;  // data flits only
     Kind kind;
     bool corrupt;
     EndFlags flags;
 
     bool deferred() const { return kind == Kind::kDeferredByte; }
+    bool data() const { return kind == Kind::kByte || deferred(); }
   };
   static_assert(std::is_trivially_copyable_v<Flit>);
 
@@ -274,6 +299,7 @@ class Link final : public Simulator::OffQueueWork {
   // The fields a deferred byte touches come first, in one cache line.
   struct alignas(64) Channel {
     Ring<Flit> inflight;
+    Tick delay = 0;  // fixed: d across the cable, 2d reflected
     // Deferred flits in `inflight`, and the receiver's grant (see
     // GrantDeferral); the default grants nothing.
     std::size_t deferred = 0;
@@ -294,8 +320,10 @@ class Link final : public Simulator::OffQueueWork {
     Simulator::Order order = 0;
   };
   // A channel holding this many flits applies its due deferred bytes before
-  // growing, whatever flit is pushed: big enough to batch, small enough to
-  // stay in cache.
+  // growing, whatever flit is pushed.  A run is one flit, so a channel
+  // reaches it only with many single symbols or short runs in flight (a
+  // long cable, or a sender that is not a pump): big enough to batch, small
+  // enough to stay in cache.
   static constexpr std::size_t kSettleBatch = 64;
   static constexpr int ChannelIndex(Side from, Side to) {
     return 2 * static_cast<int>(from) + static_cast<int>(to);
@@ -333,7 +361,10 @@ class Link final : public Simulator::OffQueueWork {
     return endpoints_[static_cast<int>(side)];
   }
   // Inline (defined below the class); the train start is out of line.
+  // PushFlit counts the symbol against the grant, Enqueue does not.
   void PushFlit(int index, const Flit& flit);
+  void Enqueue(int index, const Flit& flit);
+  void EnqueueDeferred(Channel& ch, const Flit& flit);
   // Starts channel `index`'s train at `flit`, its first undeferred flit,
   // unless the channel already has one: queued at an earlier flit, or
   // firing, in which case its DeliverStep will chain to the first
@@ -351,9 +382,45 @@ class Link final : public Simulator::OffQueueWork {
   // Hands the deferred bytes at the front of the ring that arrive by
   // `limit` to their receiver, one call per run of consecutive offsets.
   void ApplyDeferred(Channel& ch, Tick limit);
-  // Whether the grant covers one more symbol landing at `arrive`, at or
-  // before the horizon (see GrantDeferral).
-  static bool Covers(const Channel& ch, Tick arrive) {
+
+  // --- run flits: byte i of a data flit `f` of channel `ch` ---
+  // The slot index the first byte of a run flit was sent in.
+  static std::int64_t FirstSlot(const Channel& ch, const Flit& f) {
+    return (f.arrive - ch.delay) / kSlotNs;
+  }
+  // When byte i of a run sent from slot index `first_slot` on arrives.
+  static Tick ByteArrival(const Channel& ch, std::int64_t first_slot,
+                          std::uint32_t i) {
+    return SlotStart(AdvanceDataSlots(first_slot, i)) + ch.delay;
+  }
+  // How many of the first `n` bytes of a run sent from `first_slot` on
+  // arrive at or before `t`.
+  static std::uint32_t RunLandedBy(const Channel& ch, std::int64_t first_slot,
+                                   std::uint32_t n, Tick t) {
+    if (t - ch.delay < SlotStart(first_slot)) {
+      return 0;
+    }
+    std::int64_t last = (t - ch.delay) / kSlotNs;  // the last slot that lands
+    return static_cast<std::uint32_t>(
+        std::min<std::int64_t>(n, DataSlotsBetween(first_slot, last + 1)));
+  }
+  // How many of f's bytes arrive at or before `t`.
+  static std::uint32_t LandedBy(const Channel& ch, const Flit& f, Tick t) {
+    if (f.count == 1) {
+      return f.arrive <= t ? 1 : 0;
+    }
+    return RunLandedBy(ch, FirstSlot(ch, f), f.count, t);
+  }
+  // Drops f's first k < f.count bytes.
+  static void DropBytes(const Channel& ch, Flit& f, std::uint32_t k) {
+    f.arrive = ByteArrival(ch, FirstSlot(ch, f), k);
+    f.offset += k;
+    f.count -= k;
+  }
+
+  // How many symbols the grant lets land by `arrive`, at or before the
+  // horizon, counting from the grant (see GrantDeferral).
+  static std::size_t Room(const Channel& ch, Tick arrive) {
     std::size_t room = ch.headroom;
     if (ch.drain_count != 0) {
       // Pops in slots that start before the arrival precede it.
@@ -363,7 +430,29 @@ class Link final : public Simulator::OffQueueWork {
             ch.drain_count, DataSlotsBetween(ch.drain_from, before)));
       }
     }
-    return ch.arrived < room;
+    return room;
+  }
+  // Whether the grant covers one more symbol landing at `arrive`.
+  static bool Covers(const Channel& ch, Tick arrive) {
+    return ch.arrived < Room(ch, arrive);
+  }
+  // How many bytes from byte `from` on, up to byte `to`, of a run sent
+  // from `first_slot` on, the grant covers in a row, with ch.arrived
+  // symbols counted before byte `from` and each byte counted as it lands.
+  // Bytes from .. to - 1 must land by the horizon, in consecutive slots
+  // (no flow slot between them): then the room a byte finds grows by at
+  // most the one symbol it adds, so the covered bytes are a prefix.
+  static std::uint32_t CoveredPrefix(const Channel& ch,
+                                     std::int64_t first_slot,
+                                     std::uint32_t from, std::uint32_t to);
+  // The end of the stretch of a run sent from `first_slot` on that starts
+  // at byte `from` and keeps to consecutive slots: the byte after the
+  // run's next flow slot, or `to`.
+  static std::uint32_t StretchEnd(std::int64_t first_slot, std::uint32_t from,
+                                  std::uint32_t to) {
+    std::int64_t slot = AdvanceDataSlots(first_slot, from);
+    return static_cast<std::uint32_t>(
+        std::min<std::int64_t>(to, from + (NextFlowSlotIndex(slot) - slot)));
   }
   // Before a push fills the ring, applies what has landed instead of
   // growing it.
@@ -377,6 +466,9 @@ class Link final : public Simulator::OffQueueWork {
   void CutRuns();
   // Queues a data byte, deferred if the receiver's grant covers it.
   void PushByte(int index, const Flit& flit);
+  // Counts run flit f's bytes that land by the horizon against the grant;
+  // false, part way, at the first one it does not cover.
+  static bool CoverRun(Channel& ch, const Flit& f);
   void SetFlowDirectiveChanged(Side from, FlowDirective directive);
   void ScheduleDirective(Side from, FlowDirective directive);
   void NotifyCarrier();
@@ -407,12 +499,24 @@ inline void Link::PushFlit(int index, const Flit& flit) {
   if (flit.arrive <= ch.horizon) {
     ++ch.arrived;  // it lands inside the grant's window
   }
+  Enqueue(index, flit);
+}
+
+inline void Link::Enqueue(int index, const Flit& flit) {
+  Channel& ch = channels_[index];
   SettleIfFull(ch);
   bool anchored = ch.inflight.size() != ch.deferred;
   ch.inflight.push_back(flit);
   if (!anchored) {
     AnchorTrain(index, flit);
   }
+}
+
+inline void Link::EnqueueDeferred(Channel& ch, const Flit& flit) {
+  SettleIfFull(ch);  // a host port looks only at a packet's end
+  ch.inflight.push_back(flit);
+  ch.inflight.back().kind = Flit::Kind::kDeferredByte;
+  ++ch.deferred;
 }
 
 // Inline: a streaming forwarder re-grants at every pump firing.
@@ -430,11 +534,18 @@ inline void Link::GrantDeferral(Side rx, Tick horizon, std::size_t headroom,
   ch.arrived = 0;
   // Symbols in flight landing at or before horizon, landed ones included,
   // in arrival order: each must be covered.  The receiver has just looked,
-  // so few have landed.
+  // so few have landed; a run flit's bytes are counted in one step.
   for (std::size_t i = 0; i < ch.inflight.size(); ++i) {
     const Flit& f = ch.inflight[i];
     if (f.arrive > horizon) {
       break;
+    }
+    if (f.data() && f.count > 1) {
+      if (!CoverRun(ch, f)) {
+        RevokeDeferral(rx);
+        return;
+      }
+      continue;
     }
     if (!Covers(ch, f.arrive)) {
       RevokeDeferral(rx);
@@ -460,6 +571,7 @@ inline void Link::TransmitByte(Side from, std::uint32_t offset) {
   flit.arrive = sim_->now() + delay;
   flit.ep = ep;
   flit.offset = offset;
+  flit.count = 1;
   flit.kind = Flit::Kind::kByte;
   flit.corrupt = corrupt;
   PushByte(ChannelIndex(from, rx), flit);
@@ -471,10 +583,7 @@ inline void Link::PushByte(int index, const Flit& flit) {
     if (flit.arrive <= ch.horizon) {
       ++ch.arrived;
     }
-    SettleIfFull(ch);  // a host port looks only at a packet's end
-    ch.inflight.push_back(flit);
-    ch.inflight.back().kind = Flit::Kind::kDeferredByte;
-    ++ch.deferred;
+    EnqueueDeferred(ch, flit);
     return;
   }
   PushFlit(index, flit);

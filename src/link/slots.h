@@ -37,11 +37,21 @@ constexpr Tick NextDataSlotAt(Tick t) {
 // Start time of the first data slot strictly after t.
 constexpr Tick NextDataSlotAfter(Tick t) { return NextDataSlotAt(t + 1); }
 
-// Slot indices, for the loops that step through a pump's run slot by slot
-// without a division per step.
-constexpr std::int64_t NextDataSlotIndex(std::int64_t index) {
-  ++index;
-  return IsFlowSlot(index) ? index + 1 : index;
+// The slot index n data slots on from `index` (index >= 0, n >= 0): the
+// n-th data slot after it, `index` itself for n == 0.  Data slots ranked
+// from 0 are 1..255, 257..511, ..., so rank k is slot k + k / 255 + 1, and
+// the first data slot after `index` has rank index - index / 256.
+constexpr std::int64_t AdvanceDataSlots(std::int64_t index, std::int64_t n) {
+  if (n == 0) {
+    return index;
+  }
+  std::int64_t rank = index - index / kFlowSlotPeriod + n - 1;
+  return rank + rank / (kFlowSlotPeriod - 1) + 1;
+}
+// The index of the first flow slot after `index` (index >= 0): a run of
+// data slots from a data slot `index` on is consecutive up to it.
+constexpr std::int64_t NextFlowSlotIndex(std::int64_t index) {
+  return (index / kFlowSlotPeriod + 1) * kFlowSlotPeriod;
 }
 // The number of data slots with index in [from, to), 0 <= from <= to.
 constexpr std::int64_t DataSlotsBetween(std::int64_t from, std::int64_t to) {

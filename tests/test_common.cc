@@ -10,12 +10,79 @@
 #include "src/common/ids.h"
 #include "src/common/packet.h"
 #include "src/common/port_vector.h"
+#include "src/common/ring.h"
 #include "src/common/serialize.h"
 #include "src/common/time.h"
 #include "src/common/tokens.h"
 
 namespace autonet {
 namespace {
+
+// The ring's contents, front to back, read through operator[].
+std::vector<int> Contents(const Ring<int>& ring) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    out.push_back(ring[i]);
+  }
+  return out;
+}
+
+TEST(Ring, GrowsWhileWrapped) {
+  Ring<int> ring;
+  for (int i = 0; i < 4; ++i) {
+    ring.push_back(i);  // fills the first buffer of 4
+  }
+  EXPECT_EQ(ring.pop_front(), 0);
+  EXPECT_EQ(ring.pop_front(), 1);
+  ring.push_back(4);
+  ring.push_back(5);  // 4 and 5 wrap to the buffer's start
+  ASSERT_TRUE(ring.full());
+  ring.push_back(6);  // grows with the head mid-buffer
+  EXPECT_FALSE(ring.full());
+  EXPECT_EQ(Contents(ring), (std::vector<int>{2, 3, 4, 5, 6}));
+  EXPECT_EQ(ring.front(), 2);
+  EXPECT_EQ(ring.back(), 6);
+}
+
+TEST(Ring, DropsAcrossTheWrap) {
+  Ring<int> ring;
+  for (int i = 0; i < 4; ++i) {
+    ring.push_back(i);
+  }
+  ring.drop_front(3);
+  for (int i = 4; i < 7; ++i) {
+    ring.push_back(i);  // 4..6 wrap: the ring holds 3, 4, 5, 6
+  }
+  ASSERT_TRUE(ring.full());
+  ring.drop_front(2);  // past the end of the buffer
+  EXPECT_EQ(Contents(ring), (std::vector<int>{5, 6}));
+  ring.drop_back(2);  // back past the start
+  EXPECT_TRUE(ring.empty());
+  ring.push_back(7);
+  ring.push_back(8);
+  ring.drop_back(1);
+  EXPECT_EQ(ring.front(), 7);
+  EXPECT_EQ(ring.back(), 7);
+  EXPECT_EQ(ring.size(), 1u);
+}
+
+TEST(Ring, IndexesEveryElementAfterEachGrow) {
+  Ring<int> ring;
+  std::vector<int> want;
+  for (int i = 0; i < 40; ++i) {
+    ring.push_back(i);  // grows at 4, 8, 16 and 32 elements
+    want.push_back(i);
+    if (i % 3 == 2) {
+      ring.pop_front();  // keeps the head moving
+      want.erase(want.begin());
+    }
+    ASSERT_EQ(Contents(ring), want) << i;
+  }
+  ring[0] = -1;
+  EXPECT_EQ(ring.front(), -1);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+}
 
 TEST(Uid, MasksTo48Bits) {
   Uid uid(0xFFFF'1234'5678'9ABCull);

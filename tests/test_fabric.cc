@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/event_log.h"
+#include "src/common/hash.h"
 #include "src/fabric/port_fifo.h"
 #include "src/fabric/scheduler.h"
 #include "src/fabric/switch.h"
@@ -695,12 +697,29 @@ class MiniNet : public MiniNetTest {
                              "switch.swB.link.flow_stops"}) {
       seen.push_back(sim_.metrics().GetCounter(name)->value());
     }
+    for (std::uint64_t h : Fingerprints()) {
+      seen.push_back(static_cast<std::int64_t>(h));
+    }
     seen.push_back(h1_->stats().packets_sent);
     if (failover) {
       sw_b_->DetachLink(kAltPort);
       h1_->DetachPort(1);
     }
     return seen;
+  }
+
+  // What a campaign run's fingerprints hash: the merged event log, the
+  // metrics snapshot and the data digest.
+  std::vector<std::uint64_t> Fingerprints() {
+    std::uint64_t log = kFnvOffset;
+    for (const LogEntry& e : EventLog::Merge(
+             {&sw_a_->log(), &sw_b_->log(), &h1_->log(), &h2_->log()})) {
+      log = Fnv1a(log, &e.time, sizeof e.time);
+      log = Fnv1a(log, e.node);
+      log = Fnv1a(log, e.message);
+    }
+    return {log, Fnv1a(kFnvOffset, sim_.metrics().SnapshotJson()),
+            sim_.data_digest()};
   }
 
   // Streams a 4000-byte packet over a marginal trunk and, every 530 ns
@@ -908,6 +927,17 @@ TEST(ReferenceDifferential, PanicAndStatusReadsOnPumpTicks) {
   ASSERT_FALSE(seen.empty());
   EXPECT_EQ(seen.back(), 2);  // h1 sent both packets
   ExpectTieStreamMatchesThePerByteModel(0.01, false);
+}
+
+// swB's pump commits pops of bytes still on the trunk, each in a slot it
+// lands by: bytes of swA's run flits, part of each already landed, with the
+// stall leaving gaps.  On these trunks a byte lands 20, 64 (a whole number
+// of slots, so on a pump tick) and 103 slots after it is sent, so the two
+// pumps pass flow slots at different points of their runs.
+TEST(ReferenceDifferential, PumpTakesBytesOfAnInboundRunFlit) {
+  for (double km : {0.3, KmForSlots(64), 1.6}) {
+    ExpectTieStreamMatchesThePerByteModel(km, false, /*stall=*/true);
+  }
 }
 
 // --- Runs: a streaming pump commits the pops of the slots ahead ----------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "src/host/controller.h"
@@ -61,6 +64,28 @@ TEST(Slots, NextDataSlotSkipsFlowSlots) {
   // Just before slot 256 (a flow slot): next data slot is 257.
   EXPECT_EQ(NextDataSlotAt(255 * kSlotNs + 1), 257 * kSlotNs);
   EXPECT_EQ(NextDataSlotAfter(kSlotNs), 2 * kSlotNs);
+}
+
+// The closed forms against stepping one slot at a time, from every start
+// in [0, 1024] for up to 600 data slots, so every span crosses a flow slot
+// somewhere and every start sits on each side of one.
+TEST(Slots, ClosedFormStepsMatchTheOneStepLoop) {
+  for (std::int64_t start = 0; start <= 1024; ++start) {
+    std::int64_t slot = start;  // `n` data-slot steps from start
+    std::int64_t data = 0;      // data slots in [start, start + n)
+    for (std::int64_t n = 0; n <= 600; ++n) {
+      ASSERT_EQ(AdvanceDataSlots(start, n), slot) << start << " + " << n;
+      ASSERT_EQ(DataSlotsBetween(start, start + n), data)
+          << start << " .. " << start + n;
+      slot = IsFlowSlot(slot + 1) ? slot + 2 : slot + 1;
+      data += IsFlowSlot(start + n) ? 0 : 1;
+    }
+    std::int64_t flow = start + 1;
+    while (!IsFlowSlot(flow)) {
+      ++flow;
+    }
+    ASSERT_EQ(NextFlowSlotIndex(start), flow) << start;
+  }
 }
 
 TEST(Link, DeliversSymbolsAfterPropagationDelay) {
@@ -551,6 +576,410 @@ TEST(Link, GrantDefersWithinItsHeadroomAndSettleAppliesWhatIsDue) {
   }
   EXPECT_EQ(b.symbols.back().kind, 'e');
   EXPECT_EQ(b.symbols.back().at, end_arrival);
+}
+
+// --- Run flits against the per-byte model ---------------------------------
+//
+// Side A sends one packet the way a pump does: its begin in slot 1, then a
+// firing that sends a byte in its own slot and, where the cable carries
+// runs, up to Link::kMaxRun - 1 more as one run from the next data slot on,
+// firing again in the slot after the run.  In the per-byte reference the
+// same bytes go one per firing, so byte i goes in slot
+// AdvanceDataSlots(2, i) either way.  Side B grants and looks as each test
+// scripts it; whatever it sees at a look must be what the per-byte model
+// shows it.
+class PumpedSender final : public RunHolder {
+ public:
+  PumpedSender(Simulator* sim, Link* link, std::uint32_t bytes)
+      : sim_(sim), link_(link), bytes_(bytes) {}
+
+  void Start() { Schedule(1); }
+  // Sends every byte in a firing of its own, as the per-byte reference.
+  void SendBytesSingly() { runs_ = false; }
+  // Cuts the packet short at `t`, between slot starts, as an abort does:
+  // the bytes of the slots before t went, the run's later ones are taken
+  // back, and a truncated end follows in the next data slot.
+  void AbortAt(Tick t) {
+    sim_->ScheduleAt(t, [this] {
+      CutRun();
+      sim_->Cancel(next_);
+      sim_->ScheduleAt(NextDataSlotAfter(sim_->now()), [this] {
+        link_->TransmitEnd(Link::Side::kA,
+                           EndFlags{.truncated = true, .corrupted = true});
+      });
+    });
+  }
+  void CutRun() override {
+    if (run_left_ == 0) {
+      return;
+    }
+    const std::int64_t ahead = (sim_->now() + kSlotNs - 1) / kSlotNs;
+    const std::uint32_t passed =
+        ahead <= run_slot_
+            ? 0
+            : static_cast<std::uint32_t>(std::min<std::int64_t>(
+                  run_left_, DataSlotsBetween(run_slot_, ahead)));
+    const std::uint32_t left = run_left_ - passed;
+    run_left_ = 0;
+    sent_ -= left;
+    link_->WithdrawTail(Link::Side::kA, left);
+  }
+
+ private:
+  void Schedule(std::int64_t slot) {
+    next_ = sim_->ScheduleAt(SlotStart(slot), [this, slot] { Fire(slot); });
+  }
+  void Fire(std::int64_t slot) {
+    if (run_left_ != 0) {
+      run_left_ = 0;  // every byte of the run went
+      link_->ReleaseRun(Link::Side::kA);
+    }
+    if (!begun_) {
+      begun_ = true;
+      link_->TransmitBegin(Link::Side::kA, TestPacket());
+      Schedule(AdvanceDataSlots(slot, 1));
+      return;
+    }
+    if (sent_ == bytes_) {
+      link_->TransmitEnd(Link::Side::kA, EndFlags{});
+      return;
+    }
+    link_->TransmitByte(Link::Side::kA, sent_++);
+    const std::int64_t first = AdvanceDataSlots(slot, 1);
+    const std::uint32_t n = std::min(bytes_ - sent_, Link::kMaxRun - 1);
+    if (n == 0 || !runs_ || !link_->CanCarryRun(Link::Side::kA)) {
+      Schedule(first);
+      return;
+    }
+    link_->TransmitRun(Link::Side::kA, sent_, n, first, this);
+    run_slot_ = first;
+    run_left_ = n;
+    sent_ += n;
+    Schedule(AdvanceDataSlots(first, n));
+  }
+
+  Simulator* sim_;
+  Link* link_;
+  std::uint32_t bytes_;
+  std::uint32_t sent_ = 0;
+  bool runs_ = true;
+  bool begun_ = false;
+  std::int64_t run_slot_ = 0;
+  std::uint32_t run_left_ = 0;
+  Simulator::EventId next_;
+};
+
+// Side B: logs every OnDataBytes call, the byte count at each look, and
+// when ends land.
+class LookingEndpoint : public LinkEndpoint {
+ public:
+  struct Call {
+    std::uint32_t offset;
+    std::uint32_t n;
+    Tick at;
+  };
+
+  explicit LookingEndpoint(Simulator* sim) : sim_(sim) {}
+  void OnPacketBegin(const PacketRef&) override {}
+  void OnDataBytes(std::uint32_t offset, std::uint32_t n,
+                   std::uint32_t) override {
+    EXPECT_EQ(offset, bytes);  // in order, none twice
+    calls.push_back({offset, n, sim_->now()});
+    bytes += n;
+  }
+  void OnPacketEnd(EndFlags flags) override {
+    ends.emplace_back(sim_->now(), flags.truncated);
+  }
+  void OnFlowDirective(FlowDirective) override {}
+  void OnCarrierChange(bool) override {}
+
+  std::uint32_t bytes = 0;
+  std::vector<Call> calls;
+  std::vector<std::uint32_t> looks;  // bytes seen at each look
+  std::vector<std::pair<Tick, bool>> ends;
+
+ private:
+  Simulator* sim_;
+};
+
+// When byte i of PumpedSender's packet lands, `delay` after its slot.
+Tick RunByteArrival(std::uint32_t i, Tick delay) {
+  return SlotStart(AdvanceDataSlots(2, i)) + delay;
+}
+
+// One packet of `bytes` bytes over a cable of `km` (1 km: 64 slots in
+// flight), the receiver scripted by the test.
+struct RunFlitCase {
+  RunFlitCase(bool per_byte_reference, std::uint32_t bytes, double km = 1.0)
+      : link(&sim, km), tx(&sim, &link, bytes) {
+    sim.SetPerByteReference(per_byte_reference);
+    link.Attach(Link::Side::kB, &rx);
+  }
+  ~RunFlitCase() { link.Detach(Link::Side::kB); }
+
+  Tick Arrival(std::uint32_t i) const {
+    return RunByteArrival(i, link.propagation_delay());
+  }
+  void GrantAt(Tick t, Tick horizon, std::size_t headroom) {
+    sim.ScheduleAt(t, [this, horizon, headroom] {
+      link.GrantDeferral(Link::Side::kB, horizon, headroom);
+    });
+  }
+  // B settles and counts what it has, then runs `then`.
+  void LookAt(Tick t, std::function<void()> then = nullptr) {
+    sim.ScheduleAt(t, [this, then] {
+      link.Settle(Link::Side::kB);
+      rx.looks.push_back(rx.bytes);
+      if (then) {
+        then();
+      }
+    });
+  }
+
+  Simulator sim;
+  Link link;
+  LookingEndpoint rx{&sim};
+  PumpedSender tx;
+};
+
+// Runs `script` on a case with runs and on one in the per-byte reference:
+// B must see the same bytes at every look and the same ends.  Returns the
+// run case's calls for the test's own pins.
+template <typename Script>
+std::vector<LookingEndpoint::Call> ExpectSameLooksBothWays(
+    std::uint32_t bytes, Script script) {
+  std::vector<LookingEndpoint::Call> calls;
+  std::vector<std::uint32_t> looks[2];
+  std::vector<std::pair<Tick, bool>> ends[2];
+  for (bool reference : {false, true}) {
+    RunFlitCase c(reference, bytes);
+    script(c);
+    c.tx.Start();
+    c.sim.Run();
+    looks[reference] = c.rx.looks;
+    ends[reference] = c.rx.ends;
+    if (!reference) {
+      calls = c.rx.calls;
+    } else {
+      EXPECT_EQ(c.rx.calls.size(), c.rx.bytes);  // one call per byte
+    }
+  }
+  EXPECT_EQ(looks[0], looks[1]);
+  EXPECT_EQ(ends[0], ends[1]);
+  return calls;
+}
+
+// 400 bytes cross flow slot 256, inside one of the pump's runs.
+constexpr std::uint32_t kRunBytes = 400;
+// When byte i lands across RunFlitCase's default 1 km cable.
+Tick Arrival1Km(std::uint32_t i) {
+  return RunByteArrival(i, PropagationDelayNs(1.0));
+}
+
+// Expects calls[from..] to be single bytes, each at its own arrival.
+void ExpectTrainDelivered(const std::vector<LookingEndpoint::Call>& calls,
+                          std::size_t from) {
+  for (std::size_t k = from; k < calls.size(); ++k) {
+    EXPECT_EQ(calls[k].n, 1u) << "call " << k;
+    EXPECT_EQ(calls[k].at, Arrival1Km(calls[k].offset)) << "call " << k;
+  }
+}
+
+TEST(RunFlits, GrantCoveringARunsPrefixLeavesTheRestToTheTrain) {
+  // A headroom of 5 covers the begin, byte 0 and the run's bytes 1..3.
+  auto calls = ExpectSameLooksBothWays(kRunBytes, [](RunFlitCase& c) {
+    c.GrantAt(0, SlotStart(100000), 5);
+    c.LookAt(c.Arrival(40) + 1);
+    c.LookAt(c.Arrival(300) + 1);
+  });
+  ASSERT_GE(calls.size(), 2u);
+  // Applied ahead of byte 4, the first the train fires for.
+  EXPECT_EQ(calls[0].offset, 0u);
+  EXPECT_EQ(calls[0].n, 4u);
+  EXPECT_EQ(calls[0].at, Arrival1Km(4));
+  ExpectTrainDelivered(calls, 1);
+  EXPECT_EQ(calls.size(), 1 + kRunBytes - 4);
+}
+
+TEST(RunFlits, HorizonMidRunDefersTheRestUntilALook) {
+  const Tick look1 = Arrival1Km(20) + 1;
+  const Tick look2 = Arrival1Km(35) + 1;
+  const Tick look3 = Arrival1Km(45) + 1;
+  auto calls = ExpectSameLooksBothWays(kRunBytes, [&](RunFlitCase& c) {
+    // Bytes past the horizon (byte 10) are deferred, so is every one by it.
+    c.GrantAt(0, c.Arrival(10), 100);
+    // The 20 bytes in flight that land by byte 40 fit a headroom of 20;
+    c.LookAt(look1, [&c] {
+      c.link.GrantDeferral(Link::Side::kB, c.Arrival(40), 20);
+    });
+    c.LookAt(look2);
+    // the 25 landing by byte 70 do not fit 19: the grant is revoked.
+    c.LookAt(look3, [&c] {
+      c.link.GrantDeferral(Link::Side::kB, c.Arrival(70), 19);
+    });
+  });
+  ASSERT_GE(calls.size(), 4u);
+  EXPECT_EQ(calls[0].offset, 0u);
+  EXPECT_EQ(calls[0].n, 21u);
+  EXPECT_EQ(calls[0].at, look1);
+  EXPECT_EQ(calls[1].n, 15u);
+  EXPECT_EQ(calls[1].at, look2);
+  EXPECT_EQ(calls[2].n, 10u);
+  EXPECT_EQ(calls[2].at, look3);
+  ExpectTrainDelivered(calls, 3);
+}
+
+TEST(RunFlits, RevokeMidRunHandsTheRestToTheTrain) {
+  const Tick look = Arrival1Km(20) + 1;
+  const Tick revoke = Arrival1Km(50) + 1;
+  auto calls = ExpectSameLooksBothWays(kRunBytes, [&](RunFlitCase& c) {
+    c.GrantAt(0, Link::kNoHorizon, 0);  // defers every byte
+    c.LookAt(look);
+    c.sim.ScheduleAt(revoke,
+                     [&c] { c.link.RevokeDeferral(Link::Side::kB); });
+  });
+  ASSERT_GE(calls.size(), 3u);
+  EXPECT_EQ(calls[0].n, 21u);
+  EXPECT_EQ(calls[0].at, look);
+  // Bytes 21..50 have landed; 51..63, the rest of that run, go one by one.
+  EXPECT_EQ(calls[1].offset, 21u);
+  EXPECT_EQ(calls[1].n, 30u);
+  EXPECT_EQ(calls[1].at, revoke);
+  ExpectTrainDelivered(calls, 2);
+  EXPECT_EQ(calls.size(), 2 + kRunBytes - 51);
+}
+
+TEST(RunFlits, WithdrawnTailCutsInsideARunFlit) {
+  // Covered bytes 0..6, train bytes 7..15, deferred past the horizon from
+  // 16 on; the abort in slot 12 keeps bytes 0..10, so the cut shrinks the
+  // train's flit and drops the deferred one.
+  auto calls = ExpectSameLooksBothWays(kRunBytes, [](RunFlitCase& c) {
+    c.GrantAt(0, c.Arrival(15), 8);
+    c.tx.AbortAt(SlotStart(12) + 40);
+    c.LookAt(c.Arrival(9) + 1);
+  });
+  ASSERT_EQ(calls.size(), 5u);
+  EXPECT_EQ(calls[0].n, 7u);
+  EXPECT_EQ(calls[0].at, Arrival1Km(7));
+  ExpectTrainDelivered(calls, 1);
+  EXPECT_EQ(calls.back().offset, 10u);
+
+  // Bytes 0..80 covered, the rest of the third run (81..95) for the
+  // train: the abort in slot 80 takes all of those back and two covered
+  // ones, leaving the train no flit to fire at before the end.
+  calls = ExpectSameLooksBothWays(kRunBytes, [](RunFlitCase& c) {
+    c.GrantAt(0, SlotStart(100000), 82);
+    c.tx.AbortAt(SlotStart(80) + 40);
+    c.LookAt(c.Arrival(30) + 1);
+    c.LookAt(c.Arrival(70) + 1);
+  });
+  ASSERT_EQ(calls.size(), 3u);
+  EXPECT_EQ(calls.back().offset + calls.back().n, 79u);
+  EXPECT_EQ(calls.back().at, SlotStart(81) + PropagationDelayNs(1.0));
+}
+
+// A pump downstream asks, at a slot start, how many bytes still on the
+// cable its pops from a given slot on could take.  The closed form must
+// count what stepping pop by pop, byte by byte, counts: over cables whose
+// delay puts the receiver's flow slots at other points of the runs than
+// the sender's, with bytes peeled off by the train or all held deferred.
+TEST(RunFlits, InboundBytesCountsWhatPopsTakeOneByOne) {
+  for (double km : {0.05, 0.3, 1.0, 1.6}) {
+    for (bool grant : {false, true}) {
+      RunFlitCase c(false, kRunBytes, km);
+      if (grant) {
+        c.GrantAt(0, Link::kNoHorizon, 0);
+      }
+      int checked = 0;
+      for (std::int64_t s = 3; s < 340; ++s) {
+        c.sim.ScheduleAt(SlotStart(s), [&c, &checked, s, km] {
+          const Tick now = c.sim.now();
+          const bool begin_landed =
+              SlotStart(1) + c.link.propagation_delay() < now;
+          for (std::int64_t k = 1; k <= 3; ++k) {
+            for (std::uint32_t max : {31u, 7u}) {
+              const std::int64_t first_pop = AdvanceDataSlots(s, k);
+              std::uint32_t want = 0;
+              std::int64_t pop = first_pop;
+              for (std::uint32_t i = c.rx.bytes;
+                   begin_landed && want < max && i < kRunBytes &&
+                   SlotStart(AdvanceDataSlots(2, i)) < now &&
+                   c.Arrival(i) <= SlotStart(pop);
+                   ++i) {
+                ++want;
+                pop = AdvanceDataSlots(pop, 1);
+              }
+              ASSERT_EQ(c.link.InboundBytes(Link::Side::kB, now, first_pop,
+                                            max),
+                        want)
+                  << km << " km, slot " << s << ", pop +" << k << ", max "
+                  << max;
+              checked += want > 0 ? 1 : 0;
+            }
+          }
+        });
+      }
+      c.tx.Start();
+      c.sim.Run();
+      EXPECT_GT(checked, 100) << km << " km";
+    }
+  }
+}
+
+// Sent byte by byte under a grant, each byte is deferred or not on its own;
+// a run must split exactly where those decisions change, so the receiver
+// gets the same calls at the same ticks either way (a deferred byte is
+// applied later than its arrival, a train byte at it).  One grant per
+// packet, made before it, with a headroom, a horizon and a drain drawn so
+// that the decision flips inside runs, the one across flow slot 256
+// included; looks every few slots keep both rings small.
+TEST(RunFlits, RunSplitsWhereSingleBytesWould) {
+  std::mt19937_64 rng(1);
+  auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  for (int trial = 0; trial < 1000; ++trial) {
+    const double km = 0.05 * static_cast<double>(draw(1, 10));
+    // Bytes landing before the drain's first pop use up the headroom, so
+    // a headroom near their count leaves the grant just short of covering
+    // when the pops begin; the skip of a flow slot then gains it one.
+    const std::int64_t lag =
+        (PropagationDelayNs(km) + kSlotNs - 1) / kSlotNs;  // slots
+    const std::int64_t drain_from = draw(0, 400);
+    const auto drain_count = static_cast<std::uint32_t>(draw(0, 400));
+    const auto headroom = static_cast<std::size_t>(
+        std::max<std::int64_t>(0, drain_from - lag + draw(-4, 8)));
+    const std::int64_t horizon_slot = draw(0, 500);
+    std::vector<Tick> looks;
+    for (Tick t = draw(0, 20) * kSlotNs; t < SlotStart(480);
+         t += draw(2, 16) * kSlotNs + draw(0, kSlotNs - 1)) {
+      looks.push_back(t);
+    }
+    auto calls = [&](bool runs) {
+      RunFlitCase c(false, kRunBytes, km);
+      if (!runs) {
+        c.tx.SendBytesSingly();
+      }
+      c.sim.ScheduleAt(0, [&c, horizon_slot, headroom, drain_from,
+                           drain_count] {
+        c.link.GrantDeferral(Link::Side::kB,
+                             SlotStart(horizon_slot) +
+                                 c.link.propagation_delay(),
+                             headroom, drain_from, drain_count);
+      });
+      for (Tick t : looks) {
+        c.LookAt(t);
+      }
+      c.tx.Start();
+      c.sim.Run();
+      std::vector<std::tuple<std::uint32_t, std::uint32_t, Tick>> out;
+      for (const LookingEndpoint::Call& call : c.rx.calls) {
+        out.emplace_back(call.offset, call.n, call.at);
+      }
+      return out;
+    };
+    ASSERT_EQ(calls(true), calls(false)) << "trial " << trial;
+  }
 }
 
 // A host port counts a packet's bytes and notes damage only to judge the
